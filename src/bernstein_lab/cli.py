@@ -20,15 +20,13 @@ import sys
 import numpy as np
 
 from . import geometry, linalg, rotations, verification
-from .conditions import (check_fc_hjw, check_hemisphere24, check_jost_xin,
-                         check_theorem_a)
+from .conditions import CONDITIONS, condition_names, evaluate_condition
 from .geometry import DomainError, mapspec_from_json, singular_data
-from .optimal_region import optimal_condition, region_scan
+from .optimal_region import region_scan
 from .rotations import NonGraphicError, SearchTarget, search_rotation
 from .surfaces import builtin_names, builtin_surface
 
 SCHEMA = "bernstein-lab/1"
-ALL_CONDITIONS = ("TheoremA", "JostXin", "FC_HJW", "Hemisphere24", "OptimalB")
 
 
 def _jsonable(obj):
@@ -47,8 +45,8 @@ def _jsonable(obj):
     return obj
 
 
-def _dump(payload, out_path):
-    text = json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
+def _write(text, out_path):
+    """The one output writer: ``text`` to ``out_path``, or to stdout."""
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -56,12 +54,17 @@ def _dump(payload, out_path):
         sys.stdout.write(text)
 
 
-def _write_text(text, out_path):
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _json_text(payload):
+    return json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
+
+
+def _csv_text(config, header, rows):
+    """Schema line, config echo, header, then rows of preformatted fields."""
+    lines = [f"# schema: {SCHEMA}",
+             "# config: " + json.dumps(config, sort_keys=True),
+             ",".join(header)]
+    lines.extend(",".join(row) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def _config_echo(args, keys):
@@ -89,42 +92,11 @@ def _load_json(path):
 # check
 
 
-def _reports_for_jac(jac, names, args):
-    n, m = jac.shape
-    sd = singular_data(jac)
-    lams = sd.lambdas
-    reports = []
-    for name in names:
-        if name == "TheoremA":
-            reports.append(check_theorem_a(lams, args.delta, args.kmin))
-        elif name == "JostXin":
-            reports.append(check_jost_xin(lams))
-        elif name == "FC_HJW":
-            reports.append(check_fc_hjw(lams, n, m))
-        elif name == "Hemisphere24":
-            if (n, m) != (2, 2):
-                raise ValueError("Hemisphere24 requires n = m = 2")
-            signed = np.sign(linalg.det(jac))
-            signed = 1.0 if signed == 0 else signed
-            reports.append(
-                check_hemisphere24(lams[0], signed * lams[1])
-            )
-        elif name == "OptimalB":
-            reports.append(
-                optimal_condition(lams, m, epsilon=args.epsilon,
-                                  traceless=args.traceless)
-            )
-        else:
-            raise ValueError(f"unknown condition {name!r}")
-    return reports
-
-
 def cmd_check(args):
     data = _load_json(args.input)
+    names = None
     if args.conditions:
         names = tuple(s.strip() for s in args.conditions.split(","))
-    else:
-        names = None
     entries = []
     if "matrix" in data:
         jac = np.asarray(data["matrix"], dtype=float)
@@ -140,14 +112,13 @@ def cmd_check(args):
         raise ValueError("input must contain 'matrix' or 'spec' + 'points'")
     all_pass = True
     for point, jac in jacs:
-        n, m = jac.shape
-        used = names
-        if used is None:
-            used = tuple(
-                c for c in ALL_CONDITIONS
-                if c != "Hemisphere24" or (n, m) == (2, 2)
-            )
-        reports = _reports_for_jac(jac, used, args)
+        lams = singular_data(jac).lambdas
+        reports = [
+            evaluate_condition(name, jac, lams, delta=args.delta,
+                               k_min=args.kmin, epsilon=args.epsilon,
+                               traceless=args.traceless)
+            for name in names or condition_names(*jac.shape)
+        ]
         all_pass &= all(r.pass_ for r in reports)
         entry = {"reports": [r.to_json() for r in reports]}
         if point is not None:
@@ -160,7 +131,7 @@ def cmd_check(args):
                    "traceless")),
         "results": entries,
     }
-    _dump(payload, args.out)
+    _write(_json_text(payload), args.out)
     return 0 if all_pass else 1
 
 
@@ -195,19 +166,13 @@ def cmd_region(args):
                 "classification": result.classification,
             },
         }
-        _dump(payload, args.out)
+        _write(_json_text(payload), args.out)
         return 0
-    p = len(axes)
-    lines = [
-        f"# schema: {SCHEMA}",
-        "# config: " + json.dumps(config, sort_keys=True),
-        ",".join([f"lambda{i + 1}" for i in range(p)] + ["min_eig", "class"]),
-    ]
-    for lam, value, label in result.iter_rows():
-        lines.append(
-            ",".join([repr(v) for v in lam] + [repr(value), label])
-        )
-    _write_text("\n".join(lines) + "\n", args.out)
+    header = [f"lambda{i + 1}" for i in range(len(axes))] + ["min_eig",
+                                                            "class"]
+    rows = ([repr(v) for v in lam] + [repr(value), label]
+            for lam, value, label in result.iter_rows())
+    _write(_csv_text(config, header, rows), args.out)
     return 0
 
 
@@ -244,7 +209,7 @@ def cmd_rotate(args):
             "evaluations": outcome.evaluations,
         },
     }
-    _dump(payload, args.out)
+    _write(_json_text(payload), args.out)
     return 0 if outcome.report.pass_ else 1
 
 
@@ -256,50 +221,23 @@ MINIMALITY_GATES = {True: 1e-6, False: 1e-4}  # analytic vs finite-difference
 ORDER_GATE = 1.5
 
 
-def _node_csv(sample, identity):
+def _node_table(sample, sides):
+    """CSV header and rows of per-node identity sides: coordinates first."""
     n = sample.n
-    mesh = np.meshgrid(*sample.axes, indexing="ij")
-    if identity == "gradient":
-        grads = np.stack(
-            [np.gradient(sample.star_omega, sample.axes[i], axis=i,
-                         edge_order=2) for i in range(n)], axis=-1)
-        lhs = np.einsum("...lk,...l->...k",
-                        sample.tangent_frames[..., :n, :], grads)
-        from .optimal_region import rhs_gradient_star_omega
-
-        rhs = rhs_gradient_star_omega(sample.lambdas, sample.sff)
-        sl = sample.interior(1)
-        header = ([f"x{i + 1}" for i in range(n)]
-                  + [f"lhs{k + 1}" for k in range(n)]
-                  + [f"rhs{k + 1}" for k in range(n)] + ["err"])
-        rows = []
-        err = np.max(np.abs(lhs - rhs), axis=-1)
-        for idx in np.ndindex(*err[sl].shape):
-            full = tuple(i + 1 for i in idx)
-            rows.append(
-                [mesh[i][full] for i in range(n)]
-                + list(lhs[full]) + list(rhs[full]) + [err[full]]
-            )
-        return header, rows
-    from .optimal_region import evaluate_F_direct, rhs_delta_star_omega
-
-    if identity == "laplacian-log":
-        lhs = verification.discrete_laplace_beltrami(
-            sample, np.log(sample.star_omega))
-        rhs = -evaluate_F_direct(sample.lambdas, sample.sff)
+    inner = [ax[sides.layers: len(ax) - sides.layers] for ax in sample.axes]
+    coords = np.stack(np.meshgrid(*inner, indexing="ij"), axis=-1)
+    nodes = sides.err.size
+    if sides.lhs.ndim > sides.err.ndim:     # one column per component
+        sides_header = ([f"lhs{k + 1}" for k in range(n)]
+                        + [f"rhs{k + 1}" for k in range(n)])
     else:
-        lhs = verification.discrete_laplace_beltrami(sample,
-                                                     sample.star_omega)
-        rhs = np.asarray(rhs_delta_star_omega(sample.lambdas, sample.sff))
-    sl = sample.interior(2)
-    header = [f"x{i + 1}" for i in range(n)] + ["lhs", "rhs", "err"]
-    rows = []
-    rhs_in = rhs[sl]
-    for idx in np.ndindex(*lhs.shape):
-        full = tuple(i + 2 for i in idx)
-        rows.append([mesh[i][full] for i in range(n)]
-                    + [lhs[idx], rhs_in[idx], abs(lhs[idx] - rhs_in[idx])])
-    return header, rows
+        sides_header = ["lhs", "rhs"]
+    table = np.hstack([coords.reshape(nodes, n),
+                       sides.lhs.reshape(nodes, -1),
+                       sides.rhs.reshape(nodes, -1),
+                       sides.err.reshape(nodes, 1)])
+    header = [f"x{i + 1}" for i in range(n)] + sides_header + ["err"]
+    return header, ([repr(float(v)) for v in row] for row in table)
 
 
 def cmd_verify(args):
@@ -309,41 +247,27 @@ def cmd_verify(args):
         spec = mapspec_from_json(_load_json(args.input))
     else:
         raise ValueError("verify needs --surface or --input")
+    if args.nodes_csv and args.identity not in verification.SIDED_IDENTITIES:
+        raise ValueError(f"--nodes-csv needs an identity with per-node "
+                         f"sides, not {args.identity}")
     grids = [int(g) for g in str(args.grid).split(",")]
     config = _config_echo(
         args, ("surface", "input", "identity", "grid", "nodes_csv"))
 
-    if len(grids) == 1:
-        sample = verification.sample_surface(spec, grids[0])
-        if args.identity == "minimality":
-            stats = verification._minimality_stats(sample)
-            gate = MINIMALITY_GATES[spec.has_analytic_derivatives]
-            passed = stats.max_abs_error < gate
-        else:
-            runner = verification.IDENTITY_RUNNERS[args.identity]
-            stats = runner(sample)
-            passed = True
-        if args.nodes_csv and args.identity != "minimality":
-            header, rows = _node_csv(sample, args.identity)
-            lines = [f"# schema: {SCHEMA}",
-                     "# config: " + json.dumps(config, sort_keys=True),
-                     ",".join(header)]
-            for row in rows:
-                lines.append(",".join(repr(float(v)) for v in row))
-            with open(args.nodes_csv, "w") as fh:
-                fh.write("\n".join(lines) + "\n")
-        results = [stats.to_json()]
+    ladder, finest = verification.run_identity(spec, grids, args.identity)
+    if args.identity == "minimality":
+        gate = MINIMALITY_GATES[spec.has_analytic_derivatives]
+        passed = all(s.max_abs_error < gate for s in ladder)
     else:
-        ladder = verification.convergence_study(spec, grids, args.identity)
-        results = [s.to_json() for s in ladder]
-        if args.identity == "minimality":
-            gate = MINIMALITY_GATES[spec.has_analytic_derivatives]
-            passed = all(s.max_abs_error < gate for s in ladder)
-        else:
-            orders = [s.observed_order for s in ladder[1:]]
-            passed = all(o is None or o >= ORDER_GATE for o in orders)
-    payload = {"schema": SCHEMA, "config": config, "results": results}
-    _dump(payload, args.out)
+        passed = all(s.observed_order is None
+                     or s.observed_order >= ORDER_GATE for s in ladder)
+    if args.nodes_csv:
+        sides = verification.identity_sides(finest, args.identity)
+        _write(_csv_text(config, *_node_table(finest, sides)),
+               args.nodes_csv)
+    payload = {"schema": SCHEMA, "config": config,
+               "results": [s.to_json() for s in ladder]}
+    _write(_json_text(payload), args.out)
     return 0 if passed else 1
 
 
@@ -365,7 +289,7 @@ def build_parser():
     p.add_argument("--input", required=True,
                    help="JSON file: {'matrix': ...} or {'spec': ..., 'points': ...}")
     p.add_argument("--conditions", default=None,
-                   help="comma list from: " + ",".join(ALL_CONDITIONS))
+                   help="comma list from: " + ",".join(CONDITIONS))
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--kmin", type=float, default=0.1)
     p.add_argument("--epsilon", type=float, default=1e-3)
@@ -403,9 +327,7 @@ def build_parser():
     p = sub.add_parser("verify", help="discrete identity verification")
     p.add_argument("--surface", choices=builtin_names(), default=None)
     p.add_argument("--input", default=None, help="MapSpec JSON file")
-    p.add_argument("--identity",
-                   choices=("gradient", "laplacian-log", "laplacian-raw",
-                            "minimality"),
+    p.add_argument("--identity", choices=tuple(verification.IDENTITY_RUNNERS),
                    required=True)
     p.add_argument("--grid", required=True, help="N or N1,N2 (nested)")
     p.add_argument("--nodes-csv", dest="nodes_csv", default=None,

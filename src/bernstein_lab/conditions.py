@@ -3,19 +3,20 @@
 Each checker returns a ``ConditionReport`` carrying a signed margin in the
 natural units of its inequality: positive inside the good region, negative
 outside.  Margins of different conditions are deliberately not normalized
-against each other.
+against each other.  ``CONDITIONS`` is the registry of named conditions that
+the command line and the rotation search evaluate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 
+from . import linalg
 from .geometry import star_omega
-
-CONDITION_NAMES = ("TheoremA", "JostXin", "FC_HJW", "Hemisphere24", "OptimalB")
 
 
 @dataclass(frozen=True)
@@ -172,3 +173,73 @@ def check_hemisphere24(lambda1, lambda2) -> ConditionReport:
         details={"omega1": w1, "omega2": w2,
                  "signed_product": float(lambda1) * float(lambda2)},
     )
+
+
+# ---------------------------------------------------------------------------
+# registry
+
+
+@dataclass(frozen=True)
+class Condition:
+    """A named condition: its evaluator and the shapes of df it applies to.
+
+    ``evaluate(jac, lambdas, delta=, k_min=, epsilon=, traceless=)`` returns
+    the ``ConditionReport`` of the n x m differential ``jac`` with singular
+    values ``lambdas`` (length n, zero-padded); each evaluator reads the
+    thresholds it needs.  ``square`` restricts the condition to
+    n = m = square.
+    """
+
+    evaluate: Callable
+    square: Optional[int] = None
+
+    def applies(self, n, m):
+        return self.square is None or n == m == self.square
+
+
+def _hemisphere24(jac, lambdas, **_):
+    sign = np.sign(linalg.det(jac))
+    sign = 1.0 if sign == 0 else sign
+    return check_hemisphere24(lambdas[0], sign * lambdas[1])
+
+
+def _optimal_b(jac, lambdas, epsilon, traceless, **_):
+    from .optimal_region import optimal_condition  # imports this module
+
+    return optimal_condition(lambdas, np.shape(jac)[1], epsilon=epsilon,
+                             traceless=traceless)
+
+
+CONDITIONS = {
+    "TheoremA": Condition(
+        lambda jac, lambdas, delta, k_min, **_:
+        check_theorem_a(lambdas, delta, k_min)),
+    "JostXin": Condition(lambda jac, lambdas, **_: check_jost_xin(lambdas)),
+    "FC_HJW": Condition(
+        lambda jac, lambdas, **_: check_fc_hjw(lambdas, *np.shape(jac))),
+    "Hemisphere24": Condition(_hemisphere24, square=2),
+    "OptimalB": Condition(_optimal_b),
+}
+
+
+def condition_names(n, m):
+    """Registered conditions that apply to an n x m differential, in order."""
+    return tuple(name for name, cond in CONDITIONS.items()
+                 if cond.applies(n, m))
+
+
+def evaluate_condition(name, jac, lambdas, *, delta, k_min, epsilon,
+                       traceless) -> ConditionReport:
+    """Report of the registered condition ``name`` on one differential.
+
+    Raises ``ValueError`` for an unknown name or a shape the condition is
+    not defined for.
+    """
+    cond = CONDITIONS.get(name)
+    if cond is None:
+        raise ValueError(f"unknown condition {name!r} "
+                         f"(known: {', '.join(CONDITIONS)})")
+    if not cond.applies(*np.shape(jac)):
+        raise ValueError(f"{name} requires n = m = {cond.square}")
+    return cond.evaluate(jac, lambdas, delta=delta, k_min=k_min,
+                         epsilon=epsilon, traceless=traceless)

@@ -226,47 +226,6 @@ def fd_consistency(spec: MapSpec, x, step=None):
 # singular data and frames
 
 
-def _canonical_span_basis(proj, k):
-    """Deterministic orthonormal basis of a k-dim subspace given its projector.
-
-    Gram-Schmidt of the projections of the standard basis vectors, taken in
-    index order; a greedy max-residual pass fills any remaining slots.
-    """
-    d = proj.shape[0]
-    chosen = []
-    used = set()
-
-    def resid(vec):
-        r = vec.copy()
-        for c in chosen:
-            r = r - (c @ r) * c
-        return r
-
-    for idx in range(d):
-        if len(chosen) == k:
-            break
-        r = resid(proj[:, idx])
-        nrm = np.sqrt(r @ r)
-        if nrm > 0.5:
-            chosen.append(r / nrm)
-            used.add(idx)
-    while len(chosen) < k:
-        best = None
-        best_norm = -1.0
-        for idx in range(d):
-            if idx in used:
-                continue
-            r = resid(proj[:, idx])
-            nrm = np.sqrt(r @ r)
-            if nrm > best_norm + 1e-15:
-                best = (idx, r, nrm)
-                best_norm = nrm
-        idx, r, nrm = best
-        chosen.append(r / nrm)
-        used.add(idx)
-    return np.array(chosen).T
-
-
 def _group_indices(lams, gtol):
     groups = []
     start = 0
@@ -289,7 +248,8 @@ def _frames_from_jac(jac, lams, vmat):
     for grp in groups:
         if len(grp) > 1:
             cols = amat[:, grp[0]: grp[-1] + 1]
-            amat[:, grp[0]: grp[-1] + 1] = _canonical_span_basis(
+            # canonical basis of the group's span, from its projector
+            amat[:, grp[0]: grp[-1] + 1] = linalg._canonical_basis(
                 cols @ cols.T, len(grp)
             )
     for j in range(n):

@@ -140,7 +140,11 @@ def jacobi_svd(a, tol=OFF_DIAG_TOL, max_sweeps=MAX_SWEEPS, compute_u=True):
     nb = w.shape[0]
     v = np.tile(np.eye(c), (nb, 1, 1))
 
-    gram_scale = np.maximum(1.0, np.sum(w * w, axis=(-2, -1)))  # ~ ||a.T a||_F
+    sq_norm = np.sum(w * w, axis=(-2, -1))  # ||a||_F^2 ~ ||a.T a||_F
+    gram_scale = np.maximum(1.0, sq_norm)
+    # A column left by cancellation (norm ~ u ||a||) shrinks by ~u a sweep
+    # and never meets the relative test below; this floor stops it.
+    gamma_floor = 1e-32 * sq_norm + 1e-300
 
     def off_gram(wm):
         gram = np.einsum("bic,bid->bcd", wm, wm)
@@ -163,7 +167,8 @@ def jacobi_svd(a, tol=OFF_DIAG_TOL, max_sweeps=MAX_SWEEPS, compute_u=True):
                     beta = np.sum(wq * wq, axis=-1)
                     gamma = np.sum(wp * wq, axis=-1)
                     active = live & (
-                        np.abs(gamma) > 1e-14 * np.sqrt(alpha * beta) + 1e-300
+                        np.abs(gamma) > 1e-14 * np.sqrt(alpha * beta)
+                        + gamma_floor
                     )
                     if not np.any(active):
                         continue
@@ -281,48 +286,56 @@ def orthonormalize_columns(a):
     return q
 
 
-def complete_orthonormal(base):
-    """Extend orthonormal columns ``base`` (d, k) to a full basis of R^d.
+def _canonical_basis(candidates, k, prior=()):
+    """Greedy Gram-Schmidt: ``k`` orthonormal columns from ``candidates``.
 
-    Candidates are the standard basis vectors taken in index order; a
-    candidate is accepted when its residual against the span built so far is
-    comfortably large.  A greedy max-residual pass mops up any slots left by
-    pathological geometry, keeping the construction deterministic.
+    Candidate columns are taken in index order, each reduced against the
+    ``prior`` vectors and the columns chosen so far, and accepted when its
+    residual norm exceeds 0.5; a greedy max-residual pass fills any slots left
+    by pathological geometry, keeping the construction deterministic.
     """
-    base = np.asarray(base, dtype=float)
-    d, k = base.shape
-    cols = [base[:, j] for j in range(k)]
-    missing = d - k
+    d = candidates.shape[0]
+    cols = list(prior)
+    chosen = []
+    used = set()
 
-    def residual(e):
-        rvec = e.copy()
+    def residual(idx):
+        rvec = candidates[:, idx].copy()
         for cvec in cols:
             rvec = rvec - (cvec @ rvec) * cvec
         return rvec
 
-    out = []
-    used = set()
-    for idx in range(d):
-        if len(out) == missing:
+    for idx in range(candidates.shape[1]):
+        if len(chosen) == k:
             break
-        rvec = residual(np.eye(d)[:, idx])
+        rvec = residual(idx)
         norm = np.sqrt(rvec @ rvec)
         if norm > 0.5:
-            rvec /= norm
-            cols.append(rvec)
-            out.append(rvec)
+            chosen.append(rvec / norm)
+            cols.append(chosen[-1])
             used.add(idx)
-    while len(out) < missing:
+    while len(chosen) < k:
         best, best_norm = None, -1.0
-        for idx in range(d):
+        for idx in range(candidates.shape[1]):
             if idx in used:
                 continue
-            rvec = residual(np.eye(d)[:, idx])
+            rvec = residual(idx)
             norm = np.sqrt(rvec @ rvec)
             if norm > best_norm + 1e-15:
                 best, best_norm = (idx, rvec, norm), norm
         idx, rvec, norm = best
-        cols.append(rvec / norm)
-        out.append(rvec / norm)
+        chosen.append(rvec / norm)
+        cols.append(chosen[-1])
         used.add(idx)
-    return np.array(out).T if out else np.zeros((d, 0))
+    return np.array(chosen).T if chosen else np.zeros((d, 0))
+
+
+def complete_orthonormal(base):
+    """Extend orthonormal columns ``base`` (d, k) to a full basis of R^d.
+
+    The new columns come from the standard basis vectors by the canonical
+    greedy Gram-Schmidt of ``_canonical_basis``.
+    """
+    base = np.asarray(base, dtype=float)
+    d, k = base.shape
+    return _canonical_basis(np.eye(d), d - k, list(base.T))

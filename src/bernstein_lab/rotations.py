@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .conditions import ConditionReport, check_theorem_a
-from .optimal_region import optimal_condition
+from .conditions import ConditionReport, evaluate_condition
 
 COND_MAX = 1e12
 ORTH_TOL = 1e-10
@@ -211,9 +210,13 @@ def random_unitary(n, seed) -> UnitaryBlock:
 
 @dataclass(frozen=True)
 class SearchTarget:
-    """Flatness condition the search optimizes: TheoremA or OptimalB."""
+    """Flatness condition the search optimizes, by its registered name.
 
-    kind: str  # "TheoremA" | "OptimalB"
+    ``kind`` names an entry of ``conditions.CONDITIONS``; the command line
+    offers TheoremA and OptimalB.
+    """
+
+    kind: str
     delta: float = 0.5
     k_min: float = 0.5
     epsilon: float = 1e-3
@@ -221,16 +224,13 @@ class SearchTarget:
 
     def report(self, transformed) -> ConditionReport:
         a = np.asarray(transformed, dtype=float)
-        n, m = a.shape
+        n = a.shape[0]
         lams = linalg.singular_values(a)
         lam_full = np.zeros(n)
         lam_full[: lams.size] = lams
-        if self.kind == "TheoremA":
-            return check_theorem_a(np.abs(lam_full), self.delta, self.k_min)
-        if self.kind == "OptimalB":
-            return optimal_condition(lam_full, m, epsilon=self.epsilon,
-                                     traceless=self.traceless)
-        raise ValueError(f"unknown search target {self.kind!r}")
+        return evaluate_condition(self.kind, a, lam_full, delta=self.delta,
+                                  k_min=self.k_min, epsilon=self.epsilon,
+                                  traceless=self.traceless)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ one layer, Laplacian comparisons two).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -150,11 +150,13 @@ def sample_surface(spec: MapSpec, grid, domain=None) -> SurfaceSample:
     )
 
 
+def _mean_curvature_norms(sample):
+    return np.sqrt(np.sum(sample.mean_curvature**2, axis=-1))
+
+
 def minimality_residual(sample: SurfaceSample) -> float:
     """Max Euclidean norm of the mean curvature vector over all nodes."""
-    return float(
-        np.max(np.sqrt(np.sum(sample.mean_curvature**2, axis=-1)))
-    )
+    return float(np.max(_mean_curvature_norms(sample)))
 
 
 def _coordinate_gradients(sample, field):
@@ -253,99 +255,148 @@ class VerificationStats:
         }
 
 
-def _stats(identity, sample, err, scale, mask, layers):
-    sl = sample.interior(layers)
-    err = err[sl] if err.shape == sample.grid_shape else err
-    scale = scale[sl] if scale.shape == sample.grid_shape else scale
-    keep = ~mask[sl]
-    kept = err[keep]
-    excluded = int(np.sum(~keep))
-    if kept.size == 0:
-        raise ValueError("no interior nodes left after exclusions")
-    rms = math.sqrt(math.fsum(float(e) ** 2 for e in kept.ravel())
-                    / kept.size)
-    return VerificationStats(
-        identity=identity,
-        grid=tuple(len(ax) for ax in sample.axes),
-        spacing=float(max(sample.spacing)),
-        max_abs_error=float(np.max(kept)),
-        rms_error=rms,
-        max_rel_error=float(np.max(kept / (1.0 + np.abs(scale[keep])))),
-        nodes=int(kept.size),
-        excluded=excluded,
-    )
+@dataclass(frozen=True)
+class IdentitySides:
+    """Both sides of one identity at the interior nodes of a sample.
 
-
-def verify_gradient_identity(sample: SurfaceSample) -> VerificationStats:
-    """Frame derivative of omega against -omega sum_i lambda_i h_{n+i,i,k}.
-
-    The left side is the coordinate gradient of the omega field contracted
-    with the tangent frame's coordinate components (its first n rows), which
-    is exactly the directional derivative e_k(omega).
+    The arrays cover ``sample.interior(layers)``.  ``lhs`` and ``rhs`` carry a
+    trailing component axis for the vector (gradient) identity; ``err`` is
+    the per-node max-abs difference of the two.
     """
-    n = sample.n
-    grads = np.stack(_coordinate_gradients(sample, sample.star_omega),
-                     axis=-1)
-    lhs = np.einsum("...lk,...l->...k", sample.tangent_frames[..., :n, :],
-                    grads)
-    rhs = rhs_gradient_star_omega(sample.lambdas, sample.sff)
-    err = np.max(np.abs(lhs - rhs), axis=-1)
-    scale = np.max(np.abs(rhs), axis=-1)
-    return _stats("gradient", sample, err, scale, sample.flagged, 1)
+
+    identity: str
+    layers: int
+    lhs: np.ndarray
+    rhs: np.ndarray
+    err: np.ndarray
 
 
-def verify_laplacian_identity(sample: SurfaceSample,
-                              variant="log_form") -> VerificationStats:
-    """Discrete Laplacian of (log) omega against its analytic prediction.
+SIDED_IDENTITIES = ("gradient", "laplacian-log", "laplacian-raw")
 
-    Requires an (almost) minimal sample: the identities assume parallel mean
-    curvature, so samples with residual above 1e-5 are refused.
+
+def identity_sides(sample: SurfaceSample, identity) -> IdentitySides:
+    """Per-node left side, right side and error of one identity.
+
+    "gradient": e_k(omega), the coordinate gradient of the omega field
+    contracted with the tangent frame's coordinate components (its first n
+    rows), against -omega sum_i lambda_i h_{n+i,i,k}.  "laplacian-log" and
+    "laplacian-raw": the discrete Laplacian of log omega (of omega) against
+    -F (``rhs_delta_star_omega``); these assume parallel mean curvature, so
+    samples with minimality residual above 1e-5 are refused.
     """
+    if identity not in SIDED_IDENTITIES:
+        raise ValueError(f"identity {identity!r} has no per-node sides "
+                         f"(those that do: {', '.join(SIDED_IDENTITIES)})")
+    if identity == "gradient":
+        n = sample.n
+        grads = np.stack(_coordinate_gradients(sample, sample.star_omega),
+                         axis=-1)
+        lhs = np.einsum("...lk,...l->...k",
+                        sample.tangent_frames[..., :n, :], grads)
+        rhs = rhs_gradient_star_omega(sample.lambdas, sample.sff)
+        sl = sample.interior(1)
+        return IdentitySides(identity, 1, lhs[sl], rhs[sl],
+                             np.max(np.abs(lhs[sl] - rhs[sl]), axis=-1))
     residual = minimality_residual(sample)
     if residual > MINIMAL_GATE:
         raise ValueError(
             f"mean curvature too large for the Laplacian identities "
             f"(residual {residual:.3e} > {MINIMAL_GATE:.0e})"
         )
-    sl = sample.interior(2)
-    if variant == "log_form":
+    if identity == "laplacian-log":
         lhs = discrete_laplace_beltrami(sample, np.log(sample.star_omega))
         rhs = -evaluate_F_direct(sample.lambdas, sample.sff)
-        name = "laplacian-log"
-    elif variant == "raw_form":
+    else:
         lhs = discrete_laplace_beltrami(sample, sample.star_omega)
         rhs = rhs_delta_star_omega(sample.lambdas, sample.sff)
-        name = "laplacian-raw"
-    else:
+    rhs = np.asarray(rhs)[sample.interior(2)]
+    return IdentitySides(identity, 2, lhs, rhs, np.abs(lhs - rhs))
+
+
+def _summary(identity, sample, err, scale, excluded):
+    if err.size == 0:
+        raise ValueError("no interior nodes left after exclusions")
+    rms = math.sqrt(math.fsum(float(e) ** 2 for e in err.ravel())
+                    / err.size)
+    return VerificationStats(
+        identity=identity,
+        grid=tuple(len(ax) for ax in sample.axes),
+        spacing=float(max(sample.spacing)),
+        max_abs_error=float(np.max(err)),
+        rms_error=rms,
+        max_rel_error=float(np.max(err / (1.0 + np.abs(scale)))),
+        nodes=int(err.size),
+        excluded=excluded,
+    )
+
+
+def _sides_stats(sample, sides):
+    """Statistics of ``sides`` over the nodes not flagged as near-ties."""
+    keep = ~sample.flagged[sample.interior(sides.layers)]
+    scale = np.abs(sides.rhs).reshape(sides.err.shape + (-1,)).max(axis=-1)
+    return _summary(sides.identity, sample, sides.err[keep], scale[keep],
+                    int(np.sum(~keep)))
+
+
+def verify_gradient_identity(sample: SurfaceSample) -> VerificationStats:
+    """Statistics of the gradient identity (see ``identity_sides``)."""
+    return _sides_stats(sample, identity_sides(sample, "gradient"))
+
+
+def verify_laplacian_identity(sample: SurfaceSample,
+                              variant="log_form") -> VerificationStats:
+    """Statistics of Lap log omega = -F ("log_form") or of Lap omega."""
+    names = {"log_form": "laplacian-log", "raw_form": "laplacian-raw"}
+    if variant not in names:
         raise ValueError("variant must be 'log_form' or 'raw_form'")
-    rhs = np.asarray(rhs)
-    err = np.abs(lhs - rhs[sl])
-    full = np.zeros(sample.grid_shape)
-    full[sl] = err
-    return _stats(name, sample, full, np.abs(rhs), sample.flagged, 2)
+    return _sides_stats(sample, identity_sides(sample, names[variant]))
+
+
+def minimality_stats(sample: SurfaceSample) -> VerificationStats:
+    """Mean-curvature norm over all nodes, as errors against zero."""
+    return _summary("minimality", sample, _mean_curvature_norms(sample),
+                    0.0, 0)
 
 
 IDENTITY_RUNNERS = {
     "gradient": verify_gradient_identity,
     "laplacian-log": lambda s: verify_laplacian_identity(s, "log_form"),
     "laplacian-raw": lambda s: verify_laplacian_identity(s, "raw_form"),
+    "minimality": minimality_stats,
 }
 
 
-def _minimality_stats(sample):
-    norms = np.sqrt(np.sum(sample.mean_curvature**2, axis=-1))
-    rms = math.sqrt(math.fsum(float(v) ** 2 for v in norms.ravel())
-                    / norms.size)
-    return VerificationStats(
-        identity="minimality",
-        grid=tuple(len(ax) for ax in sample.axes),
-        spacing=float(max(sample.spacing)),
-        max_abs_error=float(np.max(norms)),
-        rms_error=rms,
-        max_rel_error=float(np.max(norms)),
-        nodes=int(norms.size),
-        excluded=0,
-    )
+def _observed_order(prev, stats):
+    if prev.rms_error < 1e-12 and stats.rms_error < 1e-12:
+        return None
+    return (math.log(prev.rms_error / max(stats.rms_error, 1e-300))
+            / math.log(prev.spacing / stats.spacing))
+
+
+def run_identity(spec: MapSpec, grids, identity, domain=None):
+    """Run one identity on one grid or a ladder of nested grids.
+
+    Each grid is sampled once.  Returns the per-grid statistics, with the
+    observed order from the second grid on (see ``convergence_study``), and
+    the sample of the finest grid.
+    """
+    if identity not in IDENTITY_RUNNERS:
+        raise ValueError(f"unknown identity {identity!r}")
+    grids = [int(g) for g in grids]
+    if not grids:
+        raise ValueError("need at least one grid")
+    for a, b in zip(grids, grids[1:]):
+        if a < 2 or b <= a or (b - 1) % (a - 1) != 0:
+            raise ValueError("non-nested grids")
+    out = []
+    for g in grids:
+        sample = sample_surface(spec, g, domain=domain)
+        stats = IDENTITY_RUNNERS[identity](sample)
+        if out:
+            stats = replace(stats,
+                            observed_order=_observed_order(out[-1], stats))
+        out.append(stats)
+    return out, sample
 
 
 def convergence_study(spec: MapSpec, grids, identity,
@@ -360,36 +411,6 @@ def convergence_study(spec: MapSpec, grids, identity,
     domain boundary and makes a noisy order estimate); it is left as None
     (not applicable) when both errors are at rounding level.
     """
-    grids = [int(g) for g in grids]
     if len(grids) < 2:
         raise ValueError("need at least two grids")
-    for a, b in zip(grids, grids[1:]):
-        if b <= a or (b - 1) % (a - 1) != 0:
-            raise ValueError("non-nested grids")
-    if identity == "minimality":
-        runner = _minimality_stats
-    else:
-        runner = IDENTITY_RUNNERS[identity]
-    out = []
-    for i, g in enumerate(grids):
-        sample = sample_surface(spec, g, domain=domain)
-        stats = runner(sample)
-        if i > 0:
-            prev = out[-1]
-            if prev.rms_error < 1e-12 and stats.rms_error < 1e-12:
-                order = None
-            else:
-                ratio = prev.spacing / stats.spacing
-                order = (
-                    math.log(prev.rms_error / max(stats.rms_error, 1e-300))
-                    / math.log(ratio)
-                )
-            stats = VerificationStats(
-                identity=stats.identity, grid=stats.grid,
-                spacing=stats.spacing, max_abs_error=stats.max_abs_error,
-                rms_error=stats.rms_error,
-                max_rel_error=stats.max_rel_error, nodes=stats.nodes,
-                excluded=stats.excluded, observed_order=order,
-            )
-        out.append(stats)
-    return out
+    return run_identity(spec, grids, identity, domain=domain)[0]

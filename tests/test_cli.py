@@ -195,3 +195,31 @@ def test_verify_nodes_csv(tmp_path):
 def test_verify_needs_surface_or_input():
     proc = run_cli(["verify", "--identity", "minimality", "--grid", "9"])
     assert proc.returncode == 2
+
+
+def test_verify_nodes_csv_nested_grids_writes_finest(tmp_path):
+    out = tmp_path / "nodes.csv"
+    proc = run_cli(["verify", "--surface", "holo_z2",
+                    "--identity", "gradient", "--grid", "9,17",
+                    "--nodes-csv", str(out)])
+    assert proc.returncode == 0, proc.stderr
+    lines = out.read_text().strip().split("\n")
+    assert lines[2] == "x1,x2,lhs1,lhs2,rhs1,rhs2,err"
+    assert len(lines) == 3 + 15 * 15  # interior of the 17x17 grid
+    single = tmp_path / "single.csv"
+    run_cli(["verify", "--surface", "holo_z2", "--identity", "gradient",
+             "--grid", "17", "--nodes-csv", str(single)])
+    assert lines[3:] == single.read_text().strip().split("\n")[3:]
+
+
+def test_verify_nodes_csv_minimality_exits_2(tmp_path):
+    out = tmp_path / "nodes.csv"
+    proc = run_cli(["verify", "--surface", "holo_z2",
+                    "--identity", "minimality", "--grid", "9",
+                    "--nodes-csv", str(out)])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()

@@ -138,3 +138,17 @@ def test_report_json_shape():
     assert obj["condition"] == "TheoremA"
     assert isinstance(obj["pass"], bool)
     assert set(obj["details"]) >= {"max_product", "star_omega"}
+
+
+def test_registry_defaults_and_shape_rule():
+    assert cond.condition_names(2, 2) == tuple(cond.CONDITIONS)
+    assert "Hemisphere24" not in cond.condition_names(2, 3)
+    jac = np.array([[0.3, 0.1, 0.0], [0.2, 0.4, 0.1]])
+    lams = np.linalg.svd(jac, compute_uv=False)
+    params = {"delta": 0.1, "k_min": 0.1, "epsilon": 1e-3, "traceless": True}
+    with pytest.raises(ValueError, match="n = m = 2"):
+        cond.evaluate_condition("Hemisphere24", jac, lams, **params)
+    with pytest.raises(ValueError, match="unknown condition"):
+        cond.evaluate_condition("Bogus", jac, lams, **params)
+    report = cond.evaluate_condition("FC_HJW", jac, lams, **params)
+    assert report == cond.check_fc_hjw(lams, 2, 3)

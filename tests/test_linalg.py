@@ -128,6 +128,24 @@ def test_orthonormalize_and_complete():
     assert np.allclose(comp, np.eye(4))
 
 
+def test_svd_converges_on_rank_one_cancellation_input():
+    # transformed differential of a unitary rotation search: rank one, with
+    # columns left by cancellation at norm ~1e-17 that no pairwise relative
+    # test can orthogonalize further
+    a = np.array([
+        [4.9126849769467268e-02, 1.2303814984479884e-17,
+         1.2557249095362562e-17],
+        [1.2303814984479884e-17, 0.0, 0.0],
+        [1.2557249095362562e-17, 0.0, 0.0],
+    ])
+    u, s, vt = linalg.jacobi_svd(a)
+    assert np.allclose(s, np.linalg.svd(a, compute_uv=False),
+                       rtol=1e-12, atol=1e-16 * s[0])
+    assert np.allclose(u @ np.diag(s) @ vt, a, atol=1e-16 * s[0])
+    assert np.allclose(vt @ vt.T, np.eye(3), atol=1e-13)
+    assert np.array_equal(linalg.singular_values(a), s)
+
+
 def test_singular_values_helper():
     a = np.array([[1.0, 1.0], [0.0, 1.0]])
     s = linalg.singular_values(a)

@@ -269,3 +269,22 @@ def test_near_tie_nodes_are_excluded_and_counted():
     stats = ver.verify_gradient_identity(sample)
     assert stats.excluded == 2 * 7  # two interior near-tie columns
     assert stats.nodes == 1 * 7
+
+
+def test_identity_sides_reduce_to_runner_stats():
+    sample = ver.sample_surface(builtin_surface("holo_z2"), 17)
+    for name in ver.SIDED_IDENTITIES:
+        sides = ver.identity_sides(sample, name)
+        stats = ver.IDENTITY_RUNNERS[name](sample)
+        keep = ~sample.flagged[sample.interior(sides.layers)]
+        assert sides.err.shape == keep.shape
+        assert stats.max_abs_error == float(np.max(sides.err[keep]))
+        assert stats.nodes == int(np.sum(keep))
+    with pytest.raises(ValueError, match="no per-node sides"):
+        ver.identity_sides(sample, "minimality")
+
+
+def test_grid_ladder_from_one_node_is_rejected():
+    spec = builtin_surface("holo_z2")
+    with pytest.raises(ValueError, match="non-nested"):
+        ver.convergence_study(spec, [1, 3], "gradient")
