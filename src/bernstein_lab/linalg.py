@@ -12,6 +12,17 @@ independent library in the test suite.  Two kernels carry the load:
 Both accept a batch of matrices in the leading axes and rotate the whole
 batch in lockstep; per-matrix skip thresholds make the batched result
 bit-identical to a matrix-at-a-time run.
+
+``jacobi_eigh`` sweeps only the pairs (p, q) that lie in one connected
+component of the batch's union nonzero pattern (indices joined by a chain of
+entries nonzero in some member).  This is exact, not an approximation: a
+rotation in plane (p, q) mixes only rows and columns p and q, so an entry
+between two components stays exactly zero in every member on every sweep,
+and the all-pairs sweep would skip its pair anyway (``|a_pq| > skip`` is
+false).  Rotations in different components touch disjoint entries, so their
+relative order does not matter either; within a component the pairs keep
+their lexicographic order.  The result is bit-identical to sweeping every
+pair, and a matrix with no zero structure is one component.
 """
 
 from __future__ import annotations
@@ -45,6 +56,66 @@ def _offdiag_mass(g):
     return np.sqrt(np.sum(off * off, axis=(-2, -1)))
 
 
+def _components(g):
+    """Index sets of the blocks the batch ``g`` (nb, d, d) never couples.
+
+    Two indices share a block when they are joined by a chain of entries
+    that are nonzero in some member; each block is returned ascending.
+    """
+    d = g.shape[-1]
+    link = np.any(g != 0, axis=0)
+    link |= link.T
+    free = np.ones(d, dtype=bool)
+    blocks = []
+    for start in range(d):
+        if not free[start]:
+            continue
+        members = np.zeros(d, dtype=bool)
+        members[start] = True
+        while True:
+            grown = members | np.any(link[members], axis=0)
+            if np.array_equal(grown, members):
+                break
+            members = grown
+        free &= ~members
+        blocks.append(np.flatnonzero(members))
+    return blocks
+
+
+def _rotate(g, v, p, q, live, skip):
+    """One Jacobi rotation in plane (p, q) of g (nb, k, k) and v, in place.
+
+    Members that are not ``live``, or whose |g[p, q]| is at most ``skip``,
+    get the identity rotation.
+    """
+    apq = g[:, p, q]
+    active = live & (np.abs(apq) > skip)
+    if not np.any(active):
+        return
+    app = g[:, p, p]
+    aqq = g[:, q, q]
+    tau = np.zeros(g.shape[0])
+    np.divide(aqq - app, 2.0 * apq, out=tau, where=active)
+    sgn = np.where(tau >= 0.0, 1.0, -1.0)
+    t = np.where(active, sgn / (np.abs(tau) + np.hypot(1.0, tau)), 0.0)
+    c = 1.0 / np.sqrt(1.0 + t * t)
+    s = t * c
+    cc = c[:, None]
+    ss = s[:, None]
+    gp = g[:, p, :].copy()
+    gq = g[:, q, :]
+    g[:, p, :] = cc * gp - ss * gq
+    g[:, q, :] = ss * gp + cc * gq
+    gp = g[:, :, p].copy()
+    gq = g[:, :, q]
+    g[:, :, p] = cc * gp - ss * gq
+    g[:, :, q] = ss * gp + cc * gq
+    vp = v[:, :, p].copy()
+    vq = v[:, :, q]
+    v[:, :, p] = cc * vp - ss * vq
+    v[:, :, q] = ss * vp + cc * vq
+
+
 def jacobi_eigh(a, tol=OFF_DIAG_TOL, max_sweeps=MAX_SWEEPS):
     """Eigendecomposition of symmetric matrices by cyclic Jacobi rotations.
 
@@ -59,6 +130,10 @@ def jacobi_eigh(a, tol=OFF_DIAG_TOL, max_sweeps=MAX_SWEEPS):
 
     Raises ``ConvergenceError`` if the off-diagonal mass does not drop below
     ``tol * max(1, ||a||_F)`` within ``max_sweeps`` sweeps.
+
+    Each sweep rotates a contiguous copy of every component of
+    ``_components`` (see the module docstring); the copies are written back
+    before every convergence test, which sees the full matrix.
     """
     a = np.asarray(a, dtype=float)
     d = a.shape[-1]
@@ -73,6 +148,12 @@ def jacobi_eigh(a, tol=OFF_DIAG_TOL, max_sweeps=MAX_SWEEPS):
     skip = (tol / (10.0 * max(d, 2))) * scale
 
     if d > 1:
+        blocks = []
+        for idx in _components(g):
+            if idx.size > 1:
+                cut = (slice(None), idx[:, None], idx[None, :])
+                eye = np.tile(np.eye(idx.size), (nb, 1, 1))
+                blocks.append((cut, g[cut], eye))
         converged = False
         for _ in range(max_sweeps):
             # Freeze members that already meet the tolerance so a batched run
@@ -81,41 +162,19 @@ def jacobi_eigh(a, tol=OFF_DIAG_TOL, max_sweeps=MAX_SWEEPS):
             if not np.any(live):
                 converged = True
                 break
-            for p in range(d - 1):
-                for q in range(p + 1, d):
-                    apq = g[:, p, q]
-                    active = live & (np.abs(apq) > skip)
-                    if not np.any(active):
-                        continue
-                    app = g[:, p, p]
-                    aqq = g[:, q, q]
-                    tau = np.zeros(nb)
-                    np.divide(aqq - app, 2.0 * apq, out=tau, where=active)
-                    sgn = np.where(tau >= 0.0, 1.0, -1.0)
-                    t = np.where(
-                        active, sgn / (np.abs(tau) + np.hypot(1.0, tau)), 0.0
-                    )
-                    c = 1.0 / np.sqrt(1.0 + t * t)
-                    s = t * c
-                    cc = c[:, None]
-                    ss = s[:, None]
-                    gp = g[:, p, :].copy()
-                    gq = g[:, q, :]
-                    g[:, p, :] = cc * gp - ss * gq
-                    g[:, q, :] = ss * gp + cc * gq
-                    gp = g[:, :, p].copy()
-                    gq = g[:, :, q]
-                    g[:, :, p] = cc * gp - ss * gq
-                    g[:, :, q] = ss * gp + cc * gq
-                    vp = v[:, :, p].copy()
-                    vq = v[:, :, q]
-                    v[:, :, p] = cc * vp - ss * vq
-                    v[:, :, q] = ss * vp + cc * vq
+            for cut, gb, vb in blocks:
+                k = gb.shape[-1]
+                for p in range(k - 1):
+                    for q in range(p + 1, k):
+                        _rotate(gb, vb, p, q, live, skip)
+                g[cut] = gb
         else:
             converged = np.all(_offdiag_mass(g) <= tol * scale)
         if not converged:
             residual = np.max(_offdiag_mass(g) / scale)
             raise ConvergenceError("jacobi_eigh did not converge", residual)
+        for cut, _, vb in blocks:
+            v[cut] = vb
 
     w = np.diagonal(g, axis1=-2, axis2=-1).copy()
     order = np.argsort(w, axis=-1, kind="stable")

@@ -23,6 +23,7 @@ tensors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -63,11 +64,13 @@ class HBasis:
         return self.tensors.shape[0]
 
 
+@lru_cache(maxsize=32)
 def h_space_basis(n, m, traceless) -> HBasis:
     """Build the orthonormal basis described on ``HBasis``.
 
     Dimension m*n(n+1)/2, minus one per normal direction when trace-free
-    (which requires n >= 2).
+    (which requires n >= 2).  One basis per (n, m, traceless) is built and
+    shared; its ``tensors`` are read-only.
     """
     if n < 1 or m < 1:
         raise ValueError("n and m must be positive")
@@ -107,8 +110,9 @@ def h_space_basis(n, m, traceless) -> HBasis:
             full = np.zeros((m, n, n))
             full[a] = t
             tensors.append(full)
-    return HBasis(n=n, m=m, traceless=bool(traceless),
-                  tensors=np.array(tensors))
+    tensors = np.array(tensors)
+    tensors.flags.writeable = False
+    return HBasis(n=n, m=m, traceless=bool(traceless), tensors=tensors)
 
 
 def evaluate_F_direct(lambdas, h):
@@ -238,7 +242,8 @@ def region_scan(n, m, traceless, grid, epsilon=DEFAULT_EPSILON,
 
     ``grid`` gives (lo, hi, steps) per scanned axis and must have
     min(n, m) axes; the remaining singular values are zero.  Nodes are
-    evaluated in deterministic lexicographic order.
+    evaluated in deterministic lexicographic order.  Grid bounds must be
+    finite and ``epsilon`` finite and positive.
     """
     p = min(n, m)
     grid = tuple((float(lo), float(hi), int(steps)) for lo, hi, steps in grid)
@@ -246,6 +251,10 @@ def region_scan(n, m, traceless, grid, epsilon=DEFAULT_EPSILON,
         raise ValueError(f"grid must have min(n, m) = {p} axes")
     if any(steps < 1 for _, _, steps in grid):
         raise ValueError("empty grid")
+    if not np.all(np.isfinite([axis[:2] for axis in grid])):
+        raise ValueError("grid bounds must be finite")
+    if not (np.isfinite(epsilon) and epsilon > 0.0):
+        raise ValueError("epsilon must be finite and positive")
     basis = h_space_basis(n, m, traceless)
     pair = _pair_tensors(basis)
     points = [np.linspace(lo, hi, steps) for (lo, hi, steps) in grid]

@@ -147,6 +147,11 @@ def transform_graph(a_matrix, g: OrthBlock):
     return _svd_solve(g.P + a @ g.R, g.Q + a @ g.S, scale)
 
 
+def _require_symmetric(a):
+    if np.max(np.abs(a - a.T)) > 1e-9 * (1.0 + np.max(np.abs(a))):
+        raise ValueError("lagrangian differential must be symmetric")
+
+
 def lagrangian_transform(a_matrix, g: UnitaryBlock):
     """Differential of the rotated Lagrangian graph: (P + A Q)^{-1}(-Q + A P).
 
@@ -157,8 +162,7 @@ def lagrangian_transform(a_matrix, g: UnitaryBlock):
     a = np.asarray(a_matrix, dtype=float)
     if a.shape != (g.n, g.n):
         raise ValueError("matrix shape does not match the block size")
-    if np.max(np.abs(a - a.T)) > 1e-9 * (1.0 + np.max(np.abs(a))):
-        raise ValueError("lagrangian differential must be symmetric")
+    _require_symmetric(a)
     scale = float(np.sqrt(g.n + np.sum(a * a)))
     out = _svd_solve(g.P + a @ g.Q, -g.Q + a @ g.P, scale)
     dev = np.max(np.abs(out - out.T))
@@ -278,8 +282,10 @@ def search_rotation(a_matrix, target: SearchTarget, budget, seed,
         raise ValueError("budget must be at least 1")
     a = np.asarray(a_matrix, dtype=float)
     n, m = a.shape
-    if group == "unitary" and n != m:
-        raise ValueError("unitary search requires n == m")
+    if group == "unitary":
+        if n != m:
+            raise ValueError("unitary search requires n == m")
+        _require_symmetric(a)
     d = n + m if group == "orthogonal" else n
 
     state = {"evals": 0, "best": None, "trace": []}

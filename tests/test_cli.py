@@ -115,6 +115,28 @@ def test_region_empty_grid_exits_2():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["--grid", "0:nan:3,0:1:3", "--epsilon", "-1"],
+    ["--grid", "0:1:3,0:inf:3"],
+    ["--grid", "0:1:3,0:1:3", "--epsilon", "0"],
+])
+def test_region_invalid_bounds_or_epsilon_exits_2(argv):
+    proc = run_cli(["region", "--n", "2", "--m", "2", *argv])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+
+
+def test_rotate_unitary_non_symmetric_exits_2(tmp_path):
+    path = tmp_path / "a.json"
+    write_json(path, {"matrix": [[0.3, -0.9], [1.1, 0.4]]})
+    proc = run_cli(["rotate", "--input", str(path), "--group", "unitary",
+                    "--target", "OptimalB", "--budget", "200", "--seed", "3"])
+    assert proc.returncode == 2
+    assert proc.stderr == "error: lagrangian differential must be symmetric\n"
+
+
 def test_rotate_zero_matrix_and_determinism(tmp_path):
     path = tmp_path / "a.json"
     write_json(path, {"matrix": [[0.0, 0.0], [0.0, 0.0]]})

@@ -1,11 +1,14 @@
 """Jacobi kernels against numpy as the independent oracle."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bernstein_lab import linalg
+from bernstein_lab import optimal_region as opt
 
 
 def random_symmetric(rng, d, scale=1.0):
@@ -50,6 +53,115 @@ def test_eigh_nonconvergence_reports_residual():
     with pytest.raises(linalg.ConvergenceError) as err:
         linalg.jacobi_eigh(a, max_sweeps=0)
     assert err.value.residual > 0
+
+
+# min / max eigenvalue (float.hex) per node and sha256 prefixes of w and of
+# v + 0.0 for the batch, recorded from the all-pairs cyclic sweep
+GOLDEN_EIGH = {
+    (3, 3, False): (
+        [(2.9, 1.7, 0.4), (0.0, 3.0, 1.25), (3.1, 3.0, 2.9)],
+        ["-0x1.d66e47fdb8264p+0", "-0x1.4a260f5d30676p+0",
+         "-0x1.d9a56301be29dp+1"],
+        ["0x1.2d1eb851eb852p+3", "0x1.4000000000000p+3",
+         "0x1.53851eb851eb9p+3"],
+        "ad0f754c337b2591", "623ea3ba9623eb0b"),
+    (4, 3, True): (
+        [(2.9, 1.7, 0.4, 0.0), (0.0, 3.0, 1.25, 0.0), (3.1, 3.0, 2.9, 0.0)],
+        ["-0x1.7a1f7f28ccf80p+0", "-0x1.bfffffffffffcp-1",
+         "-0x1.d606ffab4c1ddp+1"],
+        ["0x1.e4b610ff17722p+2", "0x1.f6f3c6fb657bfp+2",
+         "0x1.4a739fabc4905p+3"],
+        "7118f308e8a3885a", "28fe4260039ab649"),
+    (4, 4, False): (
+        [(2.2, 1.5, 0.7, 0.1), (0.0, 2.0, 0.5, 1.8), (2.1, 2.0, 1.9, 1.8)],
+        ["-0x1.acf332999e666p-1", "-0x1.b9029a0883fa8p-1",
+         "-0x1.22395f2a01f41p+0"],
+        ["0x1.75c28f5c28f5dp+2", "0x1.4000000000000p+2",
+         "0x1.5a3d70a3d70a4p+2"],
+        "1138676861fec49c", "009e984c065c12a1"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(GOLDEN_EIGH))
+def test_eigh_golden_on_region_grams(shape):
+    lams, lows, highs, w_sum, v_sum = GOLDEN_EIGH[shape]
+    grams = opt._gram_matrix(np.array(lams), opt.h_space_basis(*shape))
+    w, v = linalg.jacobi_eigh(grams)
+    assert [float(x).hex() for x in w[:, 0]] == lows
+    assert [float(x).hex() for x in w[:, -1]] == highs
+    assert hashlib.sha256(w.tobytes()).hexdigest()[:16] == w_sum
+    assert hashlib.sha256((v + 0.0).tobytes()).hexdigest()[:16] == v_sum
+
+
+def _dense_jacobi_eigh(a, tol=linalg.OFF_DIAG_TOL):
+    """Reference: the cyclic sweep over every pair (p, q) of the matrix."""
+    g = a.copy()
+    nb, d, _ = g.shape
+    v = np.tile(np.eye(d), (nb, 1, 1))
+    scale = np.maximum(1.0, np.sqrt(np.sum(g * g, axis=(-2, -1))))
+    skip = (tol / (10.0 * max(d, 2))) * scale
+    while True:
+        live = linalg._offdiag_mass(g) > tol * scale
+        if not np.any(live):
+            break
+        for p in range(d - 1):
+            for q in range(p + 1, d):
+                linalg._rotate(g, v, p, q, live, skip)
+    w = np.diagonal(g, axis1=-2, axis2=-1).copy()
+    order = np.argsort(w, axis=-1, kind="stable")
+    return (np.take_along_axis(w, order, axis=-1),
+            np.take_along_axis(v, order[:, None, :], axis=-1))
+
+
+def _permuted_blocks(rng, d, sizes, chain=False):
+    """Symmetric matrix that couples consecutive runs of ``sizes`` indices
+    (only neighbours within a run when ``chain``), under a random
+    permutation of the indices."""
+    a = np.zeros((d, d))
+    start = 0
+    for k in sizes:
+        blk = rng.normal(size=(k, k))
+        if chain:
+            blk = np.triu(np.tril(blk, 1), -1)
+        a[start:start + k, start:start + k] = blk + blk.T
+        start += k
+    perm = rng.permutation(d)
+    return a[np.ix_(perm, perm)]
+
+
+def test_eigh_block_patterns_batch_equals_single_and_all_pairs():
+    rng = np.random.default_rng(11)
+    d = 9
+    for trial in range(6):
+        members = [
+            _permuted_blocks(rng, d, [3, 2, 2, 1, 1]),
+            _permuted_blocks(rng, d, [4, 4, 1]),
+            _permuted_blocks(rng, d, [d], chain=True),
+            _permuted_blocks(rng, d, [2, 2, 2, 2, 1]),
+            np.diag(rng.normal(size=d)),
+        ]
+        a = np.array(members) * float(rng.choice([1e-3, 1.0, 1e3]))
+        wb, vb = linalg.jacobi_eigh(a)
+        wr, vr = _dense_jacobi_eigh(a)
+        assert np.array_equal(wb, wr) and np.array_equal(vb, vr)
+        for i, member in enumerate(a):
+            w1, v1 = linalg.jacobi_eigh(member)
+            assert np.array_equal(wb[i], w1)
+            assert np.array_equal(vb[i], v1)
+            scale = max(1.0, np.sqrt(np.sum(member * member)))
+            assert np.allclose(w1, np.linalg.eigvalsh(member),
+                               rtol=0.0, atol=1e-12 * scale)
+
+
+def test_components_close_chains():
+    chain = np.zeros((2, 5, 5))
+    chain[0, 0, 3] = chain[0, 3, 0] = 1.0
+    chain[1, 3, 1] = chain[1, 1, 3] = 1.0
+    chain[1, 2, 4] = chain[1, 4, 2] = 1.0
+    blocks = linalg._components(chain)
+    assert [list(b) for b in blocks] == [[0, 1, 3], [2, 4]]
+    assert [list(b) for b in linalg._components(chain[:1])] == [
+        [0, 3], [1], [2], [4]]
 
 
 def test_svd_matches_numpy_all_shapes():

@@ -164,6 +164,23 @@ def test_region_scan_errors():
         opt.region_scan(2, 2, True, [(0, 3, 0), (0, 3, 31)])
 
 
+def test_region_scan_rejects_non_finite_bounds_and_bad_epsilon():
+    for axes in ([(0, np.nan, 3), (0, 1, 3)], [(0, 1, 3), (-np.inf, 1, 3)]):
+        with pytest.raises(ValueError, match="finite"):
+            opt.region_scan(2, 2, True, axes)
+    for eps in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="epsilon"):
+            opt.region_scan(2, 2, True, [(0, 1, 3), (0, 1, 3)], epsilon=eps)
+
+
+def test_basis_is_cached_and_read_only():
+    basis = opt.h_space_basis(3, 2, True)
+    assert opt.h_space_basis(3, 2, True) is basis
+    assert opt.h_space_basis(3, 2, False) is not basis
+    with pytest.raises(ValueError):
+        basis.tensors[0, 0, 0, 0] = 1.0
+
+
 def test_region_rows_deterministic_order():
     res = opt.region_scan(2, 2, True, [(0, 1, 2), (0, 1, 3)])
     rows = list(res.iter_rows())
