@@ -11,14 +11,12 @@ minimal surfaces.
 
 from .conditions import (
     ConditionReport,
-    ImplicationWitness,
     check_fc_hjw,
     check_hemisphere24,
     check_jost_xin,
     check_theorem_a,
     fc_hjw_threshold,
     grassmannian_g24,
-    implication_jx_to_a,
     jost_xin_delta,
 )
 from .geometry import (

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import geometry, linalg, rotations, verification
 from .conditions import CONDITIONS, condition_names, evaluate_condition
-from .geometry import DomainError, mapspec_from_json, singular_data
+from .geometry import DomainError, mapspec_from_json
 from .optimal_region import region_scan
 from .rotations import NonGraphicError, SearchTarget, search_rotation
 from .surfaces import builtin_names, builtin_surface
@@ -94,36 +94,33 @@ def _load_json(path):
 
 def cmd_check(args):
     data = _load_json(args.input)
-    names = None
-    if args.conditions:
-        names = tuple(s.strip() for s in args.conditions.split(","))
-    entries = []
+    points = None
     if "matrix" in data:
-        jac = np.asarray(data["matrix"], dtype=float)
-        jacs = [(None, jac)]
+        jacs = np.asarray(data["matrix"], dtype=float)[None]
     elif "spec" in data:
         spec = mapspec_from_json(data["spec"])
         points = data.get("points")
         if not points:
             raise ValueError("input with a spec needs a 'points' list")
-        jacs = [(list(map(float, x)), geometry.jet(spec, x).jac)
-                for x in points]
+        points = [list(map(float, x)) for x in points]
+        jacs = np.array([geometry.jet(spec, x).jac for x in points])
     else:
         raise ValueError("input must contain 'matrix' or 'spec' + 'points'")
-    all_pass = True
-    for point, jac in jacs:
-        lams = singular_data(jac).lambdas
-        reports = [
-            evaluate_condition(name, jac, lams, delta=args.delta,
-                               k_min=args.kmin, epsilon=args.epsilon,
-                               traceless=args.traceless)
-            for name in names or condition_names(*jac.shape)
-        ]
-        all_pass &= all(r.pass_ for r in reports)
-        entry = {"reports": [r.to_json() for r in reports]}
-        if point is not None:
-            entry["point"] = point
-        entries.append(entry)
+    lams, _ = geometry.jacobian_svd(jacs)
+    if args.conditions:
+        names = tuple(s.strip() for s in args.conditions.split(","))
+    else:
+        names = condition_names(*jacs.shape[1:])
+    reports = [
+        evaluate_condition(name, jacs, lams, delta=args.delta,
+                           k_min=args.kmin, epsilon=args.epsilon,
+                           traceless=args.traceless)
+        for name in names
+    ]
+    entries = [{"reports": [r.to_json() for r in row]}
+               for row in zip(*(report.rows() for report in reports))]
+    for entry, point in zip(entries, points or ()):
+        entry["point"] = point
     payload = {
         "schema": SCHEMA,
         "config": _config_echo(
@@ -132,7 +129,7 @@ def cmd_check(args):
         "results": entries,
     }
     _write(_json_text(payload), args.out)
-    return 0 if all_pass else 1
+    return 0 if all(np.all(r.pass_) for r in reports) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +259,7 @@ def cmd_verify(args):
         passed = all(s.observed_order is None
                      or s.observed_order >= ORDER_GATE for s in ladder)
     if args.nodes_csv:
-        sides = verification.identity_sides(finest, args.identity)
-        _write(_csv_text(config, *_node_table(finest, sides)),
+        _write(_csv_text(config, *_node_table(finest, ladder[-1].sides)),
                args.nodes_csv)
     payload = {"schema": SCHEMA, "config": config,
                "results": [s.to_json() for s in ladder]}

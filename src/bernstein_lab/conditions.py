@@ -1,10 +1,11 @@
 """Closed-form sufficient flatness conditions on the singular values of df.
 
-Each checker returns a ``ConditionReport`` carrying a signed margin in the
-natural units of its inequality: positive inside the good region, negative
-outside.  Margins of different conditions are deliberately not normalized
-against each other.  ``CONDITIONS`` is the registry of named conditions that
-the command line and the rotation search evaluate.
+Each evaluator takes singular values of shape (B, n), one row per
+differential, and returns one ``ConditionReport`` of length-B arrays; a
+single length-n vector is a batch of one and gets a report of floats.
+Margins are signed in the natural units of each inequality: positive inside
+the good region, negative outside, never normalized against each other.
+``CONDITIONS`` is the registry the command line and the rotation search use.
 """
 
 from __future__ import annotations
@@ -21,16 +22,34 @@ from .geometry import star_omega
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Outcome of one condition check.
+    """Outcome of one condition over a batch of differentials, or over one.
 
     ``margin`` is the signed distance to the failure boundary; ``pass_``
     agrees with its sign (inclusive inequalities pass at margin exactly 0).
+    For a batch they and the per-row details are arrays (see ``rows``).
     """
 
     condition_name: str
     pass_: bool
     margin: float
     details: dict = field(default_factory=dict)
+
+    @classmethod
+    def from_arrays(cls, name, lambdas, margin, pass_, **details):
+        """Report over the rows of ``lambdas``; one row when it is a vector."""
+        report = cls(name, pass_, margin, details)
+        return report.rows()[0] if np.ndim(lambdas) == 1 else report
+
+    def rows(self):
+        """One report per differential, with float margins and details."""
+        margin = np.atleast_1d(self.margin)
+        pass_ = np.broadcast_to(self.pass_, margin.shape)
+        details = {k: np.broadcast_to(v, margin.shape)
+                   for k, v in self.details.items()}
+        return [ConditionReport(self.condition_name, bool(pass_[b]),
+                                float(margin[b]),
+                                {k: float(v[b]) for k, v in details.items()})
+                for b in range(margin.shape[0])]
 
     def to_json(self):
         return {
@@ -41,12 +60,21 @@ class ConditionReport:
         }
 
 
-def max_pairwise_product(lambdas):
-    """max_{i != j} |lambda_i lambda_j| (0 when fewer than two values)."""
-    lam = np.sort(np.abs(np.asarray(lambdas, dtype=float)))
-    if lam.size < 2:
-        return 0.0
-    return float(lam[-1] * lam[-2])
+def validate_thresholds(delta=None, k_min=None, epsilon=None):
+    """Require delta in (0, 1), k_min and epsilon finite and positive.
+
+    ``None`` skips a threshold; NaN fails every test.
+    """
+    if delta is not None and not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
+    for name, value in (("k_min", k_min), ("epsilon", epsilon)):
+        if value is not None and not (np.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and positive")
+
+
+def _rows(lambdas):
+    """``lambdas`` as a (B, n) float array; a vector is a batch of one."""
+    return np.atleast_2d(np.asarray(lambdas, dtype=float))
 
 
 def check_theorem_a(lambdas, delta, k_min) -> ConditionReport:
@@ -57,38 +85,32 @@ def check_theorem_a(lambdas, delta, k_min) -> ConditionReport:
     are inclusive, so the margin min(1 - delta - max product, omega - k_min)
     may be exactly zero on a passing boundary case.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    if k_min <= 0.0:
-        raise ValueError("k_min must be positive")
-    prod = max_pairwise_product(lambdas)
-    omega = float(star_omega(lambdas))
-    margin = min(1.0 - delta - prod, omega - k_min)
-    return ConditionReport(
-        condition_name="TheoremA",
-        pass_=margin >= 0.0,
-        margin=margin,
-        details={"max_product": prod, "star_omega": omega,
-                 "delta": float(delta), "k_min": float(k_min)},
-    )
+    validate_thresholds(delta=delta, k_min=k_min)
+    lam = _rows(lambdas)
+    top = np.sort(np.abs(lam), axis=-1)
+    prod = np.zeros(len(lam))       # one singular value has no pair
+    if lam.shape[-1] > 1:
+        prod = top[:, -1] * top[:, -2]
+    first, second = 1.0 - delta - prod, star_omega(lam) - k_min
+    # Python's min(first, second): NaN and signed zeros keep their bits
+    margin = np.where(second < first, second, first)
+    return ConditionReport.from_arrays(
+        "TheoremA", lambdas, margin, margin >= 0.0, max_product=prod,
+        star_omega=star_omega(lam), delta=float(delta), k_min=float(k_min))
 
 
-def jost_xin_delta(lambdas) -> float:
+def jost_xin_delta(lambdas):
     """The gradient quantity sqrt(prod(1 + l_i^2)) = 1 / star_omega."""
     lam = np.asarray(lambdas, dtype=float)
-    return float(np.sqrt(np.prod(1.0 + lam * lam)))
+    return np.sqrt(np.prod(1.0 + lam * lam, axis=-1))
 
 
 def check_jost_xin(lambdas) -> ConditionReport:
     """Strict bound sqrt(prod(1 + l_i^2)) < 2."""
-    value = jost_xin_delta(lambdas)
+    value = jost_xin_delta(_rows(lambdas))
     margin = 2.0 - value
-    return ConditionReport(
-        condition_name="JostXin",
-        pass_=margin > 0.0,
-        margin=margin,
-        details={"delta_f": value},
-    )
+    return ConditionReport.from_arrays("JostXin", lambdas, margin,
+                                       margin > 0.0, delta_f=value)
 
 
 def fc_hjw_threshold(n, m) -> float:
@@ -101,46 +123,12 @@ def fc_hjw_threshold(n, m) -> float:
 
 def check_fc_hjw(lambdas, n, m) -> ConditionReport:
     """Strict bound star_omega > cos^p(pi/(2 sqrt(2) p))."""
-    omega = float(star_omega(lambdas))
+    omega = star_omega(_rows(lambdas))
     threshold = fc_hjw_threshold(n, m)
     margin = omega - threshold
-    return ConditionReport(
-        condition_name="FC_HJW",
-        pass_=margin > 0.0,
-        margin=margin,
-        details={"star_omega": omega, "threshold": threshold},
-    )
-
-
-@dataclass(frozen=True)
-class ImplicationWitness:
-    """Record of one sample of the implication prod(1+l^2) < 4 => max|l_i l_j| < 1."""
-
-    hypothesis: bool
-    conclusion: bool
-    product_of_sums: float
-    max_product: float
-
-    @property
-    def is_counterexample(self):
-        return self.hypothesis and not self.conclusion
-
-
-def implication_jx_to_a(lambdas) -> ImplicationWitness:
-    """Test one lambda vector against the implication above.
-
-    No counterexample can exist: (1+a^2)(1+b^2) >= (1+ab)^2 termwise.  The
-    witness form makes the random-sweep property test explicit.
-    """
-    lam = np.abs(np.asarray(lambdas, dtype=float))
-    pos = float(np.prod(1.0 + lam * lam))
-    prod = max_pairwise_product(lam)
-    return ImplicationWitness(
-        hypothesis=pos < 4.0,
-        conclusion=prod < 1.0,
-        product_of_sums=pos,
-        max_product=prod,
-    )
+    return ConditionReport.from_arrays("FC_HJW", lambdas, margin,
+                                       margin > 0.0, star_omega=omega,
+                                       threshold=threshold)
 
 
 def grassmannian_g24(lambda1, lambda2):
@@ -154,25 +142,36 @@ def grassmannian_g24(lambda1, lambda2):
 
     Signed inputs are allowed: the sign of the product l1 l2 is geometric
     (it equals the sign of det(jac) for the originating 2x2 matrix).  Both
-    heights are positive exactly when |l1 l2| < 1.
+    heights are positive exactly when |l1 l2| < 1.  Broadcasts.
     """
-    l1 = float(lambda1)
-    l2 = float(lambda2)
-    d = math.sqrt(2.0) * math.sqrt((1.0 + l1 * l1) * (1.0 + l2 * l2))
+    l1 = np.asarray(lambda1, dtype=float)
+    l2 = np.asarray(lambda2, dtype=float)
+    d = np.sqrt(2.0) * np.sqrt((1.0 + l1 * l1) * (1.0 + l2 * l2))
     return (1.0 - l1 * l2) / d, (1.0 + l1 * l2) / d
 
 
-def check_hemisphere24(lambda1, lambda2) -> ConditionReport:
-    """Both sphere heights positive, i.e. |l1 l2| < 1 with the signed product."""
-    w1, w2 = grassmannian_g24(lambda1, lambda2)
-    margin = min(w1, w2)
-    return ConditionReport(
-        condition_name="Hemisphere24",
-        pass_=margin > 0.0,
-        margin=margin,
-        details={"omega1": w1, "omega2": w2,
-                 "signed_product": float(lambda1) * float(lambda2)},
-    )
+def check_hemisphere24(lambdas) -> ConditionReport:
+    """Both sphere heights positive, i.e. |l1 l2| < 1 with the signed product.
+
+    ``lambdas`` are the signed singular values (l1, l2) of a 2x2
+    differential: l2 carries the sign of det(jac).
+    """
+    lam = _rows(lambdas)
+    if lam.shape[-1] != 2:
+        raise ValueError("Hemisphere24 requires n = m = 2")
+    w1, w2 = grassmannian_g24(lam[:, 0], lam[:, 1])
+    margin = np.where(w2 < w1, w2, w1)
+    return ConditionReport.from_arrays(
+        "Hemisphere24", lambdas, margin, margin > 0.0, omega1=w1, omega2=w2,
+        signed_product=lam[:, 0] * lam[:, 1])
+
+
+def _signed_lambdas(jacs, lambdas):
+    """``lambdas`` (..., 2) of 2x2 ``jacs`` with l2 signed by det (0 is +)."""
+    sign = np.sign(linalg.det(jacs))
+    out = np.array(lambdas, dtype=float)
+    out[..., 1] = np.where(sign == 0, 1.0, sign) * out[..., 1]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +182,10 @@ def check_hemisphere24(lambda1, lambda2) -> ConditionReport:
 class Condition:
     """A named condition: its evaluator and the shapes of df it applies to.
 
-    ``evaluate(jac, lambdas, delta=, k_min=, epsilon=, traceless=)`` returns
-    the ``ConditionReport`` of the n x m differential ``jac`` with singular
-    values ``lambdas`` (length n, zero-padded); each evaluator reads the
-    thresholds it needs.  ``square`` restricts the condition to
+    ``evaluate(jacs, lambdas, delta=, k_min=, epsilon=, traceless=)`` returns
+    the ``ConditionReport`` of the n x m differentials ``jacs`` (B, n, m)
+    with singular values ``lambdas`` (B, n), zero-padded; each evaluator
+    reads the thresholds it needs.  ``square`` restricts the condition to
     n = m = square.
     """
 
@@ -197,27 +196,24 @@ class Condition:
         return self.square is None or n == m == self.square
 
 
-def _hemisphere24(jac, lambdas, **_):
-    sign = np.sign(linalg.det(jac))
-    sign = 1.0 if sign == 0 else sign
-    return check_hemisphere24(lambdas[0], sign * lambdas[1])
-
-
-def _optimal_b(jac, lambdas, epsilon, traceless, **_):
+def _optimal_b(jacs, lambdas, epsilon, traceless, **_):
     from .optimal_region import optimal_condition  # imports this module
 
-    return optimal_condition(lambdas, np.shape(jac)[1], epsilon=epsilon,
+    return optimal_condition(lambdas, np.shape(jacs)[-1], epsilon=epsilon,
                              traceless=traceless)
 
 
 CONDITIONS = {
     "TheoremA": Condition(
-        lambda jac, lambdas, delta, k_min, **_:
+        lambda jacs, lambdas, delta, k_min, **_:
         check_theorem_a(lambdas, delta, k_min)),
-    "JostXin": Condition(lambda jac, lambdas, **_: check_jost_xin(lambdas)),
+    "JostXin": Condition(lambda jacs, lambdas, **_: check_jost_xin(lambdas)),
     "FC_HJW": Condition(
-        lambda jac, lambdas, **_: check_fc_hjw(lambdas, *np.shape(jac))),
-    "Hemisphere24": Condition(_hemisphere24, square=2),
+        lambda jacs, lambdas, **_:
+        check_fc_hjw(lambdas, *np.shape(jacs)[-2:])),
+    "Hemisphere24": Condition(
+        lambda jacs, lambdas, **_:
+        check_hemisphere24(_signed_lambdas(jacs, lambdas)), square=2),
     "OptimalB": Condition(_optimal_b),
 }
 
@@ -228,18 +224,20 @@ def condition_names(n, m):
                  if cond.applies(n, m))
 
 
-def evaluate_condition(name, jac, lambdas, *, delta, k_min, epsilon,
+def evaluate_condition(name, jacs, lambdas, *, delta, k_min, epsilon,
                        traceless) -> ConditionReport:
-    """Report of the registered condition ``name`` on one differential.
+    """Report of the registered condition ``name`` on differentials ``jacs``.
 
-    Raises ``ValueError`` for an unknown name or a shape the condition is
-    not defined for.
+    ``jacs`` (B, n, m) and ``lambdas`` (B, n) as in ``Condition``, or one
+    (n, m) differential and its vector.  Raises ``ValueError`` for an unknown
+    name, a shape the condition is not defined for, or any bad threshold.
     """
     cond = CONDITIONS.get(name)
     if cond is None:
         raise ValueError(f"unknown condition {name!r} "
                          f"(known: {', '.join(CONDITIONS)})")
-    if not cond.applies(*np.shape(jac)):
+    if not cond.applies(*np.shape(jacs)[-2:]):
         raise ValueError(f"{name} requires n = m = {cond.square}")
-    return cond.evaluate(jac, lambdas, delta=delta, k_min=k_min,
+    validate_thresholds(delta=delta, k_min=k_min, epsilon=epsilon)
+    return cond.evaluate(jacs, lambdas, delta=delta, k_min=k_min,
                          epsilon=epsilon, traceless=traceless)

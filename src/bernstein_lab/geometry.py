@@ -296,6 +296,23 @@ def _assemble_frames(lams, amat, bmat):
     return tangent, normal
 
 
+def jacobian_svd(jacs):
+    """Zero-padded singular values (B, n) and vt of finite jacobians (B, n, m).
+
+    One batched Jacobi SVD of the transposes, without u.
+    """
+    jacs = np.asarray(jacs, dtype=float)
+    if jacs.ndim != 3:
+        raise ValueError("jac must be a 2-d array")
+    if not np.all(np.isfinite(jacs)):
+        raise ValueError("jac must have finite entries")
+    nb, n, m = jacs.shape
+    s, vt = linalg.jacobi_svd(np.swapaxes(jacs, -1, -2), compute_u=False)
+    lams = np.zeros((nb, n))
+    lams[:, : min(n, m)] = s
+    return lams, vt
+
+
 def singular_data(jac) -> SingularData:
     """Singular values of ``jac`` and the adapted orthonormal frames.
 
@@ -303,40 +320,22 @@ def singular_data(jac) -> SingularData:
     re-derived from the standard basis in index order, each vector's largest
     component is made positive, and the domain basis is fixed to positive
     orientation so that the projection factor equals the determinant of the
-    first n rows of the tangent frame.
+    first n rows of the tangent frame.  This is ``singular_data_batch`` on a
+    batch of one.
     """
-    jac = np.asarray(jac, dtype=float)
-    if jac.ndim != 2:
-        raise ValueError("jac must be a 2-d array")
-    if not np.all(np.isfinite(jac)):
-        raise ValueError("jac must have finite entries")
-    n, m = jac.shape
-    s, vt = linalg.jacobi_svd(jac.T, compute_u=False)
-    lams = np.zeros(n)
-    lams[: min(n, m)] = s
-    amat, bmat, groups = _frames_from_jac(jac, lams, vt.T)
-    tangent, normal = _assemble_frames(lams, amat, bmat)
-    return SingularData(
-        lambdas=lams,
-        tangent_frame=tangent,
-        normal_frame=normal,
-        domain_basis=amat,
-        target_basis=bmat,
-        degenerate_groups=groups,
-    )
+    batch = singular_data_batch(np.asarray(jac, dtype=float)[None])
+    return SingularData(*(part[0] for part in batch))
 
 
 def singular_data_batch(jacs):
-    """Vectorized ``singular_data`` over a batch of jacobians (B, n, m).
+    """Singular values and adapted frames of a batch of jacobians (B, n, m).
 
     Returns (lambdas, tangent, normal, domain, target, groups) with the batch
     in the leading axis; ``groups`` is a list of per-node group tuples.
     """
     jacs = np.asarray(jacs, dtype=float)
+    lams, vt = jacobian_svd(jacs)
     nb, n, m = jacs.shape
-    s, vt = linalg.jacobi_svd(np.swapaxes(jacs, -1, -2), compute_u=False)
-    lams = np.zeros((nb, n))
-    lams[:, : min(n, m)] = s
     tangent = np.zeros((nb, n + m, n))
     normal = np.zeros((nb, n + m, m))
     domain = np.zeros((nb, n, n))

@@ -49,11 +49,10 @@ def _offdiag_mass(g):
     Summed entry-by-entry (not as total minus diagonal, which cancels
     catastrophically once the off-diagonal part is small).
     """
-    d = g.shape[-1]
-    off = g.copy()
-    idx = np.arange(d)
-    off[..., idx, idx] = 0.0
-    return np.sqrt(np.sum(off * off, axis=(-2, -1)))
+    sq = g * g
+    idx = np.arange(g.shape[-1])
+    sq[..., idx, idx] = 0.0
+    return np.sqrt(np.sum(sq, axis=(-2, -1)))
 
 
 def _components(g):

@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import linalg
-from .conditions import ConditionReport
+from .conditions import ConditionReport, validate_thresholds
 from .geometry import star_omega
 
 DEFAULT_EPSILON = 1e-3
@@ -180,28 +180,37 @@ def min_eigenvalue(gram) -> float:
     return float(w[..., 0]) if mat.ndim == 2 else w[..., 0]
 
 
+def _min_eigenvalues(lams, basis, chunk=4096):
+    """Minimum eigenvalue of F's Gram matrix at each row of ``lams`` (N, n).
+
+    Gram matrices are assembled and solved ``chunk`` rows at a time.
+    """
+    pair = _pair_tensors(basis)
+    values = np.empty(lams.shape[0])
+    for start in range(0, lams.shape[0], chunk):
+        grams = _gram_matrix(lams[start: start + chunk], basis, pair=pair)
+        w, _ = linalg.jacobi_eigh(grams)
+        values[start: start + chunk] = w[..., 0]
+    return values
+
+
 def optimal_condition(lambdas, m, epsilon=DEFAULT_EPSILON,
                       traceless=True) -> ConditionReport:
-    """Spectral positivity of F on the admissible space at one lambda vector.
+    """Spectral positivity of F on the admissible space at each lambda row.
 
     Passes when the minimum eigenvalue of the Gram matrix is at least
     epsilon.  ``traceless=True`` is the minimal-submanifold case;
     ``traceless=False`` is the parallel-mean-curvature case whose positivity
     region is exactly the product condition's.
     """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    validate_thresholds(epsilon=epsilon)
     lam = np.asarray(lambdas, dtype=float)
-    basis = h_space_basis(lam.size, m, traceless)
-    low = min_eigenvalue(assemble_gram(lam, basis))
+    basis = h_space_basis(lam.shape[-1], m, traceless)
+    low = _min_eigenvalues(lam.reshape(-1, basis.n), basis)
     margin = low - epsilon
-    return ConditionReport(
-        condition_name="OptimalB",
-        pass_=margin >= -EIG_TOL,
-        margin=margin,
-        details={"min_eigenvalue": low, "epsilon": float(epsilon),
-                 "dim": basis.dim, "traceless": float(traceless)},
-    )
+    return ConditionReport.from_arrays(
+        "OptimalB", lambdas, margin, margin >= -EIG_TOL, min_eigenvalue=low,
+        epsilon=float(epsilon), dim=basis.dim, traceless=float(traceless))
 
 
 @dataclass(frozen=True)
@@ -253,23 +262,15 @@ def region_scan(n, m, traceless, grid, epsilon=DEFAULT_EPSILON,
         raise ValueError("empty grid")
     if not np.all(np.isfinite([axis[:2] for axis in grid])):
         raise ValueError("grid bounds must be finite")
-    if not (np.isfinite(epsilon) and epsilon > 0.0):
-        raise ValueError("epsilon must be finite and positive")
+    validate_thresholds(epsilon=epsilon)
     basis = h_space_basis(n, m, traceless)
-    pair = _pair_tensors(basis)
     points = [np.linspace(lo, hi, steps) for (lo, hi, steps) in grid]
     mesh = np.meshgrid(*points, indexing="ij")
     shape = mesh[0].shape
     lam = np.zeros((int(np.prod(shape)), n))
     for a in range(p):
         lam[:, a] = mesh[a].reshape(-1)
-    values = np.empty(lam.shape[0])
-    for start in range(0, lam.shape[0], chunk):
-        block = lam[start: start + chunk]
-        grams = _gram_matrix(block, basis, pair=pair)
-        w, _ = linalg.jacobi_eigh(grams)
-        values[start: start + chunk] = w[..., 0]
-    values = values.reshape(shape)
+    values = _min_eigenvalues(lam, basis, chunk).reshape(shape)
     return RegionScanResult(
         n=n, m=m, traceless=bool(traceless), axes=grid,
         epsilon=float(epsilon), values=values,

@@ -24,7 +24,7 @@ one layer, Laplacian comparisons two).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -225,7 +225,8 @@ class VerificationStats:
     ``max_abs_error``/``rms_error`` are plain differences of the two sides;
     ``max_rel_error`` rescales each node by 1 + |analytic side| so that
     regions where the identity's terms are large are compared on their own
-    scale.
+    scale.  ``sides`` holds the ``IdentitySides`` the statistics reduce
+    (None for minimality), so the per-node values are computed once.
     """
 
     identity: str
@@ -237,6 +238,7 @@ class VerificationStats:
     nodes: int
     excluded: int
     observed_order: object = None  # float once a coarser grid is available
+    sides: object = field(default=None, repr=False, compare=False)
 
     def to_json(self):
         return {
@@ -313,7 +315,7 @@ def identity_sides(sample: SurfaceSample, identity) -> IdentitySides:
     return IdentitySides(identity, 2, lhs, rhs, np.abs(lhs - rhs))
 
 
-def _summary(identity, sample, err, scale, excluded):
+def _summary(identity, sample, err, scale, excluded, sides=None):
     if err.size == 0:
         raise ValueError("no interior nodes left after exclusions")
     rms = math.sqrt(math.fsum(float(e) ** 2 for e in err.ravel())
@@ -327,6 +329,7 @@ def _summary(identity, sample, err, scale, excluded):
         max_rel_error=float(np.max(err / (1.0 + np.abs(scale)))),
         nodes=int(err.size),
         excluded=excluded,
+        sides=sides,
     )
 
 
@@ -335,7 +338,7 @@ def _sides_stats(sample, sides):
     keep = ~sample.flagged[sample.interior(sides.layers)]
     scale = np.abs(sides.rhs).reshape(sides.err.shape + (-1,)).max(axis=-1)
     return _summary(sides.identity, sample, sides.err[keep], scale[keep],
-                    int(np.sum(~keep)))
+                    int(np.sum(~keep)), sides)
 
 
 def verify_gradient_identity(sample: SurfaceSample) -> VerificationStats:
@@ -376,9 +379,10 @@ def _observed_order(prev, stats):
 def run_identity(spec: MapSpec, grids, identity, domain=None):
     """Run one identity on one grid or a ladder of nested grids.
 
-    Each grid is sampled once.  Returns the per-grid statistics, with the
-    observed order from the second grid on (see ``convergence_study``), and
-    the sample of the finest grid.
+    Each grid is sampled once and its identity evaluated once.  Returns the
+    per-grid statistics, with the observed order from the second grid on
+    (see ``convergence_study``) and the per-node sides they reduce, and the
+    sample of the finest grid.
     """
     if identity not in IDENTITY_RUNNERS:
         raise ValueError(f"unknown identity {identity!r}")

@@ -16,7 +16,7 @@ from bernstein_lab import linalg
 from bernstein_lab import optimal_region as opt
 from bernstein_lab import rotations as rot
 from bernstein_lab import verification as ver
-from bernstein_lab.conditions import check_theorem_a, implication_jx_to_a
+from bernstein_lab.conditions import check_jost_xin, check_theorem_a
 from bernstein_lab.surfaces import builtin_surface
 
 RUN = [sys.executable, "-m", "bernstein_lab.cli"]
@@ -112,10 +112,12 @@ def test_criterion_4_jost_xin_implication_sweep():
             concl = np.ones(count, dtype=bool)
         counterexamples += int(np.sum(hyp & ~concl))
         total += count
+        # the batched condition evaluators agree with the vectorized sweep
+        assert np.array_equal(check_jost_xin(lam).pass_, hyp)
+        max_product = check_theorem_a(lam, 0.5, 0.5).details["max_product"]
+        assert np.array_equal(max_product < 1.0, concl)
     assert total >= 100_000
     assert counterexamples == 0
-    # spot check the witness API agrees with the vectorized sweep
-    assert not implication_jx_to_a([0.9, 0.9]).is_counterexample
     report(4, f"{total} samples, 0 counterexamples")
 
 

@@ -1,10 +1,14 @@
 """CLI contract: inputs, exit codes, and machine-readable output."""
 
+import hashlib
 import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+
+from bernstein_lab import cli
 
 RUN = [sys.executable, "-m", "bernstein_lab.cli"]
 
@@ -76,6 +80,62 @@ def test_check_malformed_input_exits_2(tmp_path):
     proc = run_cli(["check", "--input", str(path2)])
     assert proc.returncode == 2
     assert "error" in proc.stderr
+
+
+def _main_in(tmp_path, monkeypatch, capsys, inputs, argv):
+    """Run the CLI in-process inside tmp_path; (exit code, stdout, stderr)."""
+    monkeypatch.chdir(tmp_path)
+    for name, obj in inputs.items():
+        write_json(tmp_path / name, obj)
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# sha256 of check's stdout, recorded with the per-point implementation
+CHECK_GOLDEN = {
+    "lawson-osserman-6-points": (
+        {"spec": {"n": 4, "m": 3, "kind": "builtin",
+                  "name": "lawson_osserman"},
+         "points": np.random.default_rng(11).uniform(
+             0.55, 1.45, (6, 4)).tolist()},
+        1, "7f53fb376e12262fd4e79a24e1b63619c0c706dfe6adca7c5b2643020328bdf3"),
+    "negative-det-2x2": (
+        {"matrix": [[0.4, 0.7], [0.9, -0.2]]},
+        1, "aa6c4c6aeec2161ee108e6d67ea4cda7e8ba64379ba583a31c51e3dc56743d69"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECK_GOLDEN))
+def test_check_output_golden(tmp_path, monkeypatch, capsys, case):
+    obj, code, digest = CHECK_GOLDEN[case]
+    got, out, err = _main_in(tmp_path, monkeypatch, capsys, {"in.json": obj},
+                             ["check", "--input", "in.json"])
+    assert (got, err) == (code, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+BAD_THRESHOLDS = [
+    ("--delta", "0"), ("--delta", "1"), ("--delta", "nan"),
+    ("--delta", "inf"), ("--kmin", "0"), ("--kmin", "-1"),
+    ("--kmin", "nan"), ("--kmin", "inf"), ("--epsilon", "0"),
+    ("--epsilon", "-0.001"), ("--epsilon", "nan"), ("--epsilon", "inf"),
+]
+
+
+@pytest.mark.parametrize("command", ["check", "rotate"])
+@pytest.mark.parametrize("flag, value", BAD_THRESHOLDS)
+def test_bad_threshold_exits_2(tmp_path, monkeypatch, capsys, command, flag,
+                               value):
+    matrix = {"matrix": [[0.3, 0.1, 0.0], [0.1, 0.4, 0.2], [0.0, 0.2, 0.5]]}
+    argv = [command, "--input", "m.json", flag, value]
+    if command == "rotate":
+        argv += ["--seed", "1", "--budget", "5"]
+    code, out, err = _main_in(tmp_path, monkeypatch, capsys,
+                              {"m.json": matrix}, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_region_csv_shape_and_determinism(tmp_path):

@@ -1,10 +1,13 @@
 """Closed-form condition checkers and their oracles."""
 
+import json
+
 import numpy as np
 import pytest
 
 from bernstein_lab import conditions as cond
 from bernstein_lab import geometry as geo
+from bernstein_lab.optimal_region import optimal_condition
 
 
 def test_theorem_a_boundary_case_passes():
@@ -83,19 +86,32 @@ def test_fc_hjw_report():
     assert not r.pass_  # star omega 0.5 < 0.722
 
 
+def _jx_and_product(lam):
+    """Jost-Xin pass flags and the product condition's max |l_i l_j|."""
+    jx = cond.check_jost_xin(lam)
+    return jx.pass_, cond.check_theorem_a(lam, 0.5, 0.5).details["max_product"]
+
+
 def test_implication_witness_examples():
-    w = cond.implication_jx_to_a([0.9, 0.9])
-    assert w.hypothesis and w.conclusion and not w.is_counterexample
-    w = cond.implication_jx_to_a([1.5, 0.5])
-    assert not w.hypothesis  # product of sums 4.0625 >= 4
+    # Jost-Xin, prod(1 + l^2) < 4, implies max |l_i l_j| < 1
+    hyp, prod = _jx_and_product(np.array([[0.9, 0.9], [1.5, 0.5]]))
+    assert hyp[0] and prod[0] < 1.0
+    assert not hyp[1]  # product of sums 4.0625 >= 4
 
 
 def test_implication_random_sweep_small():
     rng = np.random.default_rng(2)
+    by_n = {}
     for _ in range(20000):
         n = int(rng.integers(1, 7))
-        lam = rng.uniform(0, 3, size=n)
-        assert not cond.implication_jx_to_a(lam).is_counterexample
+        by_n.setdefault(n, []).append(rng.uniform(0, 3, size=n))
+    assert sum(len(rows) for rows in by_n.values()) == 20000
+    for n, rows in by_n.items():
+        lam = np.array(rows)
+        hyp, prod = _jx_and_product(lam)
+        # the evaluator's hypothesis is exactly prod(1 + l^2) < 4 here
+        assert np.array_equal(hyp, np.prod(1.0 + lam * lam, axis=1) < 4.0)
+        assert not np.any(hyp & ~(prod < 1.0)), n
 
 
 def test_grassmannian_g24_values():
@@ -128,7 +144,7 @@ def test_grassmannian_agrees_with_frame_bivector():
         assert abs(w1 - (dx - dy) / np.sqrt(2)) < 1e-10
         assert abs(w2 - (dx + dy) / np.sqrt(2)) < 1e-10
         # both positive iff |product| < 1
-        r = cond.check_hemisphere24(l1, sign * l2)
+        r = cond.check_hemisphere24([l1, sign * l2])
         assert r.pass_ == (abs(l1 * l2) < 1.0) or abs(abs(l1 * l2) - 1) < 1e-12
 
 
@@ -152,3 +168,72 @@ def test_registry_defaults_and_shape_rule():
         cond.evaluate_condition("Bogus", jac, lams, **params)
     report = cond.evaluate_condition("FC_HJW", jac, lams, **params)
     assert report == cond.check_fc_hjw(lams, 2, 3)
+
+
+THRESHOLDS = {"delta": 0.2, "k_min": 0.15, "epsilon": 0.01}
+
+
+def _bits(report):
+    return json.dumps(report.to_json(), sort_keys=True)
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 3), (2, 2), (2, 3), (3, 2),
+                                  (4, 3)])
+def test_batched_registry_equals_batches_of_one(n, m):
+    # n = 1: no pairwise product; (3, 2): lambdas zero-padded; (2, 3): m > n;
+    # (2, 2): Hemisphere24 with l2 signed by det(jac)
+    rng = np.random.default_rng(40 + 10 * n + m)
+    jacs = rng.uniform(-1.5, 1.5, (9, n, m))
+    jacs[3] = 0.0
+    jacs[4] = np.outer(rng.uniform(-1, 1, n), rng.uniform(-1, 1, m))
+    if (n, m) == (2, 2):
+        jacs[5] = [[0.4, 0.7], [0.9, -0.2]]     # det < 0
+    lams, _ = geo.jacobian_svd(jacs)
+    params = dict(THRESHOLDS, traceless=n >= 2)
+    for name in cond.condition_names(n, m):
+        batch = cond.evaluate_condition(name, jacs, lams, **params)
+        assert np.shape(batch.margin) == (9,)
+        rows = batch.rows()
+        for b in range(9):
+            one = cond.evaluate_condition(name, jacs[b], lams[b], **params)
+            assert _bits(rows[b]) == _bits(one), (name, b)
+            of_one = cond.evaluate_condition(name, jacs[b: b + 1],
+                                             lams[b: b + 1], **params)
+            assert _bits(of_one.rows()[0]) == _bits(one), (name, b)
+    if (n, m) == (2, 2):
+        signed = cond.evaluate_condition("Hemisphere24", jacs, lams, **params)
+        assert signed.details["signed_product"][5] < 0.0
+        assert signed.details["signed_product"][3] == 0.0
+
+
+def test_evaluators_on_random_lambdas_equal_single_vectors():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3, 5):
+        lam = rng.uniform(0.0, 2.0, (11, n))
+        evaluators = {
+            "TheoremA": lambda x: cond.check_theorem_a(x, 0.1, 0.1),
+            "JostXin": cond.check_jost_xin,
+            "FC_HJW": lambda x: cond.check_fc_hjw(x, n, 3),
+            "OptimalB": lambda x: optimal_condition(x, 2, epsilon=0.01,
+                                                    traceless=n >= 2),
+        }
+        if n == 2:
+            lam[::2, 1] *= -1.0     # l2 signed as by det(jac) < 0
+            evaluators["Hemisphere24"] = cond.check_hemisphere24
+        for name, call in evaluators.items():
+            rows = [_bits(r) for r in call(lam).rows()]
+            assert rows == [_bits(call(row)) for row in lam], (n, name)
+
+
+@pytest.mark.parametrize("bad", [
+    {"delta": 0.0}, {"delta": 1.0}, {"delta": float("nan")},
+    {"k_min": 0.0}, {"k_min": float("nan")}, {"k_min": float("inf")},
+    {"epsilon": -1.0}, {"epsilon": float("nan")}, {"epsilon": float("inf")},
+])
+def test_registry_rejects_bad_thresholds_for_every_condition(bad):
+    jac = np.array([[0.3, 0.1], [0.2, 0.4]])
+    lams, _ = geo.jacobian_svd(jac[None])
+    params = dict(THRESHOLDS, traceless=True, **bad)
+    for name in cond.CONDITIONS:
+        with pytest.raises(ValueError, match="must"):
+            cond.evaluate_condition(name, jac, lams[0], **params)

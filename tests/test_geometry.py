@@ -263,3 +263,34 @@ def test_jet_rejects_asymmetric_analytic_hessian():
     )
     with pytest.raises(ValueError):
         geo.jet(bad, [0.0, 0.0])
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 2), (3, 2), (2, 3), (3, 3)])
+def test_singular_data_is_a_batch_of_one_bitwise(n, m):
+    rng = np.random.default_rng(30 + 10 * n + m)
+    jacs = rng.uniform(-2.0, 2.0, (8, n, m))
+    p = min(n, m)
+    jacs[1] = 0.0
+    jacs[2] = np.outer(rng.uniform(-1, 1, n), rng.uniform(-1, 1, m))
+    jacs[3] = 0.0
+    jacs[3][np.arange(p), np.arange(p)] = 0.7          # tied values
+    batch = geo.singular_data_batch(jacs)
+    for b in range(8):
+        sd = geo.singular_data(jacs[b])
+        for got, want in zip((sd.lambdas, sd.tangent_frame, sd.normal_frame,
+                              sd.domain_basis, sd.target_basis), batch[:5]):
+            assert np.array_equal(got, want[b])
+        assert sd.degenerate_groups == batch[5][b]
+
+
+def test_jacobian_svd_pads_and_rejects_bad_input():
+    jacs = np.array([[[3.0], [0.0], [0.0]], [[0.0], [4.0], [0.0]]])
+    lams, vt = geo.jacobian_svd(jacs)
+    assert np.array_equal(lams, [[3.0, 0.0, 0.0], [4.0, 0.0, 0.0]])
+    assert vt.shape == (2, 3, 3)
+    bad = np.zeros((3, 2, 2))
+    bad[2, 0, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        geo.jacobian_svd(bad)
+    with pytest.raises(ValueError, match="2-d"):
+        geo.jacobian_svd(np.zeros((2, 2)))

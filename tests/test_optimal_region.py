@@ -335,3 +335,20 @@ def test_cone_reduction_embedding():
         a = opt.evaluate_F_direct(lam2, h2)
         b = opt.evaluate_F_direct(lam3, h3)
         assert abs(a - b) <= 1e-15 * max(1.0, abs(a))
+
+
+def test_min_eigenvalues_chunks_and_batches_of_one_agree_bitwise():
+    basis = opt.h_space_basis(4, 3, True)
+    lam = np.random.default_rng(8).uniform(0.0, 2.0, (10, 4))
+    whole = opt._min_eigenvalues(lam, basis)
+    assert np.array_equal(opt._min_eigenvalues(lam, basis, chunk=3), whole)
+    batch = opt.optimal_condition(lam, 3, epsilon=1e-3)
+    assert np.array_equal(batch.details["min_eigenvalue"], whole)
+    singles = [opt.optimal_condition(row, 3, epsilon=1e-3) for row in lam]
+    assert batch.rows() == singles
+
+
+@pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -1e-3])
+def test_optimal_condition_rejects_non_finite_epsilon(epsilon):
+    with pytest.raises(ValueError, match="finite and positive"):
+        opt.optimal_condition([0.0, 0.0], 2, epsilon=epsilon)

@@ -1,5 +1,7 @@
 """Built-in surfaces and discrete verification of the identities."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -288,3 +290,18 @@ def test_grid_ladder_from_one_node_is_rejected():
     spec = builtin_surface("holo_z2")
     with pytest.raises(ValueError, match="non-nested"):
         ver.convergence_study(spec, [1, 3], "gradient")
+
+
+def test_run_identity_hands_on_the_sides_it_reduced():
+    spec = builtin_surface("holo_z2")
+    for identity in ("gradient", "laplacian-log"):
+        ladder, finest = ver.run_identity(spec, [9, 17], identity)
+        sides = ladder[-1].sides
+        fresh = ver.identity_sides(finest, identity)
+        for name in ("lhs", "rhs", "err"):
+            assert np.array_equal(getattr(sides, name), getattr(fresh, name))
+        stats = ver._sides_stats(finest, fresh)
+        assert ladder[-1] == replace(stats,
+                                     observed_order=ladder[-1].observed_order)
+    ladder, _ = ver.run_identity(spec, [9], "minimality")
+    assert ladder[0].sides is None
