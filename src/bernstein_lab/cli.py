@@ -92,6 +92,19 @@ def _load_json(path):
 # check
 
 
+def _sample_points(raw, n):
+    """The spec's sample points: a non-empty list of length-n number rows."""
+    if not raw:
+        raise ValueError("input with a spec needs a 'points' list")
+    if not isinstance(raw, list) or not all(
+            isinstance(row, list) and len(row) == n
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                    for x in row)
+            for row in raw):
+        raise ValueError(f"'points' must be a list of rows of {n} numbers")
+    return [list(map(float, row)) for row in raw]
+
+
 def cmd_check(args):
     data = _load_json(args.input)
     points = None
@@ -99,10 +112,7 @@ def cmd_check(args):
         jacs = np.asarray(data["matrix"], dtype=float)[None]
     elif "spec" in data:
         spec = mapspec_from_json(data["spec"])
-        points = data.get("points")
-        if not points:
-            raise ValueError("input with a spec needs a 'points' list")
-        points = [list(map(float, x)) for x in points]
+        points = _sample_points(data.get("points"), spec.n)
         jacs = np.array([geometry.jet(spec, x).jac for x in points])
     else:
         raise ValueError("input must contain 'matrix' or 'spec' + 'points'")
@@ -167,8 +177,8 @@ def cmd_region(args):
         return 0
     header = [f"lambda{i + 1}" for i in range(len(axes))] + ["min_eig",
                                                             "class"]
-    rows = ([repr(v) for v in lam] + [repr(value), label]
-            for lam, value, label in result.iter_rows())
+    rows = ((*lam, value, label)
+            for lam, value, label in result.iter_rows(repr))
     _write(_csv_text(config, header, rows), args.out)
     return 0
 

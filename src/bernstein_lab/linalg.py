@@ -23,6 +23,12 @@ false).  Rotations in different components touch disjoint entries, so their
 relative order does not matter either; within a component the pairs keep
 their lexicographic order.  The result is bit-identical to sweeping every
 pair, and a matrix with no zero structure is one component.
+
+``jacobi_eigh_blocks`` takes that structure as given: a caller that knows
+the blocks of its matrices in advance (F's Gram matrices, whose pattern
+depends only on the shape of the form) hands over only the blocks, and all
+blocks of all nodes are swept in one lockstep, eigenvalues only.  Both
+solvers share one sweep loop, ``_sweep``.
 """
 
 from __future__ import annotations
@@ -43,16 +49,21 @@ class ConvergenceError(RuntimeError):
         self.residual = float(residual)
 
 
+def _offdiag_squares(g):
+    """Squared entries of g (..., k, k) with the diagonal set to zero."""
+    sq = g * g
+    idx = np.arange(g.shape[-1])
+    sq[..., idx, idx] = 0.0
+    return sq
+
+
 def _offdiag_mass(g):
     """Frobenius norm of the off-diagonal part, per batch member.
 
     Summed entry-by-entry (not as total minus diagonal, which cancels
     catastrophically once the off-diagonal part is small).
     """
-    sq = g * g
-    idx = np.arange(g.shape[-1])
-    sq[..., idx, idx] = 0.0
-    return np.sqrt(np.sum(sq, axis=(-2, -1)))
+    return np.sqrt(np.sum(_offdiag_squares(g), axis=(-2, -1)))
 
 
 def _components(g):
@@ -85,7 +96,7 @@ def _rotate(g, v, p, q, live, skip):
     """One Jacobi rotation in plane (p, q) of g (nb, k, k) and v, in place.
 
     Members that are not ``live``, or whose |g[p, q]| is at most ``skip``,
-    get the identity rotation.
+    get the identity rotation.  ``v`` may be None (eigenvalues only).
     """
     apq = g[:, p, q]
     active = live & (np.abs(apq) > skip)
@@ -109,13 +120,44 @@ def _rotate(g, v, p, q, live, skip):
     gq = g[:, :, q]
     g[:, :, p] = cc * gp - ss * gq
     g[:, :, q] = ss * gp + cc * gq
-    vp = v[:, :, p].copy()
-    vq = v[:, :, q]
-    v[:, :, p] = cc * vp - ss * vq
-    v[:, :, q] = ss * vp + cc * vq
+    if v is not None:
+        vp = v[:, :, p].copy()
+        vq = v[:, :, q]
+        v[:, :, p] = cc * vp - ss * vq
+        v[:, :, q] = ss * vp + cc * vq
 
 
-def jacobi_eigh(a, tol=OFF_DIAG_TOL, max_sweeps=MAX_SWEEPS):
+def _sweep(parts, mass, scale, d, tol, max_sweeps, name):
+    """Cyclic Jacobi sweeps over the blocks ``parts`` until ``mass`` is met.
+
+    Each part is (g, v, node): blocks g (members, k, k) of the nodes' d x d
+    matrices, rotated in place with their eigenvectors v (or None), and the
+    node each member belongs to (None when members are nodes).  ``mass()``
+    returns each node's off-diagonal Frobenius norm; a node is frozen once it
+    is at most ``tol * scale``, so a batched run performs exactly the
+    rotations a node-at-a-time run would.  Within a block the pairs go in
+    lexicographic order; blocks are disjoint, so their rotations commute.
+    """
+    # Rotations smaller than this cannot affect the convergence target.
+    skip = (tol / (10.0 * max(d, 2))) * scale
+    for _ in range(max_sweeps):
+        live = mass() > tol * scale
+        if not np.any(live):
+            return
+        for g, v, node in parts:
+            owner = slice(None) if node is None else node
+            on, small = live[owner], skip[owner]
+            k = g.shape[-1]
+            for p in range(k - 1):
+                for q in range(p + 1, k):
+                    _rotate(g, v, p, q, on, small)
+    off = mass()
+    if not np.all(off <= tol * scale):
+        raise ConvergenceError(f"{name} did not converge",
+                               np.max(off / scale))
+
+
+def jacobi_eigh(a, tol=OFF_DIAG_TOL, max_sweeps=MAX_SWEEPS, compute_v=True):
     """Eigendecomposition of symmetric matrices by cyclic Jacobi rotations.
 
     Parameters
@@ -126,6 +168,8 @@ def jacobi_eigh(a, tol=OFF_DIAG_TOL, max_sweeps=MAX_SWEEPS):
     -------
     (w, v) : eigenvalues ascending, shape (..., d); orthonormal eigenvectors
         in the columns of v, shape (..., d, d), so that a = v @ diag(w) @ v.T.
+        With ``compute_v=False`` only w is returned (the same bits), and no
+        eigenvector is rotated.
 
     Raises ``ConvergenceError`` if the off-diagonal mass does not drop below
     ``tol * max(1, ||a||_F)`` within ``max_sweeps`` sweeps.
@@ -141,45 +185,75 @@ def jacobi_eigh(a, tol=OFF_DIAG_TOL, max_sweeps=MAX_SWEEPS):
     batch_shape = a.shape[:-2]
     g = a.reshape((-1, d, d)).copy()
     nb = g.shape[0]
-    v = np.tile(np.eye(d), (nb, 1, 1))
+    v = np.tile(np.eye(d), (nb, 1, 1)) if compute_v else None
     scale = np.maximum(1.0, np.sqrt(np.sum(g * g, axis=(-2, -1))))
-    # Rotations smaller than this cannot affect the convergence target.
-    skip = (tol / (10.0 * max(d, 2))) * scale
 
     if d > 1:
-        blocks = []
+        cuts, parts = [], []
         for idx in _components(g):
             if idx.size > 1:
                 cut = (slice(None), idx[:, None], idx[None, :])
-                eye = np.tile(np.eye(idx.size), (nb, 1, 1))
-                blocks.append((cut, g[cut], eye))
-        converged = False
-        for _ in range(max_sweeps):
-            # Freeze members that already meet the tolerance so a batched run
-            # performs exactly the rotations a matrix-at-a-time run would.
-            live = _offdiag_mass(g) > tol * scale
-            if not np.any(live):
-                converged = True
-                break
-            for cut, gb, vb in blocks:
-                k = gb.shape[-1]
-                for p in range(k - 1):
-                    for q in range(p + 1, k):
-                        _rotate(gb, vb, p, q, live, skip)
+                cuts.append(cut)
+                parts.append((g[cut], v[cut] if compute_v else None, None))
+
+        def mass():
+            for cut, (gb, _, _) in zip(cuts, parts):
                 g[cut] = gb
-        else:
-            converged = np.all(_offdiag_mass(g) <= tol * scale)
-        if not converged:
-            residual = np.max(_offdiag_mass(g) / scale)
-            raise ConvergenceError("jacobi_eigh did not converge", residual)
-        for cut, _, vb in blocks:
-            v[cut] = vb
+            return _offdiag_mass(g)
+
+        _sweep(parts, mass, scale, d, tol, max_sweeps, "jacobi_eigh")
+        if compute_v:
+            for cut, (_, vb, _) in zip(cuts, parts):
+                v[cut] = vb
 
     w = np.diagonal(g, axis1=-2, axis2=-1).copy()
     order = np.argsort(w, axis=-1, kind="stable")
-    w = np.take_along_axis(w, order, axis=-1)
+    w = np.take_along_axis(w, order, axis=-1).reshape(batch_shape + (d,))
+    if not compute_v:
+        return w
     v = np.take_along_axis(v, order[:, None, :], axis=-1)
-    return w.reshape(batch_shape + (d,)), v.reshape(batch_shape + (d, d))
+    return w, v.reshape(batch_shape + (d, d))
+
+
+def jacobi_eigh_blocks(blocks, index):
+    """Eigenvalues of block-diagonal symmetric matrices, given as their blocks.
+
+    ``blocks`` lists arrays (B, nk, k, k), one per block size k, and
+    ``index`` the matching (nk, k) positions of those blocks in the d x d
+    matrix of each of the B nodes (together a partition of range(d)); every
+    entry outside the blocks is zero.  Returns the ascending eigenvalues
+    (B, d) that ``jacobi_eigh(..., compute_v=False)`` gives for the assembled
+    matrices, bit for bit, without assembling them.
+
+    All blocks of all nodes are swept in one lockstep: ``scale`` and the
+    per-sweep ``live`` test of a node sum the squares of its blocks, ``skip``
+    uses the full dimension d, and the pairs of each block go in
+    lexicographic order, so every rotation is the full solve's.
+    """
+    d = sum(idx.size for idx in index)
+    nodes = blocks[0].shape[0]
+    parts = []
+    for gk in blocks:
+        nk, k = gk.shape[1:3]
+        node = np.repeat(np.arange(nodes), nk)
+        parts.append((gk.reshape((-1, k, k)).copy(), None, node))
+
+    swept = [part for part in parts if part[0].shape[-1] > 1]
+
+    def node_sums(square, over):
+        total = np.zeros(nodes)
+        for g, _, _ in over:
+            total = total + np.sum(square(g).reshape((nodes, -1)), axis=-1)
+        return total
+
+    scale = np.maximum(1.0, np.sqrt(node_sums(np.square, parts)))
+    _sweep(swept, lambda: np.sqrt(node_sums(_offdiag_squares, swept)), scale,
+           d, OFF_DIAG_TOL, MAX_SWEEPS, "jacobi_eigh_blocks")
+    w = np.empty((nodes, d))
+    for (g, _, _), idx in zip(parts, index):
+        w[:, idx.reshape(-1)] = np.diagonal(g, axis1=-2,
+                                            axis2=-1).reshape((nodes, -1))
+    return np.sort(w, axis=-1, kind="stable")
 
 
 def jacobi_svd(a, tol=OFF_DIAG_TOL, max_sweeps=MAX_SWEEPS, compute_u=True):

@@ -17,11 +17,13 @@ eigenvalues, and scans regions of singular-value space.
 ``evaluate_F_direct`` is the single source of truth for F; Gram matrices are
 obtained from it by polarization, never from re-derived closed forms.  All
 evaluators broadcast over leading axes of both the singular values and the
-tensors.
+tensors.  Minimum eigenvalues polarize and solve only the coupled blocks of
+the Gram matrix (``block_plan``), with the bits of the full matrix.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -157,12 +159,65 @@ def _pair_tensors(basis):
 
 
 def _gram_matrix(lams, basis, pair=None):
-    """Gram matrices by polarization, batched over leading axes of lams."""
+    """Gram matrices by polarization, batched over leading axes of lams.
+
+    ``pair`` holds the sums and differences b_p +- b_q of shape
+    (..., k, k, m, n, n), all pairs of the basis by default; the result has
+    shape lams.shape[:-1] + (..., k, k).
+    """
     sums, diffs = pair if pair is not None else _pair_tensors(basis)
     lam = np.asarray(lams, dtype=float)
-    lamb = lam[..., None, None, :]
+    lamb = lam.reshape(lam.shape[:-1] + (1,) * (sums.ndim - 3)
+                       + lam.shape[-1:])
     g = 0.25 * (evaluate_F_direct(lamb, sums) - evaluate_F_direct(lamb, diffs))
     return 0.5 * (g + np.swapaxes(g, -1, -2))
+
+
+@dataclass(frozen=True)
+class BlockPlan:
+    """F's Gram matrix over an HBasis as its coupled index blocks.
+
+    ``index[s]`` (nk, k) lists the blocks of one size k, each ascending, in
+    order of their first index; together they partition range(dim).
+    ``pairs[s]`` holds the sums and differences b_p +- b_q (nk, k, k, m, n,
+    n) of the in-block pairs that polarization needs.  Every Gram entry
+    between two blocks is exactly zero at every lambda.
+    """
+
+    index: tuple
+    pairs: tuple
+
+
+@lru_cache(maxsize=32)
+def block_plan(n, m, traceless) -> BlockPlan:
+    """The ``BlockPlan`` of ``h_space_basis(n, m, traceless)``, built once.
+
+    Two basis tensors are coupled when a term of F's polarization has a
+    nonzero product of their entries: the norm term (shared entries) or the
+    coefficient of some lambda_i lambda_j (h_{n+i,j,k} against h_{n+j,i,k}).
+    The pattern is read from absolute entries, so it does not depend on
+    lambda or on cancellation; blocks are its connected components.
+    """
+    basis = h_space_basis(n, m, traceless)
+    t = np.abs(basis.tensors)
+    p = min(n, m)
+    tp = t[:, :p, :p, :]
+    link = (np.einsum("xaij,yaij->xy", t, t)
+            + np.einsum("xijk,yjik->xy", tp, tp))
+    by_size = {}
+    for idx in linalg._components(link[None]):
+        by_size.setdefault(idx.size, []).append(idx)
+    index, pairs = [], []
+    for k in sorted(by_size):
+        idx = np.array(by_size[k])
+        tk = basis.tensors[idx]
+        pair = (tk[:, :, None] + tk[:, None, :],
+                tk[:, :, None] - tk[:, None, :])
+        for arr in (idx, *pair):
+            arr.flags.writeable = False
+        index.append(idx)
+        pairs.append(pair)
+    return BlockPlan(index=tuple(index), pairs=tuple(pairs))
 
 
 def assemble_gram(lambdas, basis: HBasis) -> GramForm:
@@ -176,21 +231,24 @@ def assemble_gram(lambdas, basis: HBasis) -> GramForm:
 def min_eigenvalue(gram) -> float:
     """Smallest eigenvalue of a symmetric matrix (or GramForm)."""
     mat = gram.gram if isinstance(gram, GramForm) else np.asarray(gram, float)
-    w, _ = linalg.jacobi_eigh(mat)
+    w = linalg.jacobi_eigh(mat, compute_v=False)
     return float(w[..., 0]) if mat.ndim == 2 else w[..., 0]
 
 
 def _min_eigenvalues(lams, basis, chunk=4096):
     """Minimum eigenvalue of F's Gram matrix at each row of ``lams`` (N, n).
 
-    Gram matrices are assembled and solved ``chunk`` rows at a time.
+    Only the blocks of ``block_plan`` are assembled and solved, ``chunk``
+    rows at a time; the values are bit-identical to the full Gram matrix
+    through ``jacobi_eigh``.
     """
-    pair = _pair_tensors(basis)
+    plan = block_plan(basis.n, basis.m, basis.traceless)
     values = np.empty(lams.shape[0])
     for start in range(0, lams.shape[0], chunk):
-        grams = _gram_matrix(lams[start: start + chunk], basis, pair=pair)
-        w, _ = linalg.jacobi_eigh(grams)
-        values[start: start + chunk] = w[..., 0]
+        rows = lams[start: start + chunk]
+        blocks = [_gram_matrix(rows, basis, pair=pair) for pair in plan.pairs]
+        w = linalg.jacobi_eigh_blocks(blocks, plan.index)
+        values[start: start + chunk] = w[:, 0]
     return values
 
 
@@ -228,12 +286,17 @@ class RegionScanResult:
     def axis_points(self):
         return [np.linspace(lo, hi, steps) for (lo, hi, steps) in self.axes]
 
-    def iter_rows(self):
-        """Yield (lambda_tuple, min_eig, class) in lexicographic grid order."""
-        points = self.axis_points()
-        for idx in np.ndindex(self.values.shape):
-            lam = tuple(float(points[a][i]) for a, i in enumerate(idx))
-            yield lam, float(self.values[idx]), str(self.classification[idx])
+    def iter_rows(self, fmt=float):
+        """Iterate (lambda_tuple, min_eig, class) in lexicographic grid order.
+
+        Numbers come as floats, or as ``fmt`` of them (``repr`` gives CSV
+        fields); each axis point is formatted once.
+        """
+        axes = [[fmt(x) for x in points.tolist()]
+                for points in self.axis_points()]
+        return zip(itertools.product(*axes),
+                   map(fmt, self.values.ravel().tolist()),
+                   self.classification.ravel().tolist())
 
 
 def classify_margin(values, epsilon, band=BOUNDARY_BAND):
@@ -245,8 +308,8 @@ def classify_margin(values, epsilon, band=BOUNDARY_BAND):
     return out
 
 
-def region_scan(n, m, traceless, grid, epsilon=DEFAULT_EPSILON,
-                chunk=4096) -> RegionScanResult:
+def region_scan(n, m, traceless, grid,
+                epsilon=DEFAULT_EPSILON) -> RegionScanResult:
     """Minimum eigenvalue of F at every node of a singular-value grid.
 
     ``grid`` gives (lo, hi, steps) per scanned axis and must have
@@ -270,7 +333,7 @@ def region_scan(n, m, traceless, grid, epsilon=DEFAULT_EPSILON,
     lam = np.zeros((int(np.prod(shape)), n))
     for a in range(p):
         lam[:, a] = mesh[a].reshape(-1)
-    values = _min_eigenvalues(lam, basis, chunk).reshape(shape)
+    values = _min_eigenvalues(lam, basis).reshape(shape)
     return RegionScanResult(
         n=n, m=m, traceless=bool(traceless), axes=grid,
         epsilon=float(epsilon), values=values,

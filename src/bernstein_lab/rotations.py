@@ -281,6 +281,8 @@ def search_rotation(a_matrix, target: SearchTarget, budget, seed,
     if budget < 1:
         raise ValueError("budget must be at least 1")
     a = np.asarray(a_matrix, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix must have finite entries")
     n, m = a.shape
     if group == "unitary":
         if n != m:

@@ -197,6 +197,37 @@ def test_rotate_unitary_non_symmetric_exits_2(tmp_path):
     assert proc.stderr == "error: lagrangian differential must be symmetric\n"
 
 
+@pytest.mark.parametrize("group", ["orthogonal", "unitary"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_rotate_non_finite_matrix_exits_2(tmp_path, monkeypatch, capsys,
+                                          group, bad):
+    code, out, err = _main_in(
+        tmp_path, monkeypatch, capsys, {"a.json": {"matrix": [[bad, 0.0],
+                                                              [0.0, 1.0]]}},
+        ["rotate", "--input", "a.json", "--group", group, "--seed", "1",
+         "--budget", "5"])
+    assert (code, out) == (2, "")
+    assert err == "error: matrix must have finite entries\n"
+
+
+@pytest.mark.parametrize("points", [
+    [0.3, 0.0],                      # flat list
+    [[0.3, 0.0], [0.1]],             # ragged rows
+    [[0.3, "a"]],                    # non-numeric entry
+    [[0.3, None]],
+    [[True, 0.0]],
+    {"x": [0.3, 0.0]},
+])
+def test_check_malformed_points_exit_2(tmp_path, monkeypatch, capsys,
+                                       points):
+    spec = {"n": 2, "m": 2, "kind": "builtin", "name": "holo_z2"}
+    code, out, err = _main_in(tmp_path, monkeypatch, capsys,
+                              {"s.json": {"spec": spec, "points": points}},
+                              ["check", "--input", "s.json"])
+    assert (code, out) == (2, "")
+    assert err == "error: 'points' must be a list of rows of 2 numbers\n"
+
+
 def test_rotate_zero_matrix_and_determinism(tmp_path):
     path = tmp_path / "a.json"
     write_json(path, {"matrix": [[0.0, 0.0], [0.0, 0.0]]})

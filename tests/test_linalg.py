@@ -263,3 +263,39 @@ def test_singular_values_helper():
     s = linalg.singular_values(a)
     gold = (np.sqrt(5) + 1) / 2
     assert np.allclose(s, [gold, gold - 1])
+
+
+def test_eigh_without_vectors_keeps_the_eigenvalue_bits():
+    rng = np.random.default_rng(12)
+    members = [_permuted_blocks(rng, 9, [3, 2, 2, 1, 1]),
+               _permuted_blocks(rng, 9, [9]),
+               random_symmetric(rng, 9, scale=1e3),
+               np.diag(rng.normal(size=9))]
+    a = np.array(members)
+    w, _ = linalg.jacobi_eigh(a)
+    assert np.array_equal(linalg.jacobi_eigh(a, compute_v=False), w)
+    assert np.array_equal(linalg.jacobi_eigh(a[1], compute_v=False), w[1])
+
+
+def test_eigh_blocks_equals_the_assembled_solve():
+    rng = np.random.default_rng(13)
+    d, sizes = 10, (3, 3, 2, 1, 1)
+    perm = rng.permutation(d)
+    starts = np.cumsum((0,) + sizes)
+    index = [np.sort(perm[starts[i]:starts[i + 1]]) for i in range(len(sizes))]
+    nodes = 7
+    full = np.zeros((nodes, d, d))
+    by_size = {}
+    for idx in index:
+        blk = rng.normal(size=(nodes, idx.size, idx.size))
+        blk = blk + np.swapaxes(blk, -1, -2)
+        blk[rng.random(nodes) < 0.3] = 0.0
+        full[:, idx[:, None], idx[None, :]] = blk
+        by_size.setdefault(idx.size, []).append((idx, blk))
+    index = [np.array([idx for idx, _ in group]) for group in by_size.values()]
+    blocks = [np.stack([blk for _, blk in group], axis=1)
+              for group in by_size.values()]
+    w = linalg.jacobi_eigh_blocks(blocks, index)
+    assert np.array_equal(w, linalg.jacobi_eigh(full, compute_v=False))
+    single = linalg.jacobi_eigh_blocks([b[2:3] for b in blocks], index)
+    assert np.array_equal(single[0], w[2])

@@ -352,3 +352,71 @@ def test_min_eigenvalues_chunks_and_batches_of_one_agree_bitwise():
 def test_optimal_condition_rejects_non_finite_epsilon(epsilon):
     with pytest.raises(ValueError, match="finite and positive"):
         opt.optimal_condition([0.0, 0.0], 2, epsilon=epsilon)
+
+
+BLOCK_SHAPES = [(2, 1, False), (2, 2, True), (3, 3, False), (3, 3, True),
+                (4, 3, True), (4, 4, False)]
+
+
+def _random_lambdas(rng, rows, n):
+    """Rows of lambdas with exact zeros and exact ties mixed in."""
+    lam = rng.uniform(0.0, 3.0, (rows, n))
+    lam[rng.random((rows, n)) < 0.25] = 0.0
+    if n > 1:
+        lam[::3, 1] = lam[::3, 0]
+        lam[::4, -1] = lam[::4, 0]
+    lam[0] = 0.0
+    return lam
+
+
+@pytest.mark.parametrize("shape", BLOCK_SHAPES)
+def test_block_plan_partitions_and_gram_vanishes_outside(shape):
+    basis = opt.h_space_basis(*shape)
+    plan = opt.block_plan(*shape)
+    assert opt.block_plan(*shape) is plan
+    flat = np.concatenate([idx.reshape(-1) for idx in plan.index])
+    assert sorted(flat.tolist()) == list(range(basis.dim))
+    inside = np.zeros((basis.dim, basis.dim), dtype=bool)
+    full_sums, full_diffs = opt._pair_tensors(basis)
+    for idx, (sums, diffs) in zip(plan.index, plan.pairs):
+        assert np.all(np.diff(idx, axis=1) > 0)
+        cut = (idx[:, :, None], idx[:, None, :])
+        inside[cut] = True
+        assert np.array_equal(sums, full_sums[cut])
+        assert np.array_equal(diffs, full_diffs[cut])
+        with pytest.raises(ValueError):
+            sums[(0,) * sums.ndim] = 1.0
+    rng = np.random.default_rng(20)
+    grams = opt._gram_matrix(rng.uniform(-3.0, 3.0, (40, shape[0])), basis)
+    assert np.all(grams[:, ~inside] == 0.0)
+
+
+@pytest.mark.parametrize("shape", BLOCK_SHAPES)
+def test_block_path_is_bitwise_the_full_solve(shape):
+    n = shape[0]
+    basis = opt.h_space_basis(*shape)
+    lam = _random_lambdas(np.random.default_rng(21), 60, n)
+    w = linalg.jacobi_eigh(opt._gram_matrix(lam, basis), compute_v=False)
+    full = w[:, 0]
+    blocks = opt._min_eigenvalues(lam, basis)
+    assert np.array_equal(blocks.view(np.int64), full.view(np.int64))
+    for chunk in (1, 7, 60):
+        assert np.array_equal(opt._min_eigenvalues(lam, basis, chunk=chunk),
+                              blocks)
+    for row, value in zip(lam[:10], blocks):
+        assert opt._min_eigenvalues(row[None], basis)[0] == value
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_block_path_reaches_larger_forms(n):
+    # the full Gram matrix here comes from F's bilinear form written out
+    # directly, not from polarization
+    basis = opt.h_space_basis(n, n, False)
+    t = basis.tensors
+    lam = _random_lambdas(np.random.default_rng(22), 3, n)
+    low = opt._min_eigenvalues(lam, basis)
+    for row, value in zip(lam, low):
+        gram = (np.einsum("xaij,yaij->xy", t, t)
+                + np.einsum("i,j,xijk,yjik->xy", row, row, t, t))
+        scale = max(1.0, np.sqrt(np.sum(gram * gram)))
+        assert abs(value - np.linalg.eigvalsh(gram)[0]) <= 1e-12 * scale
