@@ -22,6 +22,9 @@ Layout conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
+import functools
+import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -34,7 +37,6 @@ from . import linalg
 # that degenerate inputs produce deterministic, smoothly varying frames.
 GROUP_TOL = 1e-12
 RANK_TOL = 1e-12
-FD_STEP = 1e-5
 
 
 class DomainError(ValueError):
@@ -51,16 +53,16 @@ def _readonly(a):
 class MapSpec:
     """A map f: R^n -> R^m on a rectangular parameter domain.
 
-    ``value_fn(x)`` returns f(x) as a length-m array.  When ``deriv_fn`` is
-    given it must return ``(jac, hess)`` analytically; otherwise ``jet``
-    falls back to centered finite differences with step 1e-5 * (1 + |x|).
+    Both callables take a (B, n) array of points.  ``value_fn`` returns f
+    there as (B, m); ``deriv_fn`` returns the analytic ``(jac, hess)`` as
+    (B, n, m) and (B, m, n, n) in the layout of ``Jet2``.
     """
 
     n: int
     m: int
     domain: np.ndarray  # (n, 2) rows (lo, hi)
     value_fn: Callable[[np.ndarray], np.ndarray]
-    deriv_fn: Optional[Callable[[np.ndarray], tuple]] = None
+    deriv_fn: Callable[[np.ndarray], tuple]
     kind: str = "custom"
     name: Optional[str] = None
     coeffs: Optional[tuple] = None  # polynomial kind only
@@ -71,22 +73,18 @@ class MapSpec:
             raise ValueError("domain intervals must satisfy lo <= hi")
         object.__setattr__(self, "domain", _readonly(dom))
 
-    @property
-    def has_analytic_derivatives(self):
-        return self.deriv_fn is not None
-
     def contains(self, x, slack=1e-12):
+        """Whether each point of ``x`` (..., n) lies in the domain."""
         x = np.asarray(x, dtype=float)
         pad = slack * (1.0 + np.abs(x))
-        return bool(
-            np.all(x >= self.domain[:, 0] - pad)
-            and np.all(x <= self.domain[:, 1] + pad)
-        )
+        return np.all((x >= self.domain[:, 0] - pad)
+                      & (x <= self.domain[:, 1] + pad), axis=-1)
 
 
 @dataclass(frozen=True)
 class Jet2:
-    """Value, first and second derivatives of f at a point of the graph."""
+    """Value, first and second derivatives of f at a point of the graph;
+    a batch of points adds a leading axis to every field."""
 
     x: np.ndarray       # (n,)
     value: np.ndarray   # (m,)
@@ -152,74 +150,31 @@ class SffTensor:
 # jets
 
 
-def _fd_derivatives(spec, x, step):
-    n, m = spec.n, spec.m
-    jac = np.zeros((n, m))
-    hess = np.zeros((m, n, n))
-    f0 = np.asarray(spec.value_fn(x), dtype=float)
-    fp = np.zeros((n, m))
-    fm = np.zeros((n, m))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = step
-        fp[i] = spec.value_fn(x + e)
-        fm[i] = spec.value_fn(x - e)
-        jac[i] = (fp[i] - fm[i]) / (2.0 * step)
-        hess[:, i, i] = (fp[i] - 2.0 * f0 + fm[i]) / step**2
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = step
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = step
-            fpp = np.asarray(spec.value_fn(x + ei + ej), dtype=float)
-            fpm = np.asarray(spec.value_fn(x + ei - ej), dtype=float)
-            fmp = np.asarray(spec.value_fn(x - ei + ej), dtype=float)
-            fmm = np.asarray(spec.value_fn(x - ei - ej), dtype=float)
-            cross = (fpp - fpm - fmp + fmm) / (4.0 * step**2)
-            hess[:, i, j] = cross
-            hess[:, j, i] = cross
-    return jac, hess
-
-
 def jet(spec: MapSpec, x) -> Jet2:
-    """Evaluate the 2-jet of ``spec`` at ``x``.
+    """Evaluate the analytic 2-jet of ``spec`` at a point (n,) or batch (B, n).
 
-    Uses analytic derivatives when the spec provides them, centered finite
-    differences with step 1e-5 * (1 + |x|) otherwise.  Raises ``DomainError``
-    for points outside the parameter domain.
+    A batch gives a ``Jet2`` of C-contiguous arrays with a leading batch
+    axis.  Raises ``DomainError`` naming the first point outside the
+    parameter domain.
     """
-    x = np.asarray(x, dtype=float).reshape(spec.n)
-    if not spec.contains(x):
-        raise DomainError(f"point {x.tolist()} outside domain")
-    value = np.asarray(spec.value_fn(x), dtype=float).reshape(spec.m)
-    if spec.deriv_fn is not None:
-        jac, hess = spec.deriv_fn(x)
-        jac = np.asarray(jac, dtype=float).reshape(spec.n, spec.m)
-        hess = np.asarray(hess, dtype=float).reshape(spec.m, spec.n, spec.n)
-        scale = 1.0 + np.max(np.abs(hess))
-        if np.max(np.abs(hess - np.swapaxes(hess, -1, -2))) > 1e-12 * scale:
-            raise ValueError("analytic second derivatives are not symmetric")
-    else:
-        step = FD_STEP * (1.0 + float(np.sqrt(x @ x)))
-        jac, hess = _fd_derivatives(spec, x, step)
-    hess = 0.5 * (hess + np.swapaxes(hess, -1, -2))
-    return Jet2(x=x, value=value, jac=jac, hess=hess)
-
-
-def fd_consistency(spec: MapSpec, x, step=None):
-    """Max deviation between finite-difference jets at steps h and h/2.
-
-    For a smooth evaluator both steps carry O(h^2) error, so the deviation is
-    itself O(h^2); a large value flags an inconsistent evaluator.
-    """
-    x = np.asarray(x, dtype=float).reshape(spec.n)
-    if step is None:
-        step = FD_STEP * (1.0 + float(np.sqrt(x @ x)))
-    j1, h1 = _fd_derivatives(spec, x, step)
-    j2, h2 = _fd_derivatives(spec, x, step / 2.0)
-    scale = 1.0 + max(np.max(np.abs(j1)), np.max(np.abs(h1)))
-    return max(np.max(np.abs(j1 - j2)), np.max(np.abs(h1 - h2))) / scale
+    x = np.asarray(x, dtype=float)
+    n, m, nb = spec.n, spec.m, (1 if x.ndim < 2 else len(x))
+    pts = np.ascontiguousarray(x.reshape(nb, n))
+    inside = spec.contains(pts)
+    if not np.all(inside):
+        raise DomainError(f"point {pts[np.argmin(inside)].tolist()} "
+                          f"outside domain")
+    value = np.array(spec.value_fn(pts), dtype=float, order="C")
+    jac, hess = spec.deriv_fn(pts)
+    jac = np.ascontiguousarray(jac, dtype=float).reshape(nb, n, m)
+    hess = np.asarray(hess, dtype=float).reshape(nb, m, n, n)
+    scale = 1.0 + np.max(np.abs(hess), axis=(1, 2, 3))
+    asym = np.max(np.abs(hess - np.swapaxes(hess, -1, -2)), axis=(1, 2, 3))
+    if np.any(asym > 1e-12 * scale):
+        raise ValueError("analytic second derivatives are not symmetric")
+    parts = (pts, value.reshape(nb, m), jac,
+             0.5 * (hess + np.swapaxes(hess, -1, -2)))
+    return Jet2(*((part[0] for part in parts) if x.ndim < 2 else parts))
 
 
 # ---------------------------------------------------------------------------
@@ -415,65 +370,47 @@ def mean_curvature(sff: SffTensor):
 # polynomial map specs and JSON interface
 
 
-def _poly_value(coeffs, n, m, x):
-    out = np.zeros(m)
-    for a, table in enumerate(coeffs):
-        acc = 0.0
-        for powers, c in table:
-            term = c
-            for i in range(n):
-                if powers[i]:
-                    term *= x[i] ** powers[i]
-            acc += term
-        out[a] = acc
+def _diff_table(table, axis):
+    """d/dx_axis of a monomial table, in table order: (c * p, powers - e)."""
+    out = []
+    for powers, c in table:
+        if powers[axis] == 0:
+            continue
+        new = list(powers)
+        new[axis] -= 1
+        out.append((tuple(new), c * powers[axis]))
     return out
 
 
-def _poly_derivs(coeffs, n, m, x):
-    jac = np.zeros((n, m))
-    hess = np.zeros((m, n, n))
-    for a, table in enumerate(coeffs):
+def _powers(col, p):
+    """col ** p per element on Python floats: NumPy's array ``**``, ``log``,
+    ``tan`` and ``arccosh`` do not give libm's bits, so jets take those per
+    element (``np.sqrt`` and ``+ - * /`` are exact either way)."""
+    return np.array([v ** p for v in col.tolist()])
+
+
+def _eval_tables(tables, x):
+    """Monomial tables at points x (B, n), one column per table, with the
+    bits of the scalar sum: c times x_t ** p_t (libm, per element) over
+    ascending t, each term added in table order to 0.0."""
+    power = functools.cache(lambda t, p: _powers(x[:, t], p))
+    out = np.zeros((len(x), len(tables)))
+    for a, table in enumerate(tables):
         for powers, c in table:
-            for i in range(n):
-                if powers[i] == 0:
-                    continue
-                term = c * powers[i]
-                for t in range(n):
-                    p = powers[t] - (1 if t == i else 0)
-                    if p:
-                        term *= x[t] ** p
-                jac[i, a] += term
-            for i in range(n):
-                for j in range(i, n):
-                    if i == j:
-                        if powers[i] < 2:
-                            continue
-                        term = c * powers[i] * (powers[i] - 1)
-                        for t in range(n):
-                            p = powers[t] - (2 if t == i else 0)
-                            if p:
-                                term *= x[t] ** p
-                        hess[a, i, i] += term
-                    else:
-                        if powers[i] == 0 or powers[j] == 0:
-                            continue
-                        term = c * powers[i] * powers[j]
-                        for t in range(n):
-                            p = powers[t]
-                            if t == i or t == j:
-                                p -= 1
-                            if p:
-                                term *= x[t] ** p
-                        hess[a, i, j] += term
-                        hess[a, j, i] += term
-    return jac, hess
+            term = c
+            for t, p in enumerate(powers):
+                if p:
+                    term = term * power(t, p)
+            out[:, a] += term
+    return out
 
 
 def polynomial_spec(n, m, coeffs, domain, name=None) -> MapSpec:
     """MapSpec for a polynomial map given per-component monomial tables.
 
     ``coeffs[a]`` is an iterable of ``(powers, c)`` with ``powers`` a length-n
-    integer tuple.  Derivatives are analytic (exact monomial calculus).
+    integer tuple.  Derivatives are analytic: the tables of df and d2f are
+    built once here by monomial calculus.
     """
     frozen = tuple(
         tuple((tuple(int(p) for p in powers), float(c)) for powers, c in table)
@@ -485,12 +422,27 @@ def polynomial_spec(n, m, coeffs, domain, name=None) -> MapSpec:
                 raise ValueError("monomial powers must be length-n nonnegative")
     if len(frozen) != m:
         raise ValueError("need one coefficient table per target component")
+    # jac[:, i, a] from jac_tables[i * m + a]; hess[:, a, i, j] (i <= j)
+    # from component a's table differentiated along i, then along j
+    jac_tables = [_diff_table(t, i) for i in range(n) for t in frozen]
+    upper = [(i, j) for i in range(n) for j in range(i, n)]
+    hess_tables = [_diff_table(_diff_table(t, i), j)
+                   for t in frozen for i, j in upper]
+    rows, cols = np.array(upper).T
+
+    def derivs(x):
+        jac = _eval_tables(jac_tables, x).reshape(-1, n, m)
+        upper_vals = _eval_tables(hess_tables, x).reshape(-1, m, len(upper))
+        hess = np.zeros((len(x), m, n, n))
+        hess[:, :, rows, cols] = hess[:, :, cols, rows] = upper_vals
+        return jac, hess
+
     return MapSpec(
         n=n,
         m=m,
         domain=np.asarray(domain, dtype=float),
-        value_fn=lambda x: _poly_value(frozen, n, m, x),
-        deriv_fn=lambda x: _poly_derivs(frozen, n, m, x),
+        value_fn=lambda x: _eval_tables(frozen, x),
+        deriv_fn=derivs,
         kind="polynomial",
         name=name,
         coeffs=frozen,
@@ -514,48 +466,89 @@ def linear_spec(a_matrix, domain=None) -> MapSpec:
     return polynomial_spec(n, m, coeffs, domain, name="linear")
 
 
+def _finite_float(v):
+    """float(v) for a finite JSON number (not a bool), else None."""
+    if (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max):
+        return float(v)
+    return None
+
+
+def _json_domain(raw, n):
+    """n rows [lo, hi] of finite numbers (``MapSpec`` checks lo <= hi)."""
+    rows = []
+    if isinstance(raw, list) and len(raw) == n:
+        rows = [[_finite_float(v) for v in row] for row in raw
+                if isinstance(row, list) and len(row) == 2]
+    if len(rows) != n or any(v is None for row in rows for v in row):
+        raise ValueError(f"spec 'domain' must be {n} rows [lo, hi] of "
+                         f"finite numbers")
+    return rows
+
+
+def _json_monomial(entry):
+    """A {"powers": [integers], "c": finite number} entry; the powers'
+    length and sign are ``polynomial_spec``'s to check."""
+    entry = entry if isinstance(entry, dict) else {}
+    powers, c = entry.get("powers"), _finite_float(entry.get("c"))
+    if c is None or not isinstance(powers, list) or not all(
+            isinstance(p, int) and _finite_float(p) is not None
+            for p in powers):
+        raise ValueError('a monomial must be {"powers": [integers], '
+                         '"c": a finite number}')
+    return powers, c
+
+
 def mapspec_from_json(obj) -> MapSpec:
     """Build a MapSpec from its JSON object form.
 
     Schema: ``{"n": int, "m": int, "kind": "polynomial"|"builtin",
     "coeffs": [[{"powers": [...], "c": r}, ...], ...] | "name": str,
-    "domain": [[lo, hi], ...]}``.
+    "domain": [[lo, hi], ...]}``; a builtin's domain is optional and its
+    n, m must be the surface's.  Any malformed field raises a one-line
+    ``ValueError``.
     """
+    if not isinstance(obj, dict):
+        raise ValueError("spec must be a JSON object")
     kind = obj.get("kind")
+    if kind not in ("polynomial", "builtin"):
+        raise ValueError(f"unknown MapSpec kind {kind!r}")
+    n, m = obj.get("n"), obj.get("m")
+    for key, value in (("n", n), ("m", m)):
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ValueError(f"spec {key!r} must be a positive integer")
     if kind == "polynomial":
-        coeffs = [
-            [(tuple(entry["powers"]), float(entry["c"])) for entry in table]
-            for table in obj["coeffs"]
-        ]
-        return polynomial_spec(
-            int(obj["n"]), int(obj["m"]), coeffs, obj["domain"]
-        )
-    if kind == "builtin":
-        from . import surfaces
+        tables = obj.get("coeffs")
+        if not isinstance(tables, list) or not all(
+                isinstance(t, list) for t in tables):
+            raise ValueError("spec 'coeffs' must be a list of monomial lists")
+        coeffs = [[_json_monomial(entry) for entry in table]
+                  for table in tables]
+        return polynomial_spec(n, m, coeffs,
+                               _json_domain(obj.get("domain"), n))
+    from . import surfaces
 
-        return surfaces.builtin_surface(obj["name"], domain=obj.get("domain"))
-    raise ValueError(f"unknown MapSpec kind {kind!r}")
+    name = obj.get("name")
+    if not isinstance(name, str):
+        raise ValueError("builtin spec 'name' must be a string")
+    spec = surfaces.builtin_surface(name)
+    if (spec.n, spec.m) != (n, m):
+        raise ValueError(f"builtin {name!r} has n = {spec.n}, m = {spec.m}")
+    if obj.get("domain") is None:
+        return spec
+    return surfaces.builtin_surface(name,
+                                    domain=_json_domain(obj["domain"], n))
 
 
 def mapspec_to_json(spec: MapSpec):
     """Serialize a polynomial or builtin MapSpec to its JSON object form."""
-    if spec.kind == "polynomial":
-        return {
-            "n": spec.n,
-            "m": spec.m,
-            "kind": "polynomial",
-            "coeffs": [
-                [{"powers": list(powers), "c": c} for powers, c in table]
-                for table in spec.coeffs
-            ],
-            "domain": [list(row) for row in spec.domain.tolist()],
-        }
+    if spec.kind not in ("polynomial", "builtin"):
+        raise ValueError("only polynomial and builtin specs are serializable")
+    obj = {"n": spec.n, "m": spec.m, "kind": spec.kind,
+           "domain": [list(row) for row in spec.domain.tolist()]}
     if spec.kind == "builtin":
-        return {
-            "n": spec.n,
-            "m": spec.m,
-            "kind": "builtin",
-            "name": spec.name,
-            "domain": [list(row) for row in spec.domain.tolist()],
-        }
-    raise ValueError("only polynomial and builtin specs are serializable")
+        obj["name"] = spec.name
+    else:
+        obj["coeffs"] = [[{"powers": list(powers), "c": c}
+                          for powers, c in table] for table in spec.coeffs]
+    return obj

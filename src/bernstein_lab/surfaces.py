@@ -1,8 +1,10 @@
 """Built-in exact minimal graphs used by the discrete verification suite.
 
-Every entry returns a ``MapSpec`` with analytic first and second derivatives.
-Minimality is not taken on faith: the test suite certifies each surface by
-computing the mean curvature trace from the second fundamental form.
+Every entry returns a ``MapSpec`` with analytic first and second derivatives
+over (B, n) arrays of points, each node with the bits of the one-point
+formula (libm per element, see ``_powers``).  Minimality is not taken on
+faith: the test suite certifies each surface by computing the mean curvature
+trace from the second fundamental form.
 
 Names: ``holo_z2``, ``holo_z3`` (holomorphic curves as graphs R^2 -> R^2),
 ``scherk`` (codimension one, ln(cos x / cos y)), ``catenoid_graph``
@@ -17,7 +19,7 @@ import math
 
 import numpy as np
 
-from .geometry import MapSpec, polynomial_spec
+from .geometry import MapSpec, _diff_table, _powers, polynomial_spec
 
 SQRT5_HALF = math.sqrt(5.0) / 2.0
 
@@ -53,38 +55,52 @@ def _scherk(domain):
         raise ValueError("scherk domain must stay inside |x|, |y| < pi/2")
 
     def value(x):
-        return np.array([math.log(math.cos(x[0]) / math.cos(x[1]))])
+        return np.array([[math.log(math.cos(a) / math.cos(b))]
+                         for a, b in x.tolist()])
 
     def derivs(x):
-        tx, ty = math.tan(x[0]), math.tan(x[1])
-        jac = np.array([[-tx], [ty]])
-        hess = np.array([[[-(1.0 + tx * tx), 0.0], [0.0, 1.0 + ty * ty]]])
-        return jac, hess
+        tx, ty = (np.array([math.tan(v) for v in col]) for col in x.T.tolist())
+        hess = np.zeros((len(x), 1, 2, 2))
+        hess[:, 0, 0, 0], hess[:, 0, 1, 1] = -(1.0 + tx * tx), 1.0 + ty * ty
+        return np.stack([-tx, ty], axis=-1)[:, :, None], hess
 
     return MapSpec(n=2, m=1, domain=dom, value_fn=value, deriv_fn=derivs,
                    kind="builtin", name="scherk")
 
 
-def _radial_spec(phi, dphi, d2phi, n, dom, name, r_min):
-    """Radial graph f(x) = phi(|x|) with analytic derivatives."""
+def _min_radius(dom):
+    """Smallest |x| over the rectangle ``dom``."""
     corners_min = np.where(
         (dom[:, 0] <= 0.0) & (dom[:, 1] >= 0.0),
         0.0,
         np.minimum(np.abs(dom[:, 0]), np.abs(dom[:, 1])),
     )
-    if math.sqrt(float(np.sum(corners_min**2))) < r_min:
+    return math.sqrt(float(np.sum(corners_min**2)))
+
+
+def _norms(x):
+    """|x| per row of a contiguous (B, n) array, with the bits of x @ x."""
+    return np.sqrt(np.vecdot(x, x))
+
+
+def _radial_spec(phi, dphi, d2phi, n, dom, name, r_min):
+    """Radial graph f(x) = phi(|x|) with analytic derivatives."""
+    if _min_radius(dom) < r_min:
         raise ValueError(f"{name} domain must keep |x| >= {r_min}")
 
     def value(x):
-        return np.array([phi(math.sqrt(float(x @ x)))])
+        return np.array([[phi(r)] for r in _norms(x).tolist()])
 
     def derivs(x):
-        r = math.sqrt(float(x @ x))
-        d1, d2 = dphi(r), d2phi(r)
-        jac = (d1 * x / r)[:, None]
-        hess = (d2 * np.outer(x, x) / r**2
-                + d1 * (np.eye(n) / r - np.outer(x, x) / r**3))[None]
-        return jac, hess
+        r = _norms(x)
+        d1, d2 = (np.array([f(v) for v in r.tolist()]) for f in (dphi, d2phi))
+        r2, r3 = _powers(r, 2), _powers(r, 3)
+        outer = x[:, :, None] * x[:, None, :]
+        jac = (d1[:, None] * x / r[:, None])[:, :, None]
+        hess = (d2[:, None, None] * outer / r2[:, None, None]
+                + d1[:, None, None] * (np.eye(n) / r[:, None, None]
+                                       - outer / r3[:, None, None]))
+        return jac, hess[:, None]
 
     return MapSpec(n=n, m=1, domain=dom, value_fn=value, deriv_fn=derivs,
                    kind="builtin", name=name)
@@ -111,29 +127,22 @@ def _lawson_osserman(domain):
     f(x) = c Q(x) / |x| with c = sqrt(5)/2; f is 1-homogeneous.
     """
     dom = _as_domain(domain, [[0.5, 1.5]] * 4)
-    corners_min = np.where(
-        (dom[:, 0] <= 0.0) & (dom[:, 1] >= 0.0),
-        0.0,
-        np.minimum(np.abs(dom[:, 0]), np.abs(dom[:, 1])),
-    )
-    if math.sqrt(float(np.sum(corners_min**2))) < 0.05:
+    if _min_radius(dom) < 0.05:
         raise ValueError("lawson_osserman domain must exclude the origin")
 
     def q_val(x):
-        x1, x2, x3, x4 = x
-        return np.array([
+        x1, x2, x3, x4 = x.T
+        return np.stack([
             x1 * x1 + x2 * x2 - x3 * x3 - x4 * x4,
             2.0 * (x1 * x3 + x2 * x4),
             2.0 * (x2 * x3 - x1 * x4),
-        ])
+        ], axis=-1)
 
     def q_grad(x):
-        x1, x2, x3, x4 = x
-        return np.array([
-            [2 * x1, 2 * x2, -2 * x3, -2 * x4],
-            [2 * x3, 2 * x4, 2 * x1, 2 * x2],
-            [-2 * x4, 2 * x3, 2 * x2, -2 * x1],
-        ], dtype=float)
+        x1, x2, x3, x4 = 2.0 * x.T
+        return np.stack([x1, x2, -x3, -x4,
+                         x3, x4, x1, x2,
+                         -x4, x3, x2, -x1], axis=-1).reshape(-1, 3, 4)
 
     q_hess = np.zeros((3, 4, 4))
     q_hess[0] = np.diag([2.0, 2.0, -2.0, -2.0])
@@ -143,23 +152,24 @@ def _lawson_osserman(domain):
     q_hess[2, 0, 3] = q_hess[2, 3, 0] = -2.0
 
     def value(x):
-        r = math.sqrt(float(x @ x))
-        return SQRT5_HALF * q_val(x) / r
+        return SQRT5_HALF * q_val(x) / _norms(x)[:, None]
 
     def derivs(x):
-        x = np.asarray(x, dtype=float)
-        r = math.sqrt(float(x @ x))
-        q = q_val(x)
-        dq = q_grad(x)  # (3, 4): dq[a, i] = dQ^a/dx^i
-        jac = SQRT5_HALF * (dq / r - np.outer(q, x) / r**3).T
+        norms = _norms(x)
+        # (B, 1, 1, 1): one radius power per node against (B, 3, 4, 4)
+        r, r3, r5 = (v[:, None, None, None] for v in
+                     (norms, _powers(norms, 3), _powers(norms, 5)))
+        q = q_val(x)[:, :, None, None]
+        dq = q_grad(x)[..., None]  # dq[b, a, i, 0] = dQ^a/dx^i
+        xi, xj = x[:, None, :, None], x[:, None, None, :]
+        jac = SQRT5_HALF * (dq / r - q * xi / r3)
         hess = SQRT5_HALF * (
             q_hess / r
-            - (dq[:, :, None] * x[None, None, :]
-               + dq[:, None, :] * x[None, :, None]) / r**3
-            - q[:, None, None] * np.eye(4)[None] / r**3
-            + 3.0 * q[:, None, None] * np.outer(x, x)[None] / r**5
+            - (dq * xj + np.swapaxes(dq, 2, 3) * xi) / r3
+            - q * np.eye(4) / r3
+            + 3.0 * q * (xi * xj) / r5
         )
-        return jac, hess
+        return np.swapaxes(jac[..., 0], 1, 2), hess
 
     return MapSpec(n=4, m=3, domain=dom, value_fn=value, deriv_fn=derivs,
                    kind="builtin", name="lawson_osserman")
@@ -172,17 +182,6 @@ def _harmonic_potential_table(degree):
         coeff = math.comb(degree, k) * (-1.0) ** (k // 2)
         table.append(((degree - k, k), coeff))
     return table
-
-
-def _diff_table(table, axis):
-    out = []
-    for powers, c in table:
-        if powers[axis] == 0:
-            continue
-        new = list(powers)
-        new[axis] -= 1
-        out.append((tuple(new), c * powers[axis]))
-    return out
 
 
 def _lagrangian_harmonic(domain, degree=3):

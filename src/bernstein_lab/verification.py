@@ -112,21 +112,12 @@ def sample_surface(spec: MapSpec, grid, domain=None) -> SurfaceSample:
     mesh = np.meshgrid(*axes, indexing="ij")
     shape = mesh[0].shape
     points = np.stack([mm.reshape(-1) for mm in mesh], axis=-1)
-    nb = points.shape[0]
-
-    values = np.empty((nb, m))
-    jacs = np.empty((nb, n, m))
-    hessians = np.empty((nb, m, n, n))
-    for b in range(nb):
-        j = jet(spec, points[b])
-        values[b] = j.value
-        jacs[b] = j.jac
-        hessians[b] = j.hess
+    j = jet(spec, points)
 
     lams, tangent, normal, domain_b, target_b, groups = (
-        singular_data_batch(jacs)
+        singular_data_batch(j.jac)
     )
-    sff = _sff_from_arrays(hessians, lams, domain_b, target_b)
+    sff = _sff_from_arrays(j.hess, lams, domain_b, target_b)
     omega = star_omega(lams)
     mean_c = np.einsum("bjkk->bj", sff)
     flagged = _near_tie_flags(lams, groups, shape)
@@ -135,9 +126,9 @@ def sample_surface(spec: MapSpec, grid, domain=None) -> SurfaceSample:
         spec=spec,
         axes=axes,
         spacing=spacing,
-        values=values.reshape(shape + (m,)),
-        jacs=jacs.reshape(shape + (n, m)),
-        hessians=hessians.reshape(shape + (m, n, n)),
+        values=j.value.reshape(shape + (m,)),
+        jacs=j.jac.reshape(shape + (n, m)),
+        hessians=j.hess.reshape(shape + (m, n, n)),
         lambdas=lams.reshape(shape + (n,)),
         tangent_frames=tangent.reshape(shape + (n + m, n)),
         normal_frames=normal.reshape(shape + (n + m, m)),

@@ -336,3 +336,76 @@ def test_verify_nodes_csv_minimality_exits_2(tmp_path):
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+POLYNOMIAL = {"n": 2, "m": 1, "kind": "polynomial",
+              "coeffs": [[{"powers": [1, 1], "c": 1.0}]],
+              "domain": [[-1, 1], [-1, 1]]}
+MALFORMED_SPECS = [
+    ({key: v for key, v in POLYNOMIAL.items() if key != "coeffs"},
+     "error: spec 'coeffs' must be a list of monomial lists\n"),
+    ({**POLYNOMIAL, "n": "2"}, "error: spec 'n' must be a positive integer\n"),
+    ({**POLYNOMIAL, "m": False},
+     "error: spec 'm' must be a positive integer\n"),
+    ({**POLYNOMIAL, "kind": ["polynomial"]},
+     "error: unknown MapSpec kind ['polynomial']\n"),
+    ({**POLYNOMIAL, "coeffs": [[{"powers": [1, True], "c": 1.0}]]},
+     'error: a monomial must be {"powers": [integers], "c": a finite '
+     'number}\n'),
+    ({**POLYNOMIAL, "domain": [[-1, 1], [-1, float("nan")]]},
+     "error: spec 'domain' must be 2 rows [lo, hi] of finite numbers\n"),
+    ({**POLYNOMIAL, "domain": [[-1, 1], [1, -1]]},
+     "error: domain intervals must satisfy lo <= hi\n"),
+    ({"n": 2, "m": 2, "kind": "builtin", "name": 7},
+     "error: builtin spec 'name' must be a string\n"),
+]
+
+
+@pytest.mark.parametrize("command", ["verify", "check"])
+@pytest.mark.parametrize("spec, message", MALFORMED_SPECS)
+def test_malformed_spec_exits_2(tmp_path, monkeypatch, capsys, command, spec,
+                                message):
+    if command == "verify":
+        inputs = {"s.json": spec}
+        argv = ["verify", "--input", "s.json", "--identity", "gradient",
+                "--grid", "9"]
+    else:
+        inputs = {"s.json": {"spec": spec, "points": [[0.1, 0.2]]}}
+        argv = ["check", "--input", "s.json"]
+    code, out, err = _main_in(tmp_path, monkeypatch, capsys, inputs, argv)
+    assert (code, out, err) == (2, "", message)
+
+
+@pytest.mark.parametrize("argv, nodes", [
+    (["verify", "--surface", "holo_z2", "--identity", "gradient",
+      "--grid", "1000000"], 10**12),
+    (["verify", "--surface", "lawson_osserman", "--identity", "minimality",
+      "--grid", "9,27"], 27**4),
+    (["region", "--n", "2", "--m", "2",
+      "--grid", "0:1:1000000,0:1:1000000"], 10**12),
+    (["region", "--n", "3", "--m", "3",
+      "--grid", "0:1:81,0:1:81,0:1:81"], 81**3),
+])
+def test_grid_above_node_cap_exits_2(tmp_path, monkeypatch, capsys, argv,
+                                     nodes):
+    # every grid here is above the cap, so the refusal comes before any
+    # array is allocated
+    assert nodes > cli.MAX_NODES
+    code, out, err = _main_in(tmp_path, monkeypatch, capsys, {}, argv)
+    assert (code, out) == (2, "")
+    assert err == (f"error: grid of {nodes} nodes exceeds the cap of "
+                   f"{cli.MAX_NODES}\n")
+
+
+@pytest.mark.parametrize("point", [[1e200, 0.0], [10**400, 0.0]])
+def test_check_overflow_exits_2(tmp_path, monkeypatch, capsys, point):
+    # x ** 200 leaves the float range, and a 400-digit JSON integer has no
+    # float: both are numerical errors, not tracebacks
+    spec = {"n": 2, "m": 1, "kind": "polynomial",
+            "coeffs": [[{"powers": [200, 0], "c": 1.0}]],
+            "domain": [[-1e300, 1e300], [-1, 1]]}
+    code, out, err = _main_in(tmp_path, monkeypatch, capsys,
+                              {"s.json": {"spec": spec, "points": [point]}},
+                              ["check", "--input", "s.json"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,12 +1,16 @@
 """Jets, adapted frames, and second fundamental forms of graphs."""
 
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bernstein_lab import geometry as geo
 from bernstein_lab import linalg
+from bernstein_lab.surfaces import builtin_names, builtin_surface
 
 HOLO_Z2 = geo.polynomial_spec(
     2, 2,
@@ -37,21 +41,48 @@ def test_jet_zero_and_linear():
 def test_jet_outside_domain_raises():
     with pytest.raises(geo.DomainError):
         geo.jet(HOLO_Z2, [5.0, 0.0])
+    batch = [[0.0, 0.0], [5.0, 0.0], [0.0, -6.0]]
+    with pytest.raises(geo.DomainError,
+                       match=r"^point \[5\.0, 0\.0\] outside domain$"):
+        geo.jet(HOLO_Z2, batch)
 
 
-def test_finite_difference_fallback_matches_analytic():
-    fd_spec = geo.MapSpec(n=2, m=2, domain=[[-2, 2], [-2, 2]],
-                          value_fn=HOLO_Z2.value_fn)
-    assert not fd_spec.has_analytic_derivatives
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        x = rng.uniform(-1.5, 1.5, size=2)
-        jfd = geo.jet(fd_spec, x)
-        jan = geo.jet(HOLO_Z2, x)
-        assert np.allclose(jfd.jac, jan.jac, atol=1e-9)
-        assert np.allclose(jfd.hess, jan.hess, atol=1e-5)
-        # two-step self consistency
-        assert geo.fd_consistency(fd_spec, x) < 1e-5
+def _random_polynomial_spec(rng):
+    n, m = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+    coeffs = [[(tuple(int(p) for p in rng.integers(0, 5, n)),
+                float(rng.normal()) if rng.random() > 0.1 else 0.0)
+               for _ in range(int(rng.integers(0, 5)))]
+              for _ in range(m)]
+    return geo.polynomial_spec(n, m, coeffs, [[-2.0, 2.0]] * n)
+
+
+def _assert_batch_is_rows(spec, points):
+    batch = geo.jet(spec, points)
+    for field in ("x", "value", "jac", "hess"):
+        arr = getattr(batch, field)
+        assert arr.flags.c_contiguous, field
+        for b, x in enumerate(points):
+            row = getattr(geo.jet(spec, x), field)
+            assert arr[b].shape == row.shape and (
+                arr[b].tobytes() == row.tobytes()), (spec.name, field, b)
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_jet_batch_equals_rows_bitwise_on_builtins(name):
+    spec = builtin_surface(name)
+    rng = np.random.default_rng(sum(map(ord, name)))
+    points = rng.uniform(spec.domain[:, 0], spec.domain[:, 1], (40, spec.n))
+    points[0], points[1] = spec.domain[:, 0], spec.domain[:, 1]
+    _assert_batch_is_rows(spec, points)
+
+
+def test_jet_batch_equals_rows_bitwise_on_random_polynomials():
+    rng = np.random.default_rng(8)
+    for _ in range(60):
+        spec = _random_polynomial_spec(rng)
+        points = rng.uniform(-2.0, 2.0, (6, spec.n))
+        points[0] = 0.0
+        _assert_batch_is_rows(spec, points)
 
 
 def test_singular_data_examples():
@@ -257,12 +288,15 @@ def test_singular_data_rejects_bad_input():
 def test_jet_rejects_asymmetric_analytic_hessian():
     bad = geo.MapSpec(
         n=2, m=1, domain=[[-1, 1], [-1, 1]],
-        value_fn=lambda x: np.array([0.0]),
-        deriv_fn=lambda x: (np.zeros((2, 1)),
-                            np.array([[[0.0, 1.0], [0.0, 0.0]]])),
+        value_fn=lambda x: np.zeros((len(x), 1)),
+        deriv_fn=lambda x: (np.zeros((len(x), 2, 1)),
+                            np.tile([[[0.0, 1.0], [0.0, 0.0]]],
+                                    (len(x), 1, 1, 1))),
     )
     with pytest.raises(ValueError):
         geo.jet(bad, [0.0, 0.0])
+    with pytest.raises(ValueError):
+        geo.jet(bad, np.zeros((3, 2)))
 
 
 @pytest.mark.parametrize("n, m", [(1, 1), (2, 2), (3, 2), (2, 3), (3, 3)])
@@ -294,3 +328,142 @@ def test_jacobian_svd_pads_and_rejects_bad_input():
         geo.jacobian_svd(bad)
     with pytest.raises(ValueError, match="2-d"):
         geo.jacobian_svd(np.zeros((2, 2)))
+
+
+VALID_SPECS = [
+    {"n": 2, "m": 2, "kind": "polynomial",
+     "coeffs": [[{"powers": [2, 0], "c": 1.0}, {"powers": [0, 2], "c": -1}],
+                [{"powers": [1, 1], "c": 2.0}]],
+     "domain": [[-1, 1], [-1.0, 1.0]]},
+    {"n": 1, "m": 1, "kind": "polynomial", "coeffs": [[]],
+     "domain": [[0, 0]]},
+    {"n": 4, "m": 3, "kind": "builtin", "name": "lawson_osserman",
+     "domain": [[0.5, 1.5]] * 4},
+    {"n": 2, "m": 1, "kind": "builtin", "name": "scherk"},
+]
+
+
+@pytest.mark.parametrize("obj", VALID_SPECS)
+def test_mapspec_json_accepts_valid_specs(obj):
+    spec = geo.mapspec_from_json(copy.deepcopy(obj))
+    assert (spec.n, spec.m) == (obj["n"], obj["m"])
+
+
+POLY = VALID_SPECS[0]
+DROP = object()
+
+
+def _with(base, **changes):
+    """A copy of ``base`` with keys replaced, or removed where DROP."""
+    obj = copy.deepcopy(base)
+    for key, value in changes.items():
+        if value is DROP:
+            obj.pop(key)
+        else:
+            obj[key] = value
+    return obj
+
+
+BAD_SPECS = [
+    ([], "spec must be a JSON object"),
+    (_with(POLY, kind=DROP), "unknown MapSpec kind None"),
+    (_with(POLY, kind=3), "unknown MapSpec kind 3"),
+    (_with(POLY, n=DROP), "spec 'n' must be a positive integer"),
+    (_with(POLY, n=2.0), "spec 'n' must be a positive integer"),
+    (_with(POLY, n=True), "spec 'n' must be a positive integer"),
+    (_with(POLY, m="2"), "spec 'm' must be a positive integer"),
+    (_with(POLY, m=0), "spec 'm' must be a positive integer"),
+    (_with(POLY, coeffs=DROP), "spec 'coeffs' must be a list of"),
+    (_with(POLY, coeffs=[[], {}]), "spec 'coeffs' must be a list of"),
+    (_with(POLY, coeffs=[[]]), "need one coefficient table per target"),
+    (_with(POLY, coeffs=[[], [{"powers": [1], "c": 1.0}]]),
+     "monomial powers must be length-n nonnegative"),
+    (_with(POLY, coeffs=[[], [{"powers": [1, -1], "c": 1.0}]]),
+     "monomial powers must be length-n nonnegative"),
+    (_with(POLY, coeffs=[[], [{"powers": [1, 1.0], "c": 1.0}]]),
+     "a monomial must be"),
+    (_with(POLY, coeffs=[[], [{"powers": [1, 10**400], "c": 1.0}]]),
+     "a monomial must be"),
+    (_with(POLY, coeffs=[[], [{"powers": [1, 0]}]]), "a monomial must be"),
+    (_with(POLY, coeffs=[[], [{"powers": [1, 0], "c": float("nan")}]]),
+     "a monomial must be"),
+    (_with(POLY, coeffs=[[], [{"powers": [1, 0], "c": True}]]),
+     "a monomial must be"),
+    (_with(POLY, coeffs=[[], [[1, 0]]]), "a monomial must be"),
+    (_with(POLY, domain=DROP), "spec 'domain' must be 2 rows"),
+    (_with(POLY, domain=[[-1, 1]]), "spec 'domain' must be 2 rows"),
+    (_with(POLY, domain=[[-1, 1], [-1, 1, 2]]), "spec 'domain' must be 2"),
+    (_with(POLY, domain=[[-1, 1], [-1, float("inf")]]),
+     "spec 'domain' must be 2 rows"),
+    (_with(POLY, domain=[[-1, 1], [False, 1]]), "spec 'domain' must be 2"),
+    (_with(POLY, domain=[[-1, 1], [-1, 10**400]]), "spec 'domain' must be"),
+    (_with(POLY, domain=[[1, -1], [-1, 1]]),
+     "domain intervals must satisfy lo <= hi"),
+    (_with(VALID_SPECS[3], name=DROP),
+     "builtin spec 'name' must be a string"),
+    (_with(VALID_SPECS[3], name=["scherk"]),
+     "builtin spec 'name' must be a string"),
+    (_with(VALID_SPECS[3], name="nope"), "unknown surface 'nope'"),
+    (_with(VALID_SPECS[3], m=2), "builtin 'scherk' has n = 2, m = 1"),
+    (_with(VALID_SPECS[3], domain=[[-1, 1]]), "spec 'domain' must be 2"),
+]
+
+
+@pytest.mark.parametrize("obj, message", BAD_SPECS)
+def test_mapspec_json_rejects_malformed_specs(obj, message):
+    with pytest.raises(ValueError) as info:
+        geo.mapspec_from_json(obj)
+    assert str(info.value).startswith(message)
+    assert "\n" not in str(info.value)
+
+
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=4),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.lists(st.integers(-2, 5), max_size=5), st.just({}),
+    st.just(10**400),
+)
+
+
+def _paths(obj, prefix=()):
+    yield prefix
+    items = (obj.items() if isinstance(obj, dict)
+             else enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+def _mutate(obj, path, op, junk):
+    if not path:
+        return junk
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    key, target = path[-1], parent[path[-1]]
+    if op == "drop":
+        parent.pop(key)
+    elif op == "grow" and isinstance(target, list):
+        target.append(copy.deepcopy(target[-1]) if target else junk)
+    elif op == "shrink" and isinstance(target, list) and target:
+        target.pop()
+    else:
+        parent[key] = junk
+    return obj
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_mapspec_json_fuzz_raises_only_value_error(data):
+    """Dropped keys, wrong types and lengths, NaN/inf and bools where
+    numbers belong: a one-line ValueError or a valid spec, nothing else."""
+    obj = copy.deepcopy(data.draw(st.sampled_from(VALID_SPECS)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_paths(obj))))
+        op = data.draw(st.sampled_from(("drop", "replace", "grow", "shrink")))
+        obj = _mutate(obj, path, op, data.draw(JUNK))
+    try:
+        spec = geo.mapspec_from_json(obj)
+    except ValueError as exc:
+        assert "\n" not in str(exc)
+    else:
+        assert isinstance(spec, geo.MapSpec)

@@ -1,5 +1,6 @@
 """Built-in surfaces and discrete verification of the identities."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -36,20 +37,96 @@ def test_builtin_domain_validation():
         builtin_surface("lawson_osserman", domain=[[-1, 1]] * 4)
 
 
+def _central_difference_jet(spec, x):
+    """jac and hess of ``spec.value_fn`` by central differences, step
+    1e-5 * (1 + |x|)."""
+    n = spec.n
+    step = 1e-5 * (1.0 + float(np.sqrt(x @ x)))
+    e = step * np.eye(n)
+
+    def f(*shifts):
+        return spec.value_fn(np.atleast_2d(x + sum(shifts)))
+
+    f0, fp, fm = f()[0], f(e), f(-e)
+    jac = (fp - fm) / (2.0 * step)
+    hess = np.zeros((spec.m, n, n))
+    for i in range(n):
+        hess[:, i, i] = (fp[i] - 2.0 * f0 + fm[i]) / step**2
+        for j in range(i + 1, n):
+            cross = (f(e[i], e[j]) - f(e[i], -e[j]) - f(-e[i], e[j])
+                     + f(-e[i], -e[j]))[0] / (4.0 * step**2)
+            hess[:, i, j] = hess[:, j, i] = cross
+    return jac, hess
+
+
 def test_builtin_analytic_derivatives_match_finite_differences():
     rng = np.random.default_rng(0)
     for name in builtin_names():
         spec = builtin_surface(name)
-        fd = geo.MapSpec(n=spec.n, m=spec.m, domain=spec.domain,
-                         value_fn=spec.value_fn)
         for _ in range(4):
             width = spec.domain[:, 1] - spec.domain[:, 0]
             x = rng.uniform(spec.domain[:, 0] + 0.1 * width,
                             spec.domain[:, 1] - 0.1 * width)
             jan = geo.jet(spec, x)
-            jfd = geo.jet(fd, x)
-            assert np.max(np.abs(jan.jac - jfd.jac)) < 1e-8, name
-            assert np.max(np.abs(jan.hess - jfd.hess)) < 1e-4, name
+            jac, hess = _central_difference_jet(spec, x)
+            assert np.max(np.abs(jan.jac - jac)) < 1e-8, name
+            assert np.max(np.abs(jan.hess - hess)) < 1e-4, name
+
+
+# sha256 (first 16 hex digits) of every SurfaceSample array, in
+# GOLDEN_FIELDS order, recorded with per-point jets
+GOLDEN_FIELDS = ("values", "jacs", "hessians", "lambdas",
+                 "tangent_frames", "normal_frames", "domain_bases",
+                 "target_bases", "sff", "star_omega",
+                 "mean_curvature", "flagged")
+GOLDEN_SAMPLES = {
+    "holo_z2": (17, (
+        "ff15e00fb2294ee5", "a12b13b3f1a0e732", "f4769381b8723906",
+        "38de76fcac730a14", "a8300068647345fc", "040653fe98d95c88",
+        "15d716b07eb858e2", "5d5a611734861759", "ffbd3f52d3685145",
+        "c2d96181f69f1dd6", "84938b80f86d5ca5", "6559f403524ea6ef",
+    )),
+    "holo_z3": (17, (
+        "2766d14326b151db", "49a7d7a0d9da335a", "abee0d0d4dc6b5ab",
+        "6c5de76116a49081", "80e73065ad74c76f", "f7f6c42387d3dc0c",
+        "15d716b07eb858e2", "ba2352efa19a493a", "ee12291fe311ca51",
+        "1c87be95d8e8b20e", "84938b80f86d5ca5", "6559f403524ea6ef",
+    )),
+    "scherk": (17, (
+        "91830ff13f1566ac", "4933e29bfdc6fbfc", "6e16961a1524e743",
+        "32aaeeccaa820fd8", "d127dd69b367e512", "47c7f4b6e1fa6d84",
+        "6922e1b8e96db733", "0f436e67dac61ba3", "5723f11c6f97063f",
+        "674dbeb9d799c509", "b59bde3c7b537ca9", "6559f403524ea6ef",
+    )),
+    "catenoid_graph": (17, (
+        "94b969480dba6313", "f7f1e2c21734a106", "34811c952c499dbe",
+        "2b11dbbdda3e5e8a", "1505df23a4809ac7", "bada4a771d366510",
+        "71b7d3b2236d29bc", "811793ba5a3c7eff", "53d8a2381d22ddf5",
+        "becf2decb386ddff", "63e92a9df1013217", "6559f403524ea6ef",
+    )),
+    "lagrangian_harmonic": (17, (
+        "705956d174dce8e8", "1db23b6456bfe63f", "52ed67da47dc1855",
+        "ce6e4bf722bdf18c", "3094681326b49c78", "555bef64e2366fa4",
+        "15d716b07eb858e2", "2a268a56ab05ea1d", "a128639fd8dd8639",
+        "da6f0fd502bfa2b7", "84938b80f86d5ca5", "6559f403524ea6ef",
+    )),
+    "lawson_osserman": (5, (
+        "82edff8f326e0692", "ae5900b9d12be26f", "8bcfa28c1dbe4747",
+        "d2fe7b8539d11754", "8396df3bf967acba", "5a21196ddab7174a",
+        "ab74e8877aa72737", "a42c43cb6f366f97", "ff8eb611e3a8a263",
+        "f188a55672cd6546", "97906b34e59bfeec", "bb061b1f8bdf29ab",
+    )),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SAMPLES))
+def test_sample_surface_golden(name):
+    grid, digests = GOLDEN_SAMPLES[name]
+    sample = ver.sample_surface(builtin_surface(name), grid)
+    got = tuple(
+        hashlib.sha256(getattr(sample, field).tobytes()).hexdigest()[:16]
+        for field in GOLDEN_FIELDS)
+    assert got == digests
 
 
 @pytest.mark.parametrize("name,grid", [
@@ -232,13 +309,6 @@ def test_minimality_residual_guard_magnitude():
     sample = ver.sample_surface(NON_MINIMAL_GUARD, 9)
     # |H| of the bowl map is of order one away from the rim
     assert ver.minimality_residual(sample) > 0.1
-
-
-def test_holo_z3_fd_jets_still_minimal():
-    spec = builtin_surface("holo_z3")
-    fd = geo.MapSpec(n=2, m=2, domain=spec.domain, value_fn=spec.value_fn)
-    sample = ver.sample_surface(fd, 9)
-    assert ver.minimality_residual(sample) < 1e-5
 
 
 def test_identity_error_decreases_under_refinement():
