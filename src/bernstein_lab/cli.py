@@ -60,7 +60,14 @@ def _write(text, out_path):
 
 
 def _json_text(payload):
-    return json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
+    """Strict JSON: a NaN or an infinity in the payload is an error."""
+    try:
+        text = json.dumps(_jsonable(payload), sort_keys=True, indent=2,
+                          allow_nan=False)
+    except ValueError:
+        raise ValueError("result is not finite (numerical overflow); no "
+                         "JSON written") from None
+    return text + "\n"
 
 
 def _csv_text(config, header, rows):
@@ -89,8 +96,26 @@ def _parse_bool(text):
 
 
 def _load_json(path):
+    """The input file's JSON object; any other JSON value is refused."""
     with open(path) as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("input must be a JSON object")
+    return data
+
+
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _matrix(raw):
+    """The input's 'matrix': a non-empty list of equal-length number rows."""
+    if not (isinstance(raw, list) and raw and all(
+            isinstance(row, list) and row and len(row) == len(raw[0])
+            and all(map(_is_number, row)) for row in raw)):
+        raise ValueError("'matrix' must be a non-empty list of equal-length "
+                         "rows of numbers")
+    return np.asarray(raw, dtype=float)
 
 
 def _cap_nodes(counts):
@@ -111,9 +136,7 @@ def _sample_points(raw, n):
         raise ValueError("input with a spec needs a 'points' list")
     if not isinstance(raw, list) or not all(
             isinstance(row, list) and len(row) == n
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                    for x in row)
-            for row in raw):
+            and all(map(_is_number, row)) for row in raw):
         raise ValueError(f"'points' must be a list of rows of {n} numbers")
     return [list(map(float, row)) for row in raw]
 
@@ -122,7 +145,7 @@ def cmd_check(args):
     data = _load_json(args.input)
     points = None
     if "matrix" in data:
-        jacs = np.asarray(data["matrix"], dtype=float)[None]
+        jacs = _matrix(data["matrix"])[None]
     elif "spec" in data:
         spec = mapspec_from_json(data["spec"])
         points = _sample_points(data.get("points"), spec.n)
@@ -205,12 +228,17 @@ def cmd_rotate(args):
     data = _load_json(args.input)
     if "matrix" not in data:
         raise ValueError("rotate input must contain 'matrix'")
-    a = np.asarray(data["matrix"], dtype=float)
+    a = _matrix(data["matrix"])
     target = SearchTarget(kind=args.target, delta=args.delta,
                           k_min=args.kmin, epsilon=args.epsilon,
                           traceless=args.traceless)
     outcome = search_rotation(a, target, budget=args.budget, seed=args.seed,
                               group=args.group)
+    if outcome.transformed is None:
+        raise NonGraphicError(
+            f"no graphic rotation in {outcome.evaluations} evaluations "
+            f"(condition number above {rotations.COND_MAX:.0e} or numerical "
+            "overflow)")
     g = outcome.best_g
     if isinstance(g, rotations.OrthBlock):
         blocks = {"P": g.P, "Q": g.Q, "R": g.R, "S": g.S}
@@ -282,12 +310,12 @@ def cmd_verify(args):
     else:
         passed = all(s.observed_order is None
                      or s.observed_order >= ORDER_GATE for s in ladder)
+    text = _json_text({"schema": SCHEMA, "config": config,
+                       "results": [s.to_json() for s in ladder]})
     if args.nodes_csv:
         _write(_csv_text(config, *_node_table(finest, ladder[-1].sides)),
                args.nodes_csv)
-    payload = {"schema": SCHEMA, "config": config,
-               "results": [s.to_json() for s in ladder]}
-    _write(_json_text(payload), args.out)
+    _write(text, args.out)
     return 0 if passed else 1
 
 

@@ -11,6 +11,7 @@ The Lagrangian analogue replaces O(2n) by U(n) acting through its real
 block form [[P, -Q], [Q, P]] on graphs of symmetric A, giving
 (P + A Q)^{-1} (-Q + A P), again symmetric.
 
+Both transforms also take a sequence of blocks and solve it as one stack.
 ``search_rotation`` looks for a rotation whose transformed differential
 satisfies a chosen flatness condition, by seeded random restarts followed by
 coordinate descent on single plane-rotation angles.  It never claims
@@ -115,36 +116,56 @@ class UnitaryBlock:
         return cls(P=np.eye(n), Q=np.zeros((n, n)))
 
 
-def _svd_solve(mat, rhs, scale):
-    """Solve mat @ x = rhs via the Jacobi SVD; raise when ill-conditioned.
+def _svd_solve(mats, rhs, scale):
+    """Solve mats[b] @ x = rhs[b] through one stacked Jacobi SVD.
 
     ``scale`` is the norm of the tangent rows [I | A]; it dominates the
-    largest singular value of ``mat``, so scale/s_min is the condition
+    largest singular value of every member, so scale/s_min is the condition
     number of the projection onto the domain subspace (a plain s_max/s_min
-    would miss uniformly tiny blocks, e.g. a line rotated vertical).
+    would miss uniformly tiny blocks, e.g. a line rotated vertical).  Returns
+    one solution per member, None where the member is singular or its
+    condition number exceeds COND_MAX.  The stacked SVD gives every member
+    the bits of its own SVD.
     """
-    u, s, vt = linalg.jacobi_svd(mat)
-    if s[-1] <= 0.0 or max(s[0], scale) / s[-1] > COND_MAX:
+    if not mats:
+        return []
+    u, s, vt = linalg.jacobi_svd(np.stack(mats))
+    return [None if sb[-1] <= 0.0 or max(sb[0], scale) / sb[-1] > COND_MAX
+            else vtb.T @ ((ub.T @ rb) / sb[:, None])
+            for ub, sb, vtb, rb in zip(u, s, vt, rhs)]
+
+
+def _one(result):
+    """The single-block result: raise what a sequence returns as a member."""
+    if result is None:
         raise NonGraphicError(
             "graph subspace block is singular or ill-conditioned "
             f"(condition number > {COND_MAX:.0e})"
         )
-    return vt.T @ ((u.T @ rhs) / s[:, None])
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
-def transform_graph(a_matrix, g: OrthBlock):
+def transform_graph(a_matrix, g):
     """Differential of the rotated graph: (P + A R)^{-1} (Q + A S).
 
-    Raises ``NonGraphicError`` when P + A R is singular beyond condition
-    number 1e12, signaling that the rotated submanifold is no longer a graph
-    over the domain subspace.
+    ``g`` is one ``OrthBlock``, or a sequence of them solved as one stack.
+    For one block, raises ``NonGraphicError`` when P + A R is singular
+    beyond condition number 1e12, signaling that the rotated submanifold is
+    no longer a graph over the domain subspace.  For a sequence, returns a
+    list holding None for each such member; every other member has the
+    bits of its single-block call.
     """
     a = np.asarray(a_matrix, dtype=float)
     n, m = a.shape
-    if (g.n, g.m) != (n, m):
+    blocks = [g] if isinstance(g, OrthBlock) else list(g)
+    if any((b.n, b.m) != (n, m) for b in blocks):
         raise ValueError("block shapes do not match the matrix")
     scale = float(np.sqrt(n + np.sum(a * a)))
-    return _svd_solve(g.P + a @ g.R, g.Q + a @ g.S, scale)
+    out = _svd_solve([b.P + a @ b.R for b in blocks],
+                     [b.Q + a @ b.S for b in blocks], scale)
+    return _one(out[0]) if isinstance(g, OrthBlock) else out
 
 
 def _require_symmetric(a):
@@ -152,25 +173,34 @@ def _require_symmetric(a):
         raise ValueError("lagrangian differential must be symmetric")
 
 
-def lagrangian_transform(a_matrix, g: UnitaryBlock):
+def lagrangian_transform(a_matrix, g):
     """Differential of the rotated Lagrangian graph: (P + A Q)^{-1}(-Q + A P).
 
     ``a_matrix`` must be symmetric; the result is symmetric again (asserted
     to 1e-9) and its eigenvalues are the signed singular values feeding the
-    flatness conditions.
+    flatness conditions.  ``g`` is one ``UnitaryBlock`` or a sequence, as in
+    ``transform_graph``; in a sequence a member that lost symmetry is
+    returned as its ``AssertionError``, for the caller to raise when it
+    reaches that member.
     """
     a = np.asarray(a_matrix, dtype=float)
-    if a.shape != (g.n, g.n):
+    blocks = [g] if isinstance(g, UnitaryBlock) else list(g)
+    if any(a.shape != (b.n, b.n) for b in blocks):
         raise ValueError("matrix shape does not match the block size")
     _require_symmetric(a)
-    scale = float(np.sqrt(g.n + np.sum(a * a)))
-    out = _svd_solve(g.P + a @ g.Q, -g.Q + a @ g.P, scale)
-    dev = np.max(np.abs(out - out.T))
-    if dev > 1e-9 * (1.0 + np.max(np.abs(out))):
-        raise AssertionError(
-            f"transformed matrix lost symmetry (deviation {dev:.2e})"
-        )
-    return 0.5 * (out + out.T)
+    scale = float(np.sqrt(a.shape[0] + np.sum(a * a)))
+    out = _svd_solve([b.P + a @ b.Q for b in blocks],
+                     [-b.Q + a @ b.P for b in blocks], scale)
+    for k, x in enumerate(out):
+        if x is None:
+            continue
+        dev = np.max(np.abs(x - x.T))
+        if dev > 1e-9 * (1.0 + np.max(np.abs(x))):
+            out[k] = AssertionError(
+                f"transformed matrix lost symmetry (deviation {dev:.2e})")
+        else:
+            out[k] = 0.5 * (x + x.T)
+    return _one(out[0]) if isinstance(g, UnitaryBlock) else out
 
 
 def random_orthogonal(n, m, seed) -> OrthBlock:
@@ -227,11 +257,11 @@ class SearchTarget:
     traceless: bool = True
 
     def report(self, transformed) -> ConditionReport:
+        """Report on one (n, m) differential, or on a batch (B, n, m)."""
         a = np.asarray(transformed, dtype=float)
-        n = a.shape[0]
         lams = linalg.singular_values(a)
-        lam_full = np.zeros(n)
-        lam_full[: lams.size] = lams
+        lam_full = np.zeros(a.shape[:-1])
+        lam_full[..., : lams.shape[-1]] = lams
         return evaluate_condition(self.kind, a, lam_full, delta=self.delta,
                                   k_min=self.k_min, epsilon=self.epsilon,
                                   traceless=self.traceless)
@@ -277,6 +307,10 @@ def search_rotation(a_matrix, target: SearchTarget, budget, seed,
     accepts on improvement, with a shrinking step.  ``budget`` caps the total
     number of condition evaluations.  Fully deterministic given
     (a_matrix, target, budget, seed).
+
+    A move's +step and -step candidates are evaluated as one batch (one
+    transform, SVD and condition call) and consumed in that order, so the
+    outcome is the bits of evaluating them one at a time.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -292,23 +326,53 @@ def search_rotation(a_matrix, target: SearchTarget, budget, seed,
 
     state = {"evals": 0, "best": None, "trace": []}
 
-    def evaluate(g):
-        if state["evals"] >= budget:
-            return None
-        state["evals"] += 1
+    def solve(cands):
+        """(report, transformed) of each candidate, None where it is not
+        graphic, or the error evaluating it alone would raise.
+
+        One stacked transform, one stacked SVD and one condition call; a
+        member's results are the bits of evaluating it alone.
+        """
+        if group == "orthogonal":
+            results = transform_graph(a, cands)
+        else:
+            results = lagrangian_transform(a, cands)
+        graphic = [t for t in results if isinstance(t, np.ndarray)]
+        reports = iter(target.report(np.stack(graphic)).rows()
+                       if graphic else ())
+        return [(next(reports), t) if isinstance(t, np.ndarray) else t
+                for t in results]
+
+    def evaluate(cands):
+        """Yield the margin of each candidate in order (-inf if not graphic).
+
+        The candidates are solved as one batch; each is counted, and the
+        best and the trace updated, only as it is consumed, so a caller that
+        stops at an improvement sees exactly the evaluations of a
+        one-at-a-time search.  An error surfaces at the member that raises
+        it: a stored one when that member is consumed, and a stacked SVD or
+        eigensolve that does not converge sends the batch one at a time.
+        """
         try:
-            if group == "orthogonal":
-                transformed = transform_graph(a, g)
-            else:
-                transformed = lagrangian_transform(a, g)
-        except NonGraphicError:
-            return (-np.inf, None)
-        report = target.report(transformed)
-        margin = report.margin
-        if state["best"] is None or margin > state["best"][0]:
-            state["best"] = (margin, g, transformed, report)
-            state["trace"].append((state["evals"], float(margin)))
-        return (margin, transformed)
+            outcomes = solve(cands)
+        except linalg.ConvergenceError:
+            if len(cands) == 1:
+                raise
+            outcomes = None
+        for k, g in enumerate(cands):
+            out = outcomes[k] if outcomes is not None else solve([g])[0]
+            state["evals"] += 1
+            if isinstance(out, Exception):
+                raise out
+            if out is None:
+                yield -np.inf
+                continue
+            report, transformed = out
+            margin = report.margin
+            if state["best"] is None or margin > state["best"][0]:
+                state["best"] = (margin, g, transformed, report)
+                state["trace"].append((state["evals"], float(margin)))
+            yield margin
 
     def perturb(g, p, q, angle, mode=0):
         if group == "orthogonal":
@@ -351,29 +415,28 @@ def search_rotation(a_matrix, target: SearchTarget, budget, seed,
         return out
 
     def descend(g):
-        current = evaluate(g)
-        if current is None:
+        """Coordinate descent from g; each move is its +step and -step pair,
+        cut at the remaining budget and evaluated as one batch."""
+        if state["evals"] >= budget:
             return
-        margin = current[0]
+        margin = next(evaluate([g]))
         step = np.pi / 8.0
         plan = moves()
         while step > 1e-3 and state["evals"] < budget:
             improved = False
             for p, q, mode in plan:
-                for sign in (1.0, -1.0):
-                    if state["evals"] >= budget:
-                        return
-                    cand = perturb(g, p, q, sign * step, mode)
-                    res = evaluate(cand)
-                    if res is None:
-                        return
-                    if res[0] > margin:
-                        g, margin = cand, res[0]
+                signs = (1.0, -1.0)[: budget - state["evals"]]
+                if not signs:
+                    return
+                cands = [perturb(g, p, q, sign * step, mode)
+                         for sign in signs]
+                for cand, value in zip(cands, evaluate(cands)):
+                    if value > margin:
+                        g, margin = cand, value
                         improved = True
                         break
             if not improved:
                 step /= 2.0
-        return
 
     if group == "orthogonal":
         starts = [OrthBlock.identity(n, m)]

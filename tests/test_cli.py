@@ -1,12 +1,16 @@
 """CLI contract: inputs, exit codes, and machine-readable output."""
 
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bernstein_lab import cli
 
@@ -112,6 +116,49 @@ def test_check_output_golden(tmp_path, monkeypatch, capsys, case):
     got, out, err = _main_in(tmp_path, monkeypatch, capsys, {"in.json": obj},
                              ["check", "--input", "in.json"])
     assert (got, err) == (code, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _symmetric(seed):
+    s = np.random.default_rng(seed).uniform(-1.5, 1.5, (3, 3))
+    return (0.5 * (s + s.T)).tolist()
+
+
+# sha256 of rotate's stdout, recorded with the one-candidate-at-a-time
+# search; the budgets of the first three end on a move cut to its +step
+# member, and the 1e11-scaled 3 x 2 input meets non-graphic candidates
+ROTATE_GOLDEN = {
+    "orthogonal-optimalb-3x3": (
+        np.random.default_rng(21).uniform(-1.5, 1.5, (3, 3)).tolist(),
+        ["--target", "OptimalB", "--budget", "160", "--seed", "4"],
+        "e6ec218fa10352dbe7b74144fb63ca6b"
+        "be44a002085d04cfeb48d734af909189"),
+    "orthogonal-theorema-2x3-budget-107": (
+        [[1.2, -0.4, 0.9], [0.3, 1.7, -1.1]],
+        ["--target", "TheoremA", "--budget", "107", "--seed", "5"],
+        "c6d4d4c15ee96d056bdcaec60764b897"
+        "facfb7738535afd70088b4f3506e0d16"),
+    "unitary-theorema-3x3": (
+        _symmetric(23),
+        ["--target", "TheoremA", "--group", "unitary", "--budget", "150",
+         "--seed", "8"],
+        "e225348a60a051f38dfc277e99f13716"
+        "0067cb6afd716ffcefe976f3413c2ab5"),
+    "orthogonal-theorema-3x2-non-graphic": (
+        (np.array([[3.0, -1.0], [2.0, 4.0], [-1.0, 2.0]]) * 1e11).tolist(),
+        ["--target", "TheoremA", "--budget", "120", "--seed", "2"],
+        "05ef9910ae679c34741f1fc5e2a74a7f"
+        "7be368e39da691d4e936cd5da077d0cb"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROTATE_GOLDEN))
+def test_rotate_output_golden(tmp_path, monkeypatch, capsys, case):
+    matrix, argv, digest = ROTATE_GOLDEN[case]
+    got, out, err = _main_in(tmp_path, monkeypatch, capsys,
+                             {"in.json": {"matrix": matrix}},
+                             ["rotate", "--input", "in.json", *argv])
+    assert (got, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
@@ -409,3 +456,106 @@ def test_check_overflow_exits_2(tmp_path, monkeypatch, capsys, point):
                               ["check", "--input", "s.json"])
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["check", "rotate", "verify"])
+@pytest.mark.parametrize("doc", ["spec", 3, [[0.5]], None, True])
+def test_non_object_input_exits_2(tmp_path, monkeypatch, capsys, command,
+                                  doc):
+    argv = [command, "--input", "in.json"]
+    argv += {"check": [], "rotate": ["--seed", "1", "--budget", "3"],
+             "verify": ["--identity", "gradient", "--grid", "9"]}[command]
+    code, out, err = _main_in(tmp_path, monkeypatch, capsys,
+                              {"in.json": doc}, argv)
+    assert (code, out, err) == (2, "", "error: input must be a JSON object\n")
+
+
+@pytest.mark.parametrize("command", ["check", "rotate"])
+@pytest.mark.parametrize("matrix", [[], [[]], [0.5, 0.2], [[0.5], [0.1, 0.2]],
+                                    [["0.5"]], [[True]], [[None]], "m"])
+def test_malformed_matrix_exits_2(tmp_path, monkeypatch, capsys, command,
+                                  matrix):
+    argv = [command, "--input", "in.json", "--seed", "1", "--budget", "3"]
+    code, out, err = _main_in(tmp_path, monkeypatch, capsys,
+                              {"in.json": {"matrix": matrix}},
+                              argv if command == "rotate" else argv[:3])
+    assert (code, out) == (2, "")
+    assert err == ("error: 'matrix' must be a non-empty list of "
+                   "equal-length rows of numbers\n")
+
+
+@pytest.mark.parametrize("command, message", [
+    ("check", "result is not finite (numerical overflow); no JSON written"),
+    ("rotate", "no graphic rotation in 3 evaluations (condition number "
+               "above 1e+12 or numerical overflow)"),
+])
+def test_non_finite_result_exits_2(tmp_path, monkeypatch, capsys, command,
+                                   message):
+    # 1e200 squared leaves the float range: the parent wrote NaN and
+    # -Infinity into its JSON
+    argv = [command, "--input", "in.json", "--seed", "1", "--budget", "3"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = _main_in(
+            tmp_path, monkeypatch, capsys,
+            {"in.json": {"matrix": [[1e200, 0.5], [0.3, 1e200]]}},
+            argv if command == "rotate" else argv[:3])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+# JSON documents for the fuzz test: numbers include huge, non-finite and
+# out-of-float-range values; matrices and points are sometimes well formed
+_NUMBERS = st.one_of(
+    st.floats(-2.0, 2.0), st.integers(-3, 3),
+    st.sampled_from([1e200, -1e300, 1.7e308, float("nan"), float("inf"),
+                     float("-inf"), 10**400, 1e-320, 0.0, -0.0]))
+_SCALARS = st.one_of(st.none(), st.booleans(), _NUMBERS,
+                     st.text(max_size=4))
+_JUNK = st.recursive(_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=3),
+    st.dictionaries(st.text(max_size=4), inner, max_size=3)), max_leaves=8)
+
+
+@st.composite
+def _matrices(draw):
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return draw(st.lists(st.lists(_NUMBERS, min_size=m, max_size=m),
+                         min_size=n, max_size=n))
+
+
+_SPEC = {"n": 2, "m": 2, "kind": "builtin", "name": "holo_z2"}
+_DOCUMENTS = st.one_of(
+    _JUNK,
+    st.fixed_dictionaries({"matrix": _matrices()}),
+    st.fixed_dictionaries({}, optional={
+        "matrix": st.one_of(_matrices(), _JUNK),
+        "spec": st.one_of(st.just(_SPEC), _JUNK),
+        "points": st.one_of(
+            st.lists(st.lists(_NUMBERS, min_size=2, max_size=2),
+                     min_size=1, max_size=3), _JUNK)}),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=_DOCUMENTS, command=st.sampled_from(["check", "rotate"]))
+def test_cli_fuzz_exit_codes_and_strict_json(tmp_path_factory, doc, command):
+    """Any JSON document: exit 0, 1 or 2, nothing raised, strict JSON out."""
+    path = tmp_path_factory.mktemp("fuzz") / "in.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, "--input", str(path)]
+    if command == "rotate":
+        argv += ["--seed", "1", "--budget", "3"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            np.errstate(all="ignore"):
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+    else:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+
+def _reject_constant(name):
+    raise AssertionError(f"{name} in JSON output")

@@ -219,3 +219,125 @@ def test_search_on_cone_differential_recorded():
     assert np.isfinite(out.report.margin) or out.report.margin == -np.inf
     print(f"cone differential search margin (diagnostic): "
           f"{out.report.margin:.4f}")
+
+
+# ---------------------------------------------------------------------------
+# batched candidates
+
+
+def _mixed_orthogonal():
+    """A 1 x 1 line and rotations around it, two of which are non-graphic."""
+    a = np.array([[0.7]])
+    vertical = -np.arctan(0.7) + np.pi / 2    # turns the line vertical
+    thetas = [0.3, vertical, -1.1, vertical + np.pi, 0.0, 2.5]
+    return a, [rotation_block(t) for t in thetas]
+
+
+def _mixed_unitary():
+    """Symmetric 2 x 2 matrix, random U(2) elements and a non-graphic one."""
+    a = np.array([[0.4, -1.3], [-1.3, 2.0]])
+    w, v = np.linalg.eigh(a)
+    # rotate the Lagrangian plane of eigenvalue w[0] to vertical: P + A Q
+    # singular (u = v diag(e^{i t}) v.T with cot t_0 = -w[0])
+    t = np.array([np.arctan2(1.0, -w[0]), 0.4])
+    u = v @ np.diag(np.exp(1j * t)) @ v.T
+    blocks = [rot.random_unitary(2, s) for s in range(4)]
+    blocks.insert(1, rot.UnitaryBlock.from_complex(u))
+    blocks.append(rot.UnitaryBlock.from_complex(u))
+    return a, blocks
+
+
+@pytest.mark.parametrize("case", ["orthogonal", "unitary"])
+def test_transform_sequence_equals_single_calls_bitwise(case):
+    if case == "orthogonal":
+        a, blocks = _mixed_orthogonal()
+        transform = rot.transform_graph
+    else:
+        a, blocks = _mixed_unitary()
+        transform = rot.lagrangian_transform
+    batch = transform(a, blocks)
+    assert isinstance(batch, list) and len(batch) == len(blocks)
+    assert sum(x is None for x in batch) == 2
+    for g, got in zip(blocks, batch):
+        if got is None:
+            with pytest.raises(rot.NonGraphicError):
+                transform(a, g)
+        else:
+            assert got.tobytes() == transform(a, g).tobytes()
+    assert transform(a, tuple(blocks[:1]))[0].tobytes() == batch[0].tobytes()
+    assert transform(a, []) == []
+
+
+def test_report_batch_equals_single_reports():
+    rng = np.random.default_rng(12)
+    mats = rng.uniform(-1.5, 1.5, (5, 3, 2))
+    for target in (rot.SearchTarget("OptimalB", epsilon=0.05),
+                   rot.SearchTarget("TheoremA", delta=0.1, k_min=0.1)):
+        rows = target.report(mats).rows()
+        assert rows == [target.report(x) for x in mats]
+
+
+def test_stored_error_of_a_later_member_is_not_raised(monkeypatch):
+    """A move whose -step member would raise is harmless once its +step
+    member improves: the search stops consuming the batch there."""
+    a = np.diag([3.0, -2.0])
+    target = rot.SearchTarget(kind="TheoremA", delta=0.5, k_min=0.5)
+    reference = rot.search_rotation(a, target, budget=50, seed=1,
+                                    group="unitary")
+    best = reference.best_g.matrix.tobytes()
+    real = rot.lagrangian_transform
+    armed = []
+
+    def transform(a_matrix, blocks):
+        out = real(a_matrix, blocks)
+        # the move whose +step member is the best rotation: its -step member
+        # is never consumed
+        if len(out) == 2 and blocks[0].matrix.tobytes() == best:
+            armed.append(out)
+            out[1] = AssertionError("later member would raise")
+        return out
+
+    monkeypatch.setattr(rot, "lagrangian_transform", transform)
+    got = rot.search_rotation(a, target, budget=50, seed=1, group="unitary")
+    assert armed
+    assert got.objective_trace == reference.objective_trace
+    assert got.evaluations == reference.evaluations
+    assert got.best_g.matrix.tobytes() == reference.best_g.matrix.tobytes()
+
+
+def test_stored_error_is_raised_when_its_member_is_consumed(monkeypatch):
+    a = np.diag([3.0, -2.0])
+    target = rot.SearchTarget(kind="TheoremA", delta=0.5, k_min=0.5)
+    real = rot.lagrangian_transform
+
+    def transform(a_matrix, blocks):
+        out = real(a_matrix, blocks)
+        if len(out) == 2:
+            out[0] = AssertionError("first member raises")
+        return out
+
+    monkeypatch.setattr(rot, "lagrangian_transform", transform)
+    with pytest.raises(AssertionError, match="first member raises"):
+        rot.search_rotation(a, target, budget=60, seed=1, group="unitary")
+
+
+def test_unconverged_batch_falls_back_to_single_candidates(monkeypatch):
+    rng = np.random.default_rng(9)
+    a = rng.normal(size=(2, 2))
+    target = rot.SearchTarget(kind="TheoremA", delta=0.3, k_min=0.3)
+    reference = rot.search_rotation(a, target, budget=80, seed=3)
+    real = rot.transform_graph
+    fails = {"n": 0}
+
+    def transform(a_matrix, blocks):
+        if len(blocks) > 1:
+            fails["n"] += 1
+            raise rot.linalg.ConvergenceError("stacked SVD", 1.0)
+        return real(a_matrix, blocks)
+
+    monkeypatch.setattr(rot, "transform_graph", transform)
+    got = rot.search_rotation(a, target, budget=80, seed=3)
+    assert fails["n"] > 0
+    assert got.objective_trace == reference.objective_trace
+    assert got.evaluations == reference.evaluations
+    assert got.best_g.matrix.tobytes() == reference.best_g.matrix.tobytes()
