@@ -22,7 +22,7 @@ import numpy as np
 
 from . import geometry, linalg, rotations, verification
 from .conditions import CONDITIONS, condition_names, evaluate_condition
-from .geometry import DomainError, mapspec_from_json
+from .geometry import DomainError, _finite_float, mapspec_from_json
 from .optimal_region import region_scan
 from .rotations import NonGraphicError, SearchTarget, search_rotation
 from .surfaces import builtin_names, builtin_surface
@@ -109,12 +109,15 @@ def _is_number(x):
 
 
 def _matrix(raw):
-    """The input's 'matrix': a non-empty list of equal-length number rows."""
+    """The input's 'matrix': a non-empty list of equal-length number rows,
+    every entry finite."""
     if not (isinstance(raw, list) and raw and all(
             isinstance(row, list) and row and len(row) == len(raw[0])
             and all(map(_is_number, row)) for row in raw)):
         raise ValueError("'matrix' must be a non-empty list of equal-length "
                          "rows of numbers")
+    if any(_finite_float(v) is None for row in raw for v in row):
+        raise ValueError("matrix must have finite entries")
     return np.asarray(raw, dtype=float)
 
 
@@ -131,12 +134,14 @@ def _cap_nodes(counts):
 
 
 def _sample_points(raw, n):
-    """The spec's sample points: a non-empty list of length-n number rows."""
+    """The spec's sample points: a non-empty list of length-n rows of finite
+    numbers."""
     if not raw:
         raise ValueError("input with a spec needs a 'points' list")
     if not isinstance(raw, list) or not all(
             isinstance(row, list) and len(row) == n
-            and all(map(_is_number, row)) for row in raw):
+            and all(_finite_float(v) is not None for v in row)
+            for row in raw):
         raise ValueError(f"'points' must be a list of rows of {n} numbers")
     return [list(map(float, row)) for row in raw]
 
@@ -342,7 +347,6 @@ def build_parser():
     p.add_argument("--kmin", type=float, default=0.1)
     p.add_argument("--epsilon", type=float, default=1e-3)
     p.add_argument("--traceless", type=_parse_bool, default=True)
-    p.add_argument("--format", choices=("json",), default="json")
     common_out(p)
     p.set_defaults(func=cmd_check)
 
@@ -368,7 +372,6 @@ def build_parser():
     p.add_argument("--kmin", type=float, default=0.1)
     p.add_argument("--epsilon", type=float, default=1e-3)
     p.add_argument("--traceless", type=_parse_bool, default=True)
-    p.add_argument("--format", choices=("json",), default="json")
     common_out(p)
     p.set_defaults(func=cmd_rotate)
 
@@ -380,7 +383,6 @@ def build_parser():
     p.add_argument("--grid", required=True, help="N or N1,N2 (nested)")
     p.add_argument("--nodes-csv", dest="nodes_csv", default=None,
                    help="optional per-node CSV output path")
-    p.add_argument("--format", choices=("json",), default="json")
     common_out(p)
     p.set_defaults(func=cmd_verify)
     return parser

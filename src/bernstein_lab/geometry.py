@@ -74,10 +74,11 @@ class MapSpec:
         object.__setattr__(self, "domain", _readonly(dom))
 
     def contains(self, x, slack=1e-12):
-        """Whether each point of ``x`` (..., n) lies in the domain."""
+        """Whether each point of ``x`` (..., n) is finite and lies in the
+        domain (the slack grows with |x|, so it would admit an infinity)."""
         x = np.asarray(x, dtype=float)
         pad = slack * (1.0 + np.abs(x))
-        return np.all((x >= self.domain[:, 0] - pad)
+        return np.all(np.isfinite(x) & (x >= self.domain[:, 0] - pad)
                       & (x <= self.domain[:, 1] + pad), axis=-1)
 
 

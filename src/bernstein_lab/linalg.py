@@ -13,22 +13,13 @@ Both accept a batch of matrices in the leading axes and rotate the whole
 batch in lockstep; per-matrix skip thresholds make the batched result
 bit-identical to a matrix-at-a-time run.
 
-``jacobi_eigh`` sweeps only the pairs (p, q) that lie in one connected
-component of the batch's union nonzero pattern (indices joined by a chain of
-entries nonzero in some member).  This is exact, not an approximation: a
-rotation in plane (p, q) mixes only rows and columns p and q, so an entry
-between two components stays exactly zero in every member on every sweep,
-and the all-pairs sweep would skip its pair anyway (``|a_pq| > skip`` is
-false).  Rotations in different components touch disjoint entries, so their
-relative order does not matter either; within a component the pairs keep
-their lexicographic order.  The result is bit-identical to sweeping every
-pair, and a matrix with no zero structure is one component.
-
-``jacobi_eigh_blocks`` takes that structure as given: a caller that knows
-the blocks of its matrices in advance (F's Gram matrices, whose pattern
+``jacobi_eigh_blocks`` takes the zero structure of its matrices as given:
+a caller that knows the blocks in advance (F's Gram matrices, whose pattern
 depends only on the shape of the form) hands over only the blocks, and all
 blocks of all nodes are swept in one lockstep, eigenvalues only.  Both
-solvers share one sweep loop, ``_sweep``.
+eigensolvers share one sweep loop, ``_sweep``, and every rotation of both
+eigensolvers and of ``jacobi_svd`` takes its angle from ``_jacobi_angle``
+and is applied by ``_rotate_columns``.
 """
 
 from __future__ import annotations
@@ -92,6 +83,27 @@ def _components(g):
     return blocks
 
 
+def _jacobi_angle(app, aqq, apq, active):
+    """Cosine and sine (nb, 1) of the Jacobi rotation that annihilates the
+    (p, q) entry of the symmetric 2 x 2 [[app, apq], [apq, aqq]], per batch
+    member; members that are not ``active`` get the identity (c, s) = (1, 0).
+    """
+    tau = np.zeros(apq.shape[0])
+    np.divide(aqq - app, 2.0 * apq, out=tau, where=active)
+    sgn = np.where(tau >= 0.0, 1.0, -1.0)
+    t = np.where(active, sgn / (np.abs(tau) + np.hypot(1.0, tau)), 0.0)
+    c = 1.0 / np.sqrt(1.0 + t * t)
+    return c[:, None], (t * c)[:, None]
+
+
+def _rotate_columns(x, p, q, c, s):
+    """Rotate columns p and q of x (nb, r, k) in place by (c, s)."""
+    xp = x[:, :, p].copy()
+    xq = x[:, :, q]
+    x[:, :, p] = c * xp - s * xq
+    x[:, :, q] = s * xp + c * xq
+
+
 def _rotate(g, v, p, q, live, skip):
     """One Jacobi rotation in plane (p, q) of g (nb, k, k) and v, in place.
 
@@ -102,29 +114,11 @@ def _rotate(g, v, p, q, live, skip):
     active = live & (np.abs(apq) > skip)
     if not np.any(active):
         return
-    app = g[:, p, p]
-    aqq = g[:, q, q]
-    tau = np.zeros(g.shape[0])
-    np.divide(aqq - app, 2.0 * apq, out=tau, where=active)
-    sgn = np.where(tau >= 0.0, 1.0, -1.0)
-    t = np.where(active, sgn / (np.abs(tau) + np.hypot(1.0, tau)), 0.0)
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    s = t * c
-    cc = c[:, None]
-    ss = s[:, None]
-    gp = g[:, p, :].copy()
-    gq = g[:, q, :]
-    g[:, p, :] = cc * gp - ss * gq
-    g[:, q, :] = ss * gp + cc * gq
-    gp = g[:, :, p].copy()
-    gq = g[:, :, q]
-    g[:, :, p] = cc * gp - ss * gq
-    g[:, :, q] = ss * gp + cc * gq
+    c, s = _jacobi_angle(g[:, p, p], g[:, q, q], apq, active)
+    _rotate_columns(np.swapaxes(g, 1, 2), p, q, c, s)   # rows p and q
+    _rotate_columns(g, p, q, c, s)
     if v is not None:
-        vp = v[:, :, p].copy()
-        vq = v[:, :, q]
-        v[:, :, p] = cc * vp - ss * vq
-        v[:, :, q] = ss * vp + cc * vq
+        _rotate_columns(v, p, q, c, s)
 
 
 def _sweep(parts, mass, scale, d, tol, max_sweeps, name):
@@ -173,10 +167,6 @@ def jacobi_eigh(a, tol=OFF_DIAG_TOL, max_sweeps=MAX_SWEEPS, compute_v=True):
 
     Raises ``ConvergenceError`` if the off-diagonal mass does not drop below
     ``tol * max(1, ||a||_F)`` within ``max_sweeps`` sweeps.
-
-    Each sweep rotates a contiguous copy of every component of
-    ``_components`` (see the module docstring); the copies are written back
-    before every convergence test, which sees the full matrix.
     """
     a = np.asarray(a, dtype=float)
     d = a.shape[-1]
@@ -187,24 +177,8 @@ def jacobi_eigh(a, tol=OFF_DIAG_TOL, max_sweeps=MAX_SWEEPS, compute_v=True):
     nb = g.shape[0]
     v = np.tile(np.eye(d), (nb, 1, 1)) if compute_v else None
     scale = np.maximum(1.0, np.sqrt(np.sum(g * g, axis=(-2, -1))))
-
-    if d > 1:
-        cuts, parts = [], []
-        for idx in _components(g):
-            if idx.size > 1:
-                cut = (slice(None), idx[:, None], idx[None, :])
-                cuts.append(cut)
-                parts.append((g[cut], v[cut] if compute_v else None, None))
-
-        def mass():
-            for cut, (gb, _, _) in zip(cuts, parts):
-                g[cut] = gb
-            return _offdiag_mass(g)
-
-        _sweep(parts, mass, scale, d, tol, max_sweeps, "jacobi_eigh")
-        if compute_v:
-            for cut, (_, vb, _) in zip(cuts, parts):
-                v[cut] = vb
+    _sweep([(g, v, None)], lambda: _offdiag_mass(g), scale, d, tol,
+           max_sweeps, "jacobi_eigh")
 
     w = np.diagonal(g, axis1=-2, axis2=-1).copy()
     order = np.argsort(w, axis=-1, kind="stable")
@@ -225,7 +199,12 @@ def jacobi_eigh_blocks(blocks, index):
     (B, d) that ``jacobi_eigh(..., compute_v=False)`` gives for the assembled
     matrices, bit for bit, without assembling them.
 
-    All blocks of all nodes are swept in one lockstep: ``scale`` and the
+    This is exact, not an approximation: a rotation in plane (p, q) mixes
+    only rows and columns p and q, so an entry between two blocks stays
+    exactly zero on every sweep, and the full solve skips its pair
+    (``|a_pq| > skip`` is false).  Rotations in different blocks touch
+    disjoint entries, so their relative order does not matter either.  All
+    blocks of all nodes are swept in one lockstep: ``scale`` and the
     per-sweep ``live`` test of a node sum the squares of its blocks, ``skip``
     uses the full dimension d, and the pairs of each block go in
     lexicographic order, so every rotation is the full solve's.
@@ -305,23 +284,9 @@ def jacobi_svd(a, tol=OFF_DIAG_TOL, max_sweeps=MAX_SWEEPS, compute_u=True):
                     if not np.any(active):
                         continue
                     rotated |= active
-                    tau = np.zeros(nb)
-                    np.divide(beta - alpha, 2.0 * gamma, out=tau, where=active)
-                    sgn = np.where(tau >= 0.0, 1.0, -1.0)
-                    t = np.where(
-                        active, sgn / (np.abs(tau) + np.hypot(1.0, tau)), 0.0
-                    )
-                    cs = 1.0 / np.sqrt(1.0 + t * t)
-                    sn = t * cs
-                    cc = cs[:, None]
-                    ss = sn[:, None]
-                    wp = wp.copy()
-                    w[:, :, p] = cc * wp - ss * wq
-                    w[:, :, q] = ss * wp + cc * wq
-                    vp = v[:, :, p].copy()
-                    vq = v[:, :, q]
-                    v[:, :, p] = cc * vp - ss * vq
-                    v[:, :, q] = ss * vp + cc * vq
+                    cs, sn = _jacobi_angle(alpha, beta, gamma, active)
+                    _rotate_columns(w, p, q, cs, sn)
+                    _rotate_columns(v, p, q, cs, sn)
             live = rotated
             if not np.any(live):
                 converged = True

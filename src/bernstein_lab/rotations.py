@@ -9,7 +9,9 @@ submanifold is again a graph with differential
 
 The Lagrangian analogue replaces O(2n) by U(n) acting through its real
 block form [[P, -Q], [Q, P]] on graphs of symmetric A, giving
-(P + A Q)^{-1} (-Q + A P), again symmetric.
+(P + A Q)^{-1} (-Q + A P), again symmetric; ``lagrangian_transform`` is
+``transform_graph`` on that real form, between a symmetry gate on A and a
+symmetry check of the result.
 
 Both transforms also take a sequence of blocks and solve it as one stack.
 ``search_rotation`` looks for a rotation whose transformed differential
@@ -35,23 +37,25 @@ class NonGraphicError(RuntimeError):
     """The rotated submanifold is not a graph over the domain subspace."""
 
 
-@dataclass(frozen=True)
 class OrthBlock:
-    """Element of O(n+m) stored by its graph-action blocks."""
+    """Element of O(n+m), held as its (n+m) x (n+m) matrix.
 
-    P: np.ndarray  # (n, n)
-    Q: np.ndarray  # (n, m)
-    R: np.ndarray  # (m, n)
-    S: np.ndarray  # (m, m)
+    The graph-action blocks P (n, n), Q (n, m), R (m, n) and S (m, m) are
+    views into ``matrix``.  Build one from its matrix (``from_matrix``) or
+    from its blocks by keyword; either way orthogonality is checked once.
+    """
 
-    def __post_init__(self):
-        for name in ("P", "Q", "R", "S"):
-            object.__setattr__(self, name,
-                               np.asarray(getattr(self, name), dtype=float))
-        g = self.matrix
+    def __init__(self, P, Q, R, S):
+        P, Q, R, S = (np.asarray(b, dtype=float) for b in (P, Q, R, S))
+        self._hold(np.block([[P, Q], [R, S]]), P.shape[0])
+
+    def _hold(self, g, n):
         dev = np.max(np.abs(g.T @ g - np.eye(g.shape[0])))
         if dev > ORTH_TOL:
             raise ValueError(f"blocks are not orthogonal (deviation {dev:.2e})")
+        self.matrix = g
+        self.P, self.Q = g[:n, :n], g[:n, n:]
+        self.R, self.S = g[n:, :n], g[n:, n:]
 
     @property
     def n(self):
@@ -61,14 +65,15 @@ class OrthBlock:
     def m(self):
         return self.S.shape[0]
 
-    @property
-    def matrix(self):
-        return np.block([[self.P, self.Q], [self.R, self.S]])
+    def graph_blocks(self):
+        """(P, Q, R, S): the blocks ``transform_graph`` acts through."""
+        return self.P, self.Q, self.R, self.S
 
     @classmethod
     def from_matrix(cls, g, n):
-        g = np.asarray(g, dtype=float)
-        return cls(P=g[:n, :n], Q=g[:n, n:], R=g[n:, :n], S=g[n:, n:])
+        out = cls.__new__(cls)
+        out._hold(np.asarray(g, dtype=float), n)
+        return out
 
     @classmethod
     def identity(cls, n, m):
@@ -97,6 +102,10 @@ class UnitaryBlock:
     @property
     def n(self):
         return self.P.shape[0]
+
+    def graph_blocks(self):
+        """(P, -Q, Q, P): the blocks of the real form, as ``OrthBlock``'s."""
+        return self.P, -self.Q, self.Q, self.P
 
     @property
     def matrix(self):
@@ -150,22 +159,24 @@ def _one(result):
 def transform_graph(a_matrix, g):
     """Differential of the rotated graph: (P + A R)^{-1} (Q + A S).
 
-    ``g`` is one ``OrthBlock``, or a sequence of them solved as one stack.
-    For one block, raises ``NonGraphicError`` when P + A R is singular
-    beyond condition number 1e12, signaling that the rotated submanifold is
-    no longer a graph over the domain subspace.  For a sequence, returns a
-    list holding None for each such member; every other member has the
-    bits of its single-block call.
+    ``g`` is one ``OrthBlock`` or ``UnitaryBlock`` (acting through the blocks
+    (P, -Q, Q, P) of its real form), or a sequence of them solved as one
+    stack.  For one block, raises ``NonGraphicError`` when P + A R is
+    singular beyond condition number 1e12, signaling that the rotated
+    submanifold is no longer a graph over the domain subspace.  For a
+    sequence, returns a list holding None for each such member; every other
+    member has the bits of its single-block call.
     """
     a = np.asarray(a_matrix, dtype=float)
     n, m = a.shape
-    blocks = [g] if isinstance(g, OrthBlock) else list(g)
-    if any((b.n, b.m) != (n, m) for b in blocks):
+    single = isinstance(g, (OrthBlock, UnitaryBlock))
+    blocks = [b.graph_blocks() for b in ([g] if single else g)]
+    if any((p.shape[0], s.shape[0]) != (n, m) for p, _, _, s in blocks):
         raise ValueError("block shapes do not match the matrix")
     scale = float(np.sqrt(n + np.sum(a * a)))
-    out = _svd_solve([b.P + a @ b.R for b in blocks],
-                     [b.Q + a @ b.S for b in blocks], scale)
-    return _one(out[0]) if isinstance(g, OrthBlock) else out
+    out = _svd_solve([p + a @ r for p, _, r, _ in blocks],
+                     [q + a @ s for _, q, _, s in blocks], scale)
+    return _one(out[0]) if single else out
 
 
 def _require_symmetric(a):
@@ -176,21 +187,21 @@ def _require_symmetric(a):
 def lagrangian_transform(a_matrix, g):
     """Differential of the rotated Lagrangian graph: (P + A Q)^{-1}(-Q + A P).
 
-    ``a_matrix`` must be symmetric; the result is symmetric again (asserted
-    to 1e-9) and its eigenvalues are the signed singular values feeding the
-    flatness conditions.  ``g`` is one ``UnitaryBlock`` or a sequence, as in
+    ``a_matrix`` must be symmetric; the result is ``transform_graph``'s
+    through the real form, symmetric again (asserted to 1e-9), and its
+    eigenvalues are the signed singular values feeding the flatness
+    conditions.  ``g`` is one ``UnitaryBlock`` or a sequence, as in
     ``transform_graph``; in a sequence a member that lost symmetry is
     returned as its ``AssertionError``, for the caller to raise when it
     reaches that member.
     """
     a = np.asarray(a_matrix, dtype=float)
-    blocks = [g] if isinstance(g, UnitaryBlock) else list(g)
+    single = isinstance(g, UnitaryBlock)
+    blocks = [g] if single else list(g)
     if any(a.shape != (b.n, b.n) for b in blocks):
         raise ValueError("matrix shape does not match the block size")
     _require_symmetric(a)
-    scale = float(np.sqrt(a.shape[0] + np.sum(a * a)))
-    out = _svd_solve([b.P + a @ b.Q for b in blocks],
-                     [-b.Q + a @ b.P for b in blocks], scale)
+    out = transform_graph(a, blocks)
     for k, x in enumerate(out):
         if x is None:
             continue
@@ -200,7 +211,7 @@ def lagrangian_transform(a_matrix, g):
                 f"transformed matrix lost symmetry (deviation {dev:.2e})")
         else:
             out[k] = 0.5 * (x + x.T)
-    return _one(out[0]) if isinstance(g, UnitaryBlock) else out
+    return _one(out[0]) if single else out
 
 
 def random_orthogonal(n, m, seed) -> OrthBlock:
@@ -375,32 +386,18 @@ def search_rotation(a_matrix, target: SearchTarget, budget, seed,
             yield margin
 
     def perturb(g, p, q, angle, mode=0):
-        if group == "orthogonal":
-            rot = np.eye(d)
-            c, s = np.cos(angle), np.sin(angle)
-            rot[p, p] = c
-            rot[q, q] = c
-            rot[p, q] = s
-            rot[q, p] = -s
-            return OrthBlock.from_matrix(g.matrix @ rot, n)
-        u = g.complex_matrix
-        if mode == 0:  # real plane rotation
-            rot = np.eye(d, dtype=complex)
-            c, s = np.cos(angle), np.sin(angle)
-            rot[p, p] = c
-            rot[q, q] = c
-            rot[p, q] = s
-            rot[q, p] = -s
-        elif mode == 1:  # imaginary plane rotation
-            rot = np.eye(d, dtype=complex)
-            rot[p, p] = np.cos(angle)
-            rot[q, q] = np.cos(angle)
-            rot[p, q] = 1j * np.sin(angle)
-            rot[q, p] = 1j * np.sin(angle)
-        else:  # phase on one axis
-            rot = np.eye(d, dtype=complex)
+        """g times the plane rotation of ``moves``' (p, q, mode) by angle:
+        real (mode 0), imaginary (mode 1), or a phase on axis p (mode 2)."""
+        c, s = np.cos(angle), np.sin(angle)
+        rot = np.eye(d, dtype=float if group == "orthogonal" else complex)
+        if mode == 2:
             rot[p, p] = np.exp(1j * angle)
-        return UnitaryBlock.from_complex(u @ rot)
+        else:
+            rot[p, p] = rot[q, q] = c
+            rot[p, q], rot[q, p] = (s, -s) if mode == 0 else (1j * s, 1j * s)
+        if group == "orthogonal":
+            return OrthBlock.from_matrix(g.matrix @ rot, n)
+        return UnitaryBlock.from_complex(g.complex_matrix @ rot)
 
     def moves():
         out = []
@@ -459,7 +456,7 @@ def search_rotation(a_matrix, target: SearchTarget, budget, seed,
             break
         descend(g0)
 
-    if state["best"] is None or state["best"][1] is None:
+    if state["best"] is None:
         identity = (OrthBlock.identity(n, m) if group == "orthogonal"
                     else UnitaryBlock.identity(n))
         report = ConditionReport(condition_name=target.kind, pass_=False,
@@ -467,10 +464,7 @@ def search_rotation(a_matrix, target: SearchTarget, budget, seed,
         return SearchOutcome(best_g=identity, transformed=None, report=report,
                              objective_trace=(), evaluations=state["evals"])
     margin, g, transformed, report = state["best"]
-    if margin == -np.inf:
-        return SearchOutcome(best_g=g, transformed=None, report=report,
-                             objective_trace=tuple(state["trace"]),
-                             evaluations=state["evals"])
-    return SearchOutcome(best_g=g, transformed=transformed, report=report,
+    return SearchOutcome(best_g=g, report=report,
+                         transformed=None if margin == -np.inf else transformed,
                          objective_trace=tuple(state["trace"]),
                          evaluations=state["evals"])

@@ -86,6 +86,9 @@ def test_check_malformed_input_exits_2(tmp_path):
     assert "error" in proc.stderr
 
 
+_SPEC_HOLO = {"n": 2, "m": 2, "kind": "builtin", "name": "holo_z2"}
+
+
 def _main_in(tmp_path, monkeypatch, capsys, inputs, argv):
     """Run the CLI in-process inside tmp_path; (exit code, stdout, stderr)."""
     monkeypatch.chdir(tmp_path)
@@ -264,6 +267,9 @@ def test_rotate_non_finite_matrix_exits_2(tmp_path, monkeypatch, capsys,
     [[0.3, None]],
     [[True, 0.0]],
     {"x": [0.3, 0.0]},
+    [[float("inf"), 0.0]],           # JSON numbers, but not finite
+    [[0.3, float("nan")]],
+    [[10**400, 0.0]],
 ])
 def test_check_malformed_points_exit_2(tmp_path, monkeypatch, capsys,
                                        points):
@@ -482,6 +488,55 @@ def test_malformed_matrix_exits_2(tmp_path, monkeypatch, capsys, command,
     assert (code, out) == (2, "")
     assert err == ("error: 'matrix' must be a non-empty list of "
                    "equal-length rows of numbers\n")
+
+
+@pytest.mark.parametrize("command, bad", [
+    ("check", float("nan")), ("check", float("inf")),
+    ("check", float("-inf")), ("check", 10**400), ("rotate", 10**400)],
+    ids=["check-nan", "check-inf", "check-neg-inf", "check-int-1e400",
+         "rotate-int-1e400"])
+def test_non_finite_matrix_exits_2(tmp_path, monkeypatch, capsys, command,
+                                   bad):
+    argv = [command, "--input", "in.json", "--seed", "1", "--budget", "3"]
+    code, out, err = _main_in(tmp_path, monkeypatch, capsys,
+                              {"in.json": {"matrix": [[0.5, bad]]}},
+                              argv if command == "rotate" else argv[:3])
+    assert (code, out, err) == (2, "", "error: matrix must have finite "
+                                       "entries\n")
+
+
+@pytest.mark.parametrize("doc, argv, message", [
+    ({"spec": _SPEC_HOLO, "points": [[float("inf"), 0.0]]}, ["check"],
+     "'points' must be a list of rows of 2 numbers"),
+    ({"matrix": [[float("nan"), 0.5]]}, ["check"],
+     "matrix must have finite entries"),
+], ids=["points", "matrix"])
+def test_non_finite_input_stderr_is_one_line(tmp_path, doc, argv, message):
+    """Refused at the input boundary: no numpy warning above the error."""
+    path = tmp_path / "in.json"
+    write_json(path, doc)
+    proc = run_cli([*argv, "--input", str(path)])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--input", "in.json"],
+    ["rotate", "--input", "in.json", "--seed", "1"],
+    ["verify", "--surface", "holo_z2", "--identity", "gradient",
+     "--grid", "9"],
+])
+def test_format_is_a_region_option_only(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "in.json", {"matrix": [[0.5]]})
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--format", "json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
+    code, out, _ = _main_in(tmp_path, monkeypatch, capsys, {},
+                            ["region", "--n", "2", "--m", "2", "--grid",
+                             "0:1:2,0:1:2", "--format", "json"])
+    assert code == 0 and json.loads(out)["config"]["format"] == "json"
 
 
 @pytest.mark.parametrize("command, message", [

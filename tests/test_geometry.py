@@ -47,6 +47,16 @@ def test_jet_outside_domain_raises():
         geo.jet(HOLO_Z2, batch)
 
 
+def test_contains_refuses_non_finite_points():
+    # the slack grows with |x|, so without the finiteness test an infinite
+    # coordinate would count as inside
+    pts = [[0.3, 0.0], [np.inf, 0.0], [0.0, -np.inf], [np.nan, 0.0]]
+    assert HOLO_Z2.contains(pts).tolist() == [True, False, False, False]
+    with pytest.raises(geo.DomainError,
+                       match=r"^point \[inf, 0\.0\] outside domain$"):
+        geo.jet(HOLO_Z2, pts)
+
+
 def _random_polynomial_spec(rng):
     n, m = int(rng.integers(1, 5)), int(rng.integers(1, 4))
     coeffs = [[(tuple(int(p) for p in rng.integers(0, 5, n)),
