@@ -193,62 +193,72 @@ def _group_indices(lams, gtol):
     return tuple(groups)
 
 
-def _frames_from_jac(jac, lams, vmat):
-    """Canonicalize the SVD output of one jacobian into adapted bases."""
-    n, m = jac.shape
-    jac_t = jac.T
-    gtol = GROUP_TOL * max(1.0, float(lams[0]) if n else 1.0)
-    groups = _group_indices(lams, gtol)
+def _canonicalize_ties(amat, lams):
+    """Group each node's (near-)equal singular values and replace the basis
+    of every tie group by the canonical basis of its projector, in place;
+    returns the per-node group tuples."""
+    groups = []
+    for b in range(len(amat)):
+        grps = _group_indices(lams[b], GROUP_TOL * max(1.0, float(lams[b, 0])))
+        for grp in grps:
+            if len(grp) > 1:
+                cols = amat[b, :, grp[0]: grp[-1] + 1]
+                amat[b, :, grp[0]: grp[-1] + 1] = linalg._canonical_basis(
+                    cols @ cols.T, len(grp)
+                )
+        groups.append(grps)
+    return groups
 
-    amat = vmat.copy()
-    for grp in groups:
-        if len(grp) > 1:
-            cols = amat[:, grp[0]: grp[-1] + 1]
-            # canonical basis of the group's span, from its projector
-            amat[:, grp[0]: grp[-1] + 1] = linalg._canonical_basis(
-                cols @ cols.T, len(grp)
-            )
-    for j in range(n):
-        col = amat[:, j]
-        if col[int(np.argmax(np.abs(col)))] < 0:
-            amat[:, j] = -col
-    if linalg.det(amat) < 0:
-        amat[:, n - 1] = -amat[:, n - 1]
 
-    rank_tol = RANK_TOL * max(1.0, float(lams[0]) if n else 1.0)
-    p = min(n, m)
-    bcols = []
-    for j in range(p):
-        if lams[j] > rank_tol:
-            w = jac_t @ amat[:, j]
-            bcols.append(w / np.sqrt(w @ w))
-    base = np.array(bcols).T if bcols else np.zeros((m, 0))
-    bmat = np.hstack([base, linalg.complete_orthonormal(base)])
-    return amat, bmat, groups
+def _orient(amat):
+    """Make each column's first largest-|.| entry positive, then flip the
+    last column of every basis with negative determinant."""
+    lead = np.argmax(np.abs(amat), axis=-2)[:, None, :]
+    amat = np.where(np.take_along_axis(amat, lead, axis=-2) < 0, -amat, amat)
+    flip = linalg.det(amat) < 0
+    amat[flip, :, -1] = -amat[flip, :, -1]
+    return amat
+
+
+def _target_bases(jacs, lams, amat):
+    """Per node: the normalized images jac.T @ a_j of the columns with
+    lambda_j above the rank tolerance, completed canonically to a basis."""
+    nb, n, m = jacs.shape
+    target = np.zeros((nb, m, m))
+    for b in range(nb):
+        jac_t = jacs[b].T
+        rank_tol = RANK_TOL * max(1.0, float(lams[b, 0]))
+        bcols = []
+        for j in range(min(n, m)):
+            if lams[b, j] > rank_tol:
+                w = jac_t @ amat[b, :, j]
+                bcols.append(w / np.sqrt(w @ w))
+        base = np.array(bcols).T if bcols else np.zeros((m, 0))
+        target[b] = np.hstack([base, linalg.complete_orthonormal(base)])
+    return target
 
 
 def _assemble_frames(lams, amat, bmat):
-    n = amat.shape[0]
-    m = bmat.shape[0]
+    """Tangent (B, n+m, n) and normal (B, n+m, m) frames from the bases."""
+    nb, n, m = bmat.shape[0], amat.shape[-1], bmat.shape[-1]
     p = min(n, m)
-    lam_t = np.asarray(lams, dtype=float)
-    lam_nu = np.zeros(m)
-    lam_nu[:p] = lam_t[:p]
+    lam_nu = np.zeros((nb, m))
+    lam_nu[:, :p] = lams[:, :p]
 
-    inv_t = 1.0 / np.sqrt(1.0 + lam_t**2)
+    inv_t = 1.0 / np.sqrt(1.0 + lams**2)
     inv_nu = 1.0 / np.sqrt(1.0 + lam_nu**2)
 
-    tangent = np.zeros((n + m, n))
-    tangent[:n, :] = amat * inv_t[None, :]
-    bpart = np.zeros((m, n))
-    bpart[:, :p] = bmat[:, :p]
-    tangent[n:, :] = bpart * (lam_t * inv_t)[None, :]
+    tangent = np.zeros((nb, n + m, n))
+    tangent[:, :n, :] = amat * inv_t[:, None, :]
+    bpart = np.zeros((nb, m, n))
+    bpart[:, :, :p] = bmat[:, :, :p]
+    tangent[:, n:, :] = bpart * (lams * inv_t)[:, None, :]
 
-    normal = np.zeros((n + m, m))
-    apart = np.zeros((n, m))
-    apart[:, :p] = amat[:, :p]
-    normal[:n, :] = -apart * (lam_nu * inv_nu)[None, :]
-    normal[n:, :] = bmat * inv_nu[None, :]
+    normal = np.zeros((nb, n + m, m))
+    apart = np.zeros((nb, n, m))
+    apart[:, :, :p] = amat[:, :, :p]
+    normal[:, :n, :] = -apart * (lam_nu * inv_nu)[:, None, :]
+    normal[:, n:, :] = bmat * inv_nu[:, None, :]
     return tangent, normal
 
 
@@ -287,23 +297,18 @@ def singular_data_batch(jacs):
     """Singular values and adapted frames of a batch of jacobians (B, n, m).
 
     Returns (lambdas, tangent, normal, domain, target, groups) with the batch
-    in the leading axis; ``groups`` is a list of per-node group tuples.
+    in the leading axis; ``groups`` is a list of per-node group tuples.  The
+    tie groups and the target bases are built node by node; the signs, the
+    orientation and the frames in one pass over the batch.
     """
     jacs = np.asarray(jacs, dtype=float)
     lams, vt = jacobian_svd(jacs)
-    nb, n, m = jacs.shape
-    tangent = np.zeros((nb, n + m, n))
-    normal = np.zeros((nb, n + m, m))
-    domain = np.zeros((nb, n, n))
-    target = np.zeros((nb, m, m))
-    groups = []
-    for b in range(nb):
-        amat, bmat, grp = _frames_from_jac(jacs[b], lams[b], vt[b].T)
-        tangent[b], normal[b] = _assemble_frames(lams[b], amat, bmat)
-        domain[b] = amat
-        target[b] = bmat
-        groups.append(grp)
-    return lams, tangent, normal, domain, target, groups
+    amat = np.swapaxes(vt, -1, -2).copy()
+    groups = _canonicalize_ties(amat, lams)
+    amat = _orient(amat)
+    target = _target_bases(jacs, lams, amat)
+    tangent, normal = _assemble_frames(lams, amat, target)
+    return lams, tangent, normal, amat, target, groups
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,8 @@ def sample_surface(spec: MapSpec, grid, domain=None) -> SurfaceSample:
         raise ValueError("grid needs at least 2 nodes per domain axis")
     dom = np.asarray(domain, dtype=float) if domain is not None else spec.domain
     dom = dom.reshape(n, 2)
+    if not np.all(dom[:, 0] < dom[:, 1]):
+        raise ValueError("sampling domain needs lo < hi on every axis")
     if (np.any(dom[:, 0] < spec.domain[:, 0] - 1e-12)
             or np.any(dom[:, 1] > spec.domain[:, 1] + 1e-12)):
         raise ValueError("sampling domain exceeds the spec domain")
@@ -359,6 +361,12 @@ IDENTITY_RUNNERS = {
     "minimality": minimality_stats,
 }
 
+# Fewest nodes per axis an identity's stencil needs: the gradient's
+# second-order one-sided edges take 3, and the Laplacians trim two layers
+# per side and keep at least one interior node.
+MIN_GRID = {"gradient": 3, "laplacian-log": 5, "laplacian-raw": 5,
+            "minimality": 2}
+
 
 def _observed_order(prev, stats):
     if prev.rms_error < 1e-12 and stats.rms_error < 1e-12:
@@ -383,6 +391,9 @@ def run_identity(spec: MapSpec, grids, identity, domain=None):
     for a, b in zip(grids, grids[1:]):
         if a < 2 or b <= a or (b - 1) % (a - 1) != 0:
             raise ValueError("non-nested grids")
+    if min(grids) < MIN_GRID[identity]:
+        raise ValueError(f"identity {identity} needs a grid of at least "
+                         f"{MIN_GRID[identity]} nodes per axis")
     out = []
     for g in grids:
         sample = sample_surface(spec, g, domain=domain)

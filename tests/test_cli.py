@@ -520,6 +520,32 @@ def test_non_finite_input_stderr_is_one_line(tmp_path, doc, argv, message):
     assert proc.stderr == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("identity", ["gradient", "minimality"])
+def test_verify_degenerate_domain_stderr_is_one_line(tmp_path, identity):
+    """lo == hi on an axis is refused before sampling: no numpy warning."""
+    path = tmp_path / "spec.json"
+    write_json(path, {**_SPEC_HOLO, "domain": [[0, 0], [0, 1]]})
+    proc = run_cli(["verify", "--input", str(path), "--identity", identity,
+                    "--grid", "9"])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: sampling domain needs lo < hi on every "
+                           "axis\n")
+
+
+@pytest.mark.parametrize("identity, grid, minimum", [
+    ("gradient", "2", 3),
+    ("laplacian-log", "3", 5),
+    ("laplacian-log", "4", 5),
+])
+def test_verify_grid_below_minimum_stderr_is_one_line(identity, grid,
+                                                      minimum):
+    proc = run_cli(["verify", "--surface", "holo_z2", "--identity", identity,
+                    "--grid", grid])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (f"error: identity {identity} needs a grid of at "
+                           f"least {minimum} nodes per axis\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["check", "--input", "in.json"],
     ["rotate", "--input", "in.json", "--seed", "1"],

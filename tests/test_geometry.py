@@ -1,6 +1,7 @@
 """Jets, adapted frames, and second fundamental forms of graphs."""
 
 import copy
+import hashlib
 import json
 
 import numpy as np
@@ -325,6 +326,72 @@ def test_singular_data_is_a_batch_of_one_bitwise(n, m):
                               sd.domain_basis, sd.target_basis), batch[:5]):
             assert np.array_equal(got, want[b])
         assert sd.degenerate_groups == batch[5][b]
+
+
+def _orthogonal(rng, d):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)))
+    return q * np.sign(np.diag(r))
+
+
+def _hard_frame_batch(n, m):
+    """Jacobians that exercise every branch of the frame build: random
+    members, a zero and a rank-1 jacobian, a full tie, a partial tie (two
+    equal of three where p = 3), distinct values in a random basis, and a
+    member whose first SVD plane sits at exactly 45 degrees, so a basis
+    column has two largest |entries| that are equal."""
+    rng = np.random.default_rng(100 + 10 * n + m)
+    p = min(n, m)
+
+    def with_values(vals):
+        s = np.zeros((n, m))
+        s[np.arange(len(vals)), np.arange(len(vals))] = vals
+        return _orthogonal(rng, n) @ s @ _orthogonal(rng, m).T
+
+    members = [rng.uniform(-2.0, 2.0, (n, m)) for _ in range(6)]
+    members += [np.zeros((n, m)),
+                np.outer(rng.uniform(-1, 1, n), rng.uniform(-1, 1, m)),
+                with_values([0.9] * p),
+                with_values([1.3, 1.3, 0.4] if p == 3 else [1.3] * p),
+                with_values(np.linspace(2.0, 0.5, p))]
+    plane = np.zeros((n, m))
+    plane[np.arange(p), np.arange(p)] = np.linspace(4.0, 0.5, p)
+    if p >= 2:
+        plane[:2, :2] = [[2.0, 1.0], [1.0, 2.0]]    # equal column norms
+    members.append(plane)
+    return np.array(members)
+
+
+# sha256 prefixes of (lambdas, tangent, normal, domain, target, repr(groups))
+GOLDEN_FRAMES = {
+    (1, 1): ("14682af43a5b5d13", "41782aa1b1735310", "46c238b0dc2bff28",
+             "cf966f1001f07510", "8670db0d3ec554e0", "2fb19c6a0e61cbb3"),
+    (2, 2): ("34fac3b99740ab51", "806aa5b38a06a69d", "72e5ec7e37da0502",
+             "17df7d0d1ee58881", "f1c232e45a6fe3a3", "34b8830520b4c576"),
+    (3, 2): ("94ff3056b9a0ce6d", "11d0b46856a3972f", "a164a337eb85b666",
+             "3a5090eb011c1e6f", "dac660d34a2c3dab", "a6531b5ba910ea29"),
+    (2, 3): ("6385cca4f10fa283", "0fb0e33af043691e", "fc39310b6f74fe55",
+             "de7e9afc71cd2904", "fe1e3f09e1fc1586", "34b8830520b4c576"),
+    (3, 3): ("1da1e74908056a3a", "bb6f412613d0adf1", "e335c1be725db7cc",
+             "4d15ab037438d942", "e274a77e1f2ce6b5", "72ab5470470e71d7"),
+    (4, 3): ("cde59378cadf7c84", "a4f28963a9d34d8b", "0bc302ca37000267",
+             "cbaf61d925a88bbb", "f810b87586083fb3", "54af0b45ac52e3ac"),
+}
+
+
+@pytest.mark.parametrize("n, m", sorted(GOLDEN_FRAMES))
+def test_singular_data_batch_golden_on_hard_batches(n, m):
+    jacs = _hard_frame_batch(n, m)
+    *arrays, groups = geo.singular_data_batch(jacs)
+    got = tuple(hashlib.sha256(a.tobytes()).hexdigest()[:16] for a in arrays)
+    got += (hashlib.sha256(repr(groups).encode()).hexdigest()[:16],)
+    assert got == GOLDEN_FRAMES[(n, m)]
+    if n >= 2:
+        # the batch still reaches the branches it was built for
+        vmat = np.swapaxes(geo.jacobian_svd(jacs)[1], -1, -2)
+        top = np.sort(np.abs(vmat), axis=-2)
+        assert np.any(linalg.det(vmat) < 0)
+        assert np.any(top[..., -1, :] == top[..., -2, :])
+        assert any(len(grp) > 1 for node in groups for grp in node)
 
 
 def test_jacobian_svd_pads_and_rejects_bad_input():

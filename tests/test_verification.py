@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bernstein_lab import geometry as geo
+from bernstein_lab import linalg
 from bernstein_lab import verification as ver
 from bernstein_lab.conditions import check_theorem_a
 from bernstein_lab.surfaces import builtin_names, builtin_surface
@@ -195,6 +196,51 @@ def test_sample_surface_domain_override_validation():
     assert s.axes[0][0] == -0.5
     with pytest.raises(ValueError):
         ver.sample_surface(spec, 9, domain=[[-5, 5], [-5, 5]])
+
+
+def test_sample_surface_refuses_degenerate_domain():
+    spec = builtin_surface("holo_z2", domain=[[0.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="lo < hi on every axis"):
+        ver.sample_surface(spec, 9)
+    with pytest.raises(ValueError, match="lo < hi on every axis"):
+        ver.sample_surface(builtin_surface("holo_z2"), 9,
+                           domain=[[0.5, 0.5], [-1.0, 1.0]])
+
+
+def test_sample_surface_makes_one_det_call(monkeypatch):
+    calls = []
+    det = linalg.det
+
+    def counting_det(a):
+        calls.append(np.shape(a))
+        return det(a)
+
+    monkeypatch.setattr(linalg, "det", counting_det)
+    ver.sample_surface(builtin_surface("holo_z2"), 17)
+    assert calls == [(17 * 17, 2, 2)]
+
+
+@pytest.mark.parametrize("identity, grids, minimum", [
+    ("gradient", [2], 3),
+    ("gradient", [2, 3], 3),
+    ("laplacian-log", [3], 5),
+    ("laplacian-log", [4], 5),
+    ("laplacian-raw", [4], 5),
+    ("minimality", [1], 2),
+])
+def test_run_identity_refuses_grids_below_its_stencil(identity, grids,
+                                                      minimum):
+    with pytest.raises(ValueError) as exc:
+        ver.run_identity(builtin_surface("holo_z2"), grids, identity)
+    assert str(exc.value) == (f"identity {identity} needs a grid of at "
+                              f"least {minimum} nodes per axis")
+
+
+def test_run_identity_accepts_the_smallest_grids():
+    spec = builtin_surface("holo_z2")
+    for identity, grid in ver.MIN_GRID.items():
+        ladder, _ = ver.run_identity(spec, [grid], identity)
+        assert ladder[0].nodes >= 1
 
 
 def test_dlb_constant_and_euclidean():
