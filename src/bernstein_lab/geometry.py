@@ -37,6 +37,9 @@ from . import linalg
 # that degenerate inputs produce deterministic, smoothly varying frames.
 GROUP_TOL = 1e-12
 RANK_TOL = 1e-12
+# Relative slack of the domain test: a point may sit this far (times
+# 1 + |x|) outside the domain, so grid nodes rounded past an edge still count.
+DOMAIN_SLACK = 1e-12
 
 
 class DomainError(ValueError):
@@ -73,11 +76,12 @@ class MapSpec:
             raise ValueError("domain intervals must satisfy lo <= hi")
         object.__setattr__(self, "domain", _readonly(dom))
 
-    def contains(self, x, slack=1e-12):
+    def contains(self, x):
         """Whether each point of ``x`` (..., n) is finite and lies in the
-        domain (the slack grows with |x|, so it would admit an infinity)."""
+        domain (``DOMAIN_SLACK`` grows with |x|, so it would admit an
+        infinity)."""
         x = np.asarray(x, dtype=float)
-        pad = slack * (1.0 + np.abs(x))
+        pad = DOMAIN_SLACK * (1.0 + np.abs(x))
         return np.all(np.isfinite(x) & (x >= self.domain[:, 0] - pad)
                       & (x <= self.domain[:, 1] + pad), axis=-1)
 

@@ -10,16 +10,13 @@ independent library in the test suite.  Two kernels carry the load:
   singular values to high relative accuracy.
 
 Both accept a batch of matrices in the leading axes and rotate the whole
-batch in lockstep; per-matrix skip thresholds make the batched result
-bit-identical to a matrix-at-a-time run.
-
-``jacobi_eigh_blocks`` takes the zero structure of its matrices as given:
-a caller that knows the blocks in advance (F's Gram matrices, whose pattern
-depends only on the shape of the form) hands over only the blocks, and all
-blocks of all nodes are swept in one lockstep, eigenvalues only.  Both
-eigensolvers share one sweep loop, ``_sweep``, and every rotation of both
-eigensolvers and of ``jacobi_svd`` takes its angle from ``_jacobi_angle``
-and is applied by ``_rotate_columns``.
+batch in lockstep; per-matrix stopping tests and skip thresholds make the
+batched result bit-identical to a matrix-at-a-time run.  A caller that
+knows the zero structure of its matrices in advance (F's Gram matrices,
+whose blocks depend only on the shape of the form) hands each stack of
+equal-size blocks to ``jacobi_eigh`` as a batch of small matrices, so each
+block converges against its own norm.  Every rotation of both kernels takes
+its angle from ``_jacobi_angle`` and is applied by ``_rotate_columns``.
 """
 
 from __future__ import annotations
@@ -40,21 +37,16 @@ class ConvergenceError(RuntimeError):
         self.residual = float(residual)
 
 
-def _offdiag_squares(g):
-    """Squared entries of g (..., k, k) with the diagonal set to zero."""
-    sq = g * g
-    idx = np.arange(g.shape[-1])
-    sq[..., idx, idx] = 0.0
-    return sq
-
-
 def _offdiag_mass(g):
     """Frobenius norm of the off-diagonal part, per batch member.
 
     Summed entry-by-entry (not as total minus diagonal, which cancels
     catastrophically once the off-diagonal part is small).
     """
-    return np.sqrt(np.sum(_offdiag_squares(g), axis=(-2, -1)))
+    sq = g * g
+    idx = np.arange(g.shape[-1])
+    sq[..., idx, idx] = 0.0
+    return np.sqrt(np.sum(sq, axis=(-2, -1)))
 
 
 def _components(g):
@@ -121,37 +113,7 @@ def _rotate(g, v, p, q, live, skip):
         _rotate_columns(v, p, q, c, s)
 
 
-def _sweep(parts, mass, scale, d, tol, max_sweeps, name):
-    """Cyclic Jacobi sweeps over the blocks ``parts`` until ``mass`` is met.
-
-    Each part is (g, v, node): blocks g (members, k, k) of the nodes' d x d
-    matrices, rotated in place with their eigenvectors v (or None), and the
-    node each member belongs to (None when members are nodes).  ``mass()``
-    returns each node's off-diagonal Frobenius norm; a node is frozen once it
-    is at most ``tol * scale``, so a batched run performs exactly the
-    rotations a node-at-a-time run would.  Within a block the pairs go in
-    lexicographic order; blocks are disjoint, so their rotations commute.
-    """
-    # Rotations smaller than this cannot affect the convergence target.
-    skip = (tol / (10.0 * max(d, 2))) * scale
-    for _ in range(max_sweeps):
-        live = mass() > tol * scale
-        if not np.any(live):
-            return
-        for g, v, node in parts:
-            owner = slice(None) if node is None else node
-            on, small = live[owner], skip[owner]
-            k = g.shape[-1]
-            for p in range(k - 1):
-                for q in range(p + 1, k):
-                    _rotate(g, v, p, q, on, small)
-    off = mass()
-    if not np.all(off <= tol * scale):
-        raise ConvergenceError(f"{name} did not converge",
-                               np.max(off / scale))
-
-
-def jacobi_eigh(a, tol=OFF_DIAG_TOL, max_sweeps=MAX_SWEEPS, compute_v=True):
+def jacobi_eigh(a, max_sweeps=MAX_SWEEPS, compute_v=True):
     """Eigendecomposition of symmetric matrices by cyclic Jacobi rotations.
 
     Parameters
@@ -165,8 +127,11 @@ def jacobi_eigh(a, tol=OFF_DIAG_TOL, max_sweeps=MAX_SWEEPS, compute_v=True):
         With ``compute_v=False`` only w is returned (the same bits), and no
         eigenvector is rotated.
 
-    Raises ``ConvergenceError`` if the off-diagonal mass does not drop below
-    ``tol * max(1, ||a||_F)`` within ``max_sweeps`` sweeps.
+    Each sweep rotates every pair (p, q) in lexicographic order.  A matrix
+    is frozen once its off-diagonal mass is at most
+    ``OFF_DIAG_TOL * max(1, ||a||_F)``, so a batched run performs exactly
+    the rotations a matrix-at-a-time run would.  Raises
+    ``ConvergenceError`` if that is not reached within ``max_sweeps`` sweeps.
     """
     a = np.asarray(a, dtype=float)
     d = a.shape[-1]
@@ -177,8 +142,20 @@ def jacobi_eigh(a, tol=OFF_DIAG_TOL, max_sweeps=MAX_SWEEPS, compute_v=True):
     nb = g.shape[0]
     v = np.tile(np.eye(d), (nb, 1, 1)) if compute_v else None
     scale = np.maximum(1.0, np.sqrt(np.sum(g * g, axis=(-2, -1))))
-    _sweep([(g, v, None)], lambda: _offdiag_mass(g), scale, d, tol,
-           max_sweeps, "jacobi_eigh")
+    # Rotations smaller than this cannot affect the convergence target.
+    skip = (OFF_DIAG_TOL / (10.0 * max(d, 2))) * scale
+    for _ in range(max_sweeps):
+        live = _offdiag_mass(g) > OFF_DIAG_TOL * scale
+        if not np.any(live):
+            break
+        for p in range(d - 1):
+            for q in range(p + 1, d):
+                _rotate(g, v, p, q, live, skip)
+    else:
+        off = _offdiag_mass(g)
+        if not np.all(off <= OFF_DIAG_TOL * scale):
+            raise ConvergenceError("jacobi_eigh did not converge",
+                                   np.max(off / scale))
 
     w = np.diagonal(g, axis1=-2, axis2=-1).copy()
     order = np.argsort(w, axis=-1, kind="stable")
@@ -189,53 +166,7 @@ def jacobi_eigh(a, tol=OFF_DIAG_TOL, max_sweeps=MAX_SWEEPS, compute_v=True):
     return w, v.reshape(batch_shape + (d, d))
 
 
-def jacobi_eigh_blocks(blocks, index):
-    """Eigenvalues of block-diagonal symmetric matrices, given as their blocks.
-
-    ``blocks`` lists arrays (B, nk, k, k), one per block size k, and
-    ``index`` the matching (nk, k) positions of those blocks in the d x d
-    matrix of each of the B nodes (together a partition of range(d)); every
-    entry outside the blocks is zero.  Returns the ascending eigenvalues
-    (B, d) that ``jacobi_eigh(..., compute_v=False)`` gives for the assembled
-    matrices, bit for bit, without assembling them.
-
-    This is exact, not an approximation: a rotation in plane (p, q) mixes
-    only rows and columns p and q, so an entry between two blocks stays
-    exactly zero on every sweep, and the full solve skips its pair
-    (``|a_pq| > skip`` is false).  Rotations in different blocks touch
-    disjoint entries, so their relative order does not matter either.  All
-    blocks of all nodes are swept in one lockstep: ``scale`` and the
-    per-sweep ``live`` test of a node sum the squares of its blocks, ``skip``
-    uses the full dimension d, and the pairs of each block go in
-    lexicographic order, so every rotation is the full solve's.
-    """
-    d = sum(idx.size for idx in index)
-    nodes = blocks[0].shape[0]
-    parts = []
-    for gk in blocks:
-        nk, k = gk.shape[1:3]
-        node = np.repeat(np.arange(nodes), nk)
-        parts.append((gk.reshape((-1, k, k)).copy(), None, node))
-
-    swept = [part for part in parts if part[0].shape[-1] > 1]
-
-    def node_sums(square, over):
-        total = np.zeros(nodes)
-        for g, _, _ in over:
-            total = total + np.sum(square(g).reshape((nodes, -1)), axis=-1)
-        return total
-
-    scale = np.maximum(1.0, np.sqrt(node_sums(np.square, parts)))
-    _sweep(swept, lambda: np.sqrt(node_sums(_offdiag_squares, swept)), scale,
-           d, OFF_DIAG_TOL, MAX_SWEEPS, "jacobi_eigh_blocks")
-    w = np.empty((nodes, d))
-    for (g, _, _), idx in zip(parts, index):
-        w[:, idx.reshape(-1)] = np.diagonal(g, axis1=-2,
-                                            axis2=-1).reshape((nodes, -1))
-    return np.sort(w, axis=-1, kind="stable")
-
-
-def jacobi_svd(a, tol=OFF_DIAG_TOL, max_sweeps=MAX_SWEEPS, compute_u=True):
+def jacobi_svd(a, compute_u=True):
     """One-sided Jacobi SVD: a = u @ diag(s) @ vt (full matrices).
 
     Columns of ``a`` are orthogonalized in place by right Givens rotations;
@@ -268,7 +199,7 @@ def jacobi_svd(a, tol=OFF_DIAG_TOL, max_sweeps=MAX_SWEEPS, compute_u=True):
         # which bounds the relative non-orthogonality of the singular vectors
         # independently of the overall scale of the matrix.
         live = np.ones(nb, dtype=bool)
-        for _ in range(max_sweeps):
+        for _ in range(MAX_SWEEPS):
             rotated = np.zeros(nb, dtype=bool)
             for p in range(c - 1):
                 for q in range(p + 1, c):

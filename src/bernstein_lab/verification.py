@@ -371,6 +371,12 @@ MIN_GRID = {"gradient": 3, "laplacian-log": 5, "laplacian-raw": 5,
 def _observed_order(prev, stats):
     if prev.rms_error < 1e-12 and stats.rms_error < 1e-12:
         return None
+    if prev.rms_error == 0.0:
+        raise ValueError(
+            f"observed order between grids {prev.grid[0]} and "
+            f"{stats.grid[0]} is undefined: the RMS error is exactly 0 on "
+            f"grid {prev.grid[0]} and {stats.rms_error:.4g} on grid "
+            f"{stats.grid[0]}")
     return (math.log(prev.rms_error / max(stats.rms_error, 1e-300))
             / math.log(prev.spacing / stats.spacing))
 
@@ -415,7 +421,8 @@ def convergence_study(spec: MapSpec, grids, identity,
     log(err_coarse / err_fine) / log(h_coarse / h_fine), computed from the
     RMS error (the max sits at whichever node is currently closest to the
     domain boundary and makes a noisy order estimate); it is left as None
-    (not applicable) when both errors are at rounding level.
+    (not applicable) when both errors are at rounding level, and a coarse
+    error of exactly 0 against a larger fine one is a ``ValueError``.
     """
     if len(grids) < 2:
         raise ValueError("need at least two grids")

@@ -546,6 +546,40 @@ def test_verify_grid_below_minimum_stderr_is_one_line(identity, grid,
                            f"least {minimum} nodes per axis\n")
 
 
+def test_verify_undefined_order_stderr_is_one_line():
+    """Grid 3 has one interior node, where both sides are 0; grid 5 does
+    not, so the RMS error rises from exactly 0 and has no order."""
+    proc = run_cli(["verify", "--surface", "holo_z2", "--identity",
+                    "gradient", "--grid", "3,5"])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: observed order between grids 3 and 5 is "
+                           "undefined: the RMS error is exactly 0 on grid 3 "
+                           "and 0.1035 on grid 5\n")
+
+
+def test_check_optimal_b_fails_on_widely_spread_singular_values(tmp_path):
+    """The large lambda_1^2 block must not freeze the small coupled block
+    that holds the negative eigenvalue."""
+    path = tmp_path / "in.json"
+    write_json(path, {"matrix": [[1e14, 0, 0], [0, 1, 0], [0, 0, 0.5]]})
+    proc = run_cli(["check", "--input", str(path), "--traceless", "false",
+                    "--conditions", "OptimalB"])
+    assert proc.returncode == 1
+    report = json.loads(proc.stdout)["results"][0]["reports"][0]
+    assert report["pass"] is False
+    low = report["details"]["min_eigenvalue"]
+    assert abs(low / -7.0710678118654e13 - 1.0) <= 1e-12
+
+
+def test_region_labels_widely_spread_node_outside():
+    proc = run_cli(["region", "--n", "2", "--m", "2", "--traceless", "false",
+                    "--grid", "0:1e14:2,0:1:2"])
+    assert proc.returncode == 0
+    rows = [row.split(",") for row in proc.stdout.strip().split("\n")[3:]]
+    assert {(row[0], row[1]): row[3] for row in rows}[
+        ("100000000000000.0", "1.0")] == "outside"
+
+
 @pytest.mark.parametrize("argv", [
     ["check", "--input", "in.json"],
     ["rotate", "--input", "in.json", "--seed", "1"],

@@ -392,6 +392,25 @@ def test_block_plan_partitions_and_gram_vanishes_outside(shape):
 
 
 @pytest.mark.parametrize("shape", BLOCK_SHAPES)
+def test_min_eigenvalues_make_one_eigh_call_per_block_size(monkeypatch,
+                                                            shape):
+    calls = []
+    eigh = linalg.jacobi_eigh
+
+    def counting_eigh(a, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, **kwargs)
+
+    monkeypatch.setattr(linalg, "jacobi_eigh", counting_eigh)
+    basis = opt.h_space_basis(*shape)
+    plan = opt.block_plan(*shape)
+    lam = _random_lambdas(np.random.default_rng(22), 10, shape[0])
+    opt._min_eigenvalues(lam, basis, chunk=4)
+    assert calls == [(rows,) + idx.shape + idx.shape[-1:]
+                     for rows in (4, 4, 2) for idx in plan.index]
+
+
+@pytest.mark.parametrize("shape", BLOCK_SHAPES)
 def test_block_path_is_bitwise_the_full_solve(shape):
     n = shape[0]
     basis = opt.h_space_basis(*shape)
