@@ -188,12 +188,24 @@ def cmd_check(args):
 
 
 def _parse_grid_axes(text):
+    """Per-axis (lo, hi, steps) of 'lo:hi:steps,...'; each malformed axis
+    is named with the rule it breaks."""
     axes = []
     for part in text.split(","):
         pieces = part.split(":")
         if len(pieces) != 3:
-            raise ValueError("grid axis must be lo:hi:steps")
-        axes.append((float(pieces[0]), float(pieces[1]), int(pieces[2])))
+            raise ValueError(f"grid axis {part!r} must be lo:hi:steps")
+        try:
+            lo, hi = float(pieces[0]), float(pieces[1])
+        except ValueError:
+            raise ValueError(f"grid axis {part!r} must be lo:hi:steps with "
+                             "numbers lo and hi") from None
+        try:
+            steps = int(pieces[2])
+        except ValueError:
+            raise ValueError(f"grid axis {part!r} must be lo:hi:steps with "
+                             "integer steps") from None
+        axes.append((lo, hi, steps))
     return tuple(axes)
 
 
@@ -391,8 +403,12 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    # An overflow ends as a non-finite result, which strict JSON and the
+    # non-graphic check already turn into exit 2: numpy's warnings about it
+    # would only print above that one-line error.
     try:
-        return args.func(args)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except (ValueError, DomainError, NonGraphicError, OverflowError,
             linalg.ConvergenceError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -43,10 +43,10 @@ def _offdiag_mass(g):
     Summed entry-by-entry (not as total minus diagonal, which cancels
     catastrophically once the off-diagonal part is small).
     """
-    sq = g * g
-    idx = np.arange(g.shape[-1])
-    sq[..., idx, idx] = 0.0
-    return np.sqrt(np.sum(sq, axis=(-2, -1)))
+    sq = np.multiply(g, g, order="C")
+    d = g.shape[-1]
+    sq.reshape(sq.shape[:-2] + (d * d,))[..., :: d + 1] = 0.0  # diagonal
+    return np.sqrt(np.add.reduce(sq, axis=(-2, -1)))
 
 
 def _components(g):
@@ -104,7 +104,7 @@ def _rotate(g, v, p, q, live, skip):
     """
     apq = g[:, p, q]
     active = live & (np.abs(apq) > skip)
-    if not np.any(active):
+    if not active.any():
         return
     c, s = _jacobi_angle(g[:, p, p], g[:, q, q], apq, active)
     _rotate_columns(np.swapaxes(g, 1, 2), p, q, c, s)   # rows p and q
@@ -141,12 +141,12 @@ def jacobi_eigh(a, max_sweeps=MAX_SWEEPS, compute_v=True):
     g = a.reshape((-1, d, d)).copy()
     nb = g.shape[0]
     v = np.tile(np.eye(d), (nb, 1, 1)) if compute_v else None
-    scale = np.maximum(1.0, np.sqrt(np.sum(g * g, axis=(-2, -1))))
+    scale = np.maximum(1.0, np.sqrt(np.add.reduce(g * g, axis=(-2, -1))))
     # Rotations smaller than this cannot affect the convergence target.
     skip = (OFF_DIAG_TOL / (10.0 * max(d, 2))) * scale
     for _ in range(max_sweeps):
         live = _offdiag_mass(g) > OFF_DIAG_TOL * scale
-        if not np.any(live):
+        if not live.any():
             break
         for p in range(d - 1):
             for q in range(p + 1, d):
@@ -174,23 +174,28 @@ def jacobi_svd(a, compute_u=True):
     for any rectangular shape (..., r, c).  Singular values are returned
     descending, length min(r, c).  With ``compute_u=False`` only (s, vt) are
     computed, which skips the null-space completion of u.
+
+    The sweep rotates one buffer (nb, r + c, c) holding [a; I], so each
+    plane rotation updates w (its top r rows) and v (its bottom c rows) in
+    one step.  u is w with normalized columns wherever the r leading
+    columns pass the rank test; only a member with a rank drop, or with
+    r > c, has its u completed by ``complete_orthonormal``.
     """
     a = np.asarray(a, dtype=float)
     r, c = a.shape[-2], a.shape[-1]
     batch_shape = a.shape[:-2]
-    w = a.reshape((-1, r, c)).copy()
-    nb = w.shape[0]
-    v = np.tile(np.eye(c), (nb, 1, 1))
+    wv = np.empty(batch_shape + (r + c, c))
+    wv[..., :r, :] = a
+    wv[..., r:, :] = np.eye(c)
+    wv = wv.reshape((-1, r + c, c))
+    w, v = wv[:, :r], wv[:, r:]
+    nb = wv.shape[0]
 
-    sq_norm = np.sum(w * w, axis=(-2, -1))  # ||a||_F^2 ~ ||a.T a||_F
+    sq_norm = np.add.reduce(w * w, axis=(-2, -1))  # ||a||_F^2 ~ ||a.T a||_F
     gram_scale = np.maximum(1.0, sq_norm)
     # A column left by cancellation (norm ~ u ||a||) shrinks by ~u a sweep
     # and never meets the relative test below; this floor stops it.
     gamma_floor = 1e-32 * sq_norm + 1e-300
-
-    def off_gram(wm):
-        gram = np.einsum("bic,bid->bcd", wm, wm)
-        return _offdiag_mass(gram)
 
     if c > 1:
         converged = False
@@ -205,28 +210,28 @@ def jacobi_svd(a, compute_u=True):
                 for q in range(p + 1, c):
                     wp = w[:, :, p]
                     wq = w[:, :, q]
-                    alpha = np.sum(wp * wp, axis=-1)
-                    beta = np.sum(wq * wq, axis=-1)
-                    gamma = np.sum(wp * wq, axis=-1)
+                    alpha = np.add.reduce(wp * wp, axis=-1)
+                    beta = np.add.reduce(wq * wq, axis=-1)
+                    gamma = np.add.reduce(wp * wq, axis=-1)
                     active = live & (
                         np.abs(gamma) > 1e-14 * np.sqrt(alpha * beta)
                         + gamma_floor
                     )
-                    if not np.any(active):
+                    if not active.any():
                         continue
                     rotated |= active
                     cs, sn = _jacobi_angle(alpha, beta, gamma, active)
-                    _rotate_columns(w, p, q, cs, sn)
-                    _rotate_columns(v, p, q, cs, sn)
+                    _rotate_columns(wv, p, q, cs, sn)
             live = rotated
-            if not np.any(live):
+            if not live.any():
                 converged = True
                 break
         if not converged:
-            residual = np.max(off_gram(w) / gram_scale)
+            gram = np.einsum("bic,bid->bcd", w, w)
+            residual = np.max(_offdiag_mass(gram) / gram_scale)
             raise ConvergenceError("jacobi_svd did not converge", residual)
 
-    norms = np.sqrt(np.sum(w * w, axis=-2))  # (nb, c)
+    norms = np.sqrt(np.add.reduce(w * w, axis=-2))  # (nb, c)
     order = np.argsort(-norms, axis=-1, kind="stable")
     norms = np.take_along_axis(norms, order, axis=-1)
     w = np.take_along_axis(w, order[:, None, :], axis=-1)
@@ -242,13 +247,15 @@ def jacobi_svd(a, compute_u=True):
             vt.reshape(batch_shape + (c, c)),
         )
 
-    u = np.zeros((nb, r, r))
     rank_tol = 1e-13 * np.maximum(norms[:, 0], 1e-300)
-    for b in range(nb):
-        cols = []
-        for j in range(k):
-            if norms[b, j] > rank_tol[b]:
-                cols.append(w[b, :, j] / norms[b, j])
+    full = (norms[:, :k] > rank_tol[:, None]).all(axis=-1) & (k == r)
+    u = np.zeros((nb, r, r))
+    if k == r:
+        np.divide(w[:, :, :r], norms[:, None, :r], out=u,
+                  where=full[:, None, None])
+    for b in np.flatnonzero(~full):
+        cols = [w[b, :, j] / norms[b, j]
+                for j in range(k) if norms[b, j] > rank_tol[b]]
         base = np.array(cols).T if cols else np.zeros((r, 0))
         u[b] = np.hstack([base, complete_orthonormal(base)])
     return (

@@ -125,30 +125,51 @@ def h_space_basis(n, m, traceless) -> HBasis:
     return HBasis(n=n, m=m, traceless=bool(traceless), tensors=tensors)
 
 
+@dataclass(frozen=True)
+class FTerms:
+    """The lambda-independent parts of F(h), for h of shape (..., m, n, n).
+
+    ``norm2`` (...) is |h|^2 and ``cross`` (..., p, p), p = min(n, m),
+    holds sum_k h_{n+i,j,k} h_{n+j,i,k}; F(h) = norm2 + lambda^T cross
+    lambda over the first p singular values.
+    """
+
+    norm2: np.ndarray
+    cross: np.ndarray
+    n: int
+
+
+def f_terms(h) -> FTerms:
+    """The ``FTerms`` of h (or of an object carrying it as ``.h``)."""
+    hv = _tensor_of(h)
+    m, n = hv.shape[-3], hv.shape[-2]
+    p = min(n, m)
+    # einsum accumulates sequentially, so padding a tensor with zero slots
+    # (the 3-d cone reduction) reproduces the smaller evaluation bit for bit.
+    hp = hv[..., :p, :p, :]
+    return FTerms(norm2=np.einsum("...aij,...aij->...", hv, hv),
+                  cross=np.einsum("...ijk,...jik->...ij", hp, hp), n=n)
+
+
 def evaluate_F_direct(lambdas, h):
     """Evaluate F(h) at singular values ``lambdas``.
 
     ``lambdas`` has shape (..., n) and ``h`` shape (..., m, n, n), symmetric
-    in the last two slots; leading axes broadcast.  Reduces to the squared
-    norm of h at lambda = 0.  Signed singular values are accepted (the
-    spectrum of the form only depends on the signs through an isometry).
+    in the last two slots, or ``h`` is its ``FTerms`` (the same bits, without
+    recomputing them); leading axes broadcast.  Reduces to the squared norm
+    of h at lambda = 0.  Signed singular values are accepted (the spectrum
+    of the form only depends on the signs through an isometry).
     """
-    hv = _tensor_of(h)
+    terms = h if isinstance(h, FTerms) else f_terms(h)
     lam = np.asarray(lambdas, dtype=float)
-    m, n = hv.shape[-3], hv.shape[-2]
-    if lam.shape[-1] != n:
+    if lam.shape[-1] != terms.n:
         raise ValueError("lambdas length must match tangent dimension")
-    p = min(n, m)
-    # einsum accumulates sequentially, so padding a tensor with zero slots
-    # (the 3-d cone reduction) reproduces the smaller evaluation bit for bit.
-    s0 = np.einsum("...aij,...aij->...", hv, hv)
-    if p == 0:
-        return float(s0) if np.ndim(s0) == 0 else s0
-    hp = hv[..., :p, :p, :]
-    cross = np.einsum("...ijk,...jik->...ij", hp, hp)
-    lamp = lam[..., :p]
-    quad = np.einsum("...i,...ij,...j->...", lamp, cross, lamp)
-    out = s0 + quad
+    p = terms.cross.shape[-1]
+    out = terms.norm2
+    if p:
+        lamp = lam[..., :p]
+        out = out + np.einsum("...i,...ij,...j->...", lamp, terms.cross,
+                              lamp)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -170,12 +191,14 @@ def _gram_matrix(lams, basis, pair=None):
     """Gram matrices by polarization, batched over leading axes of lams.
 
     ``pair`` holds the sums and differences b_p +- b_q of shape
-    (..., k, k, m, n, n), all pairs of the basis by default; the result has
-    shape lams.shape[:-1] + (..., k, k).
+    (..., k, k, m, n, n), all pairs of the basis by default, or their
+    ``FTerms``; the result has shape lams.shape[:-1] + (..., k, k).
     """
-    sums, diffs = pair if pair is not None else _pair_tensors(basis)
+    sums, diffs = (x if isinstance(x, FTerms) else f_terms(x)
+                   for x in (pair if pair is not None
+                             else _pair_tensors(basis)))
     lam = np.asarray(lams, dtype=float)
-    lamb = lam.reshape(lam.shape[:-1] + (1,) * (sums.ndim - 3)
+    lamb = lam.reshape(lam.shape[:-1] + (1,) * sums.norm2.ndim
                        + lam.shape[-1:])
     g = 0.25 * (evaluate_F_direct(lamb, sums) - evaluate_F_direct(lamb, diffs))
     return 0.5 * (g + np.swapaxes(g, -1, -2))
@@ -187,13 +210,13 @@ class BlockPlan:
 
     ``index[s]`` (nk, k) lists the blocks of one size k, each ascending, in
     order of their first index; together they partition range(dim).
-    ``pairs[s]`` holds the sums and differences b_p +- b_q (nk, k, k, m, n,
-    n) of the in-block pairs that polarization needs.  Every Gram entry
-    between two blocks is exactly zero at every lambda.
+    ``terms[s]`` holds the ``FTerms`` (nk, k, k) of the sums and
+    differences b_p +- b_q of the in-block pairs that polarization needs.
+    Every Gram entry between two blocks is exactly zero at every lambda.
     """
 
     index: tuple
-    pairs: tuple
+    terms: tuple
 
 
 @lru_cache(maxsize=32)
@@ -215,17 +238,17 @@ def block_plan(n, m, traceless) -> BlockPlan:
     by_size = {}
     for idx in linalg._components(link[None]):
         by_size.setdefault(idx.size, []).append(idx)
-    index, pairs = [], []
+    index, terms = [], []
     for k in sorted(by_size):
         idx = np.array(by_size[k])
         tk = basis.tensors[idx]
-        pair = (tk[:, :, None] + tk[:, None, :],
-                tk[:, :, None] - tk[:, None, :])
-        for arr in (idx, *pair):
+        term = (f_terms(tk[:, :, None] + tk[:, None, :]),
+                f_terms(tk[:, :, None] - tk[:, None, :]))
+        for arr in (idx, *(x for t in term for x in (t.norm2, t.cross))):
             arr.flags.writeable = False
         index.append(idx)
-        pairs.append(pair)
-    return BlockPlan(index=tuple(index), pairs=tuple(pairs))
+        terms.append(term)
+    return BlockPlan(index=tuple(index), terms=tuple(terms))
 
 
 def assemble_gram(lambdas, basis: HBasis) -> GramForm:
@@ -257,9 +280,9 @@ def _min_eigenvalues(lams, basis, chunk=4096):
     values = np.empty(lams.shape[0])
     for start in range(0, lams.shape[0], chunk):
         rows = lams[start: start + chunk]
-        lows = [linalg.jacobi_eigh(_gram_matrix(rows, basis, pair=pair),
+        lows = [linalg.jacobi_eigh(_gram_matrix(rows, basis, pair=terms),
                                    compute_v=False)[..., 0].min(axis=-1)
-                for pair in plan.pairs]
+                for terms in plan.terms]
         values[start: start + chunk] = np.min(lows, axis=0)
     return values
 

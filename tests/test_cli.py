@@ -225,6 +225,19 @@ def test_region_empty_grid_exits_2():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("grid, message", [
+    ("0:1:2,0:1:2.5", "grid axis '0:1:2.5' must be lo:hi:steps with integer "
+                      "steps"),
+    ("0:x:2,0:1:2", "grid axis '0:x:2' must be lo:hi:steps with numbers lo "
+                    "and hi"),
+    ("0:1,0:1:2", "grid axis '0:1' must be lo:hi:steps"),
+])
+def test_region_malformed_grid_axis_exits_2(grid, message):
+    proc = run_cli(["region", "--n", "2", "--m", "2", "--grid", grid])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["--grid", "0:nan:3,0:1:3", "--epsilon", "-1"],
     ["--grid", "0:1:3,0:inf:3"],
@@ -510,9 +523,16 @@ def test_non_finite_matrix_exits_2(tmp_path, monkeypatch, capsys, command,
      "'points' must be a list of rows of 2 numbers"),
     ({"matrix": [[float("nan"), 0.5]]}, ["check"],
      "matrix must have finite entries"),
-], ids=["points", "matrix"])
+    ({"matrix": [[1e200, 0.5], [0.3, 1e200]]}, ["check"],
+     "result is not finite (numerical overflow); no JSON written"),
+    ({"matrix": [[1e200, 0.5], [0.3, 1e200]]},
+     ["rotate", "--seed", "1", "--budget", "5"],
+     "no graphic rotation in 5 evaluations (condition number above 1e+12 "
+     "or numerical overflow)"),
+], ids=["points", "matrix", "check-overflow", "rotate-overflow"])
 def test_non_finite_input_stderr_is_one_line(tmp_path, doc, argv, message):
-    """Refused at the input boundary: no numpy warning above the error."""
+    """Refused at the input boundary, or overflowing on the way to a
+    non-finite result: no numpy warning above the error."""
     path = tmp_path / "in.json"
     write_json(path, doc)
     proc = run_cli([*argv, "--input", str(path)])

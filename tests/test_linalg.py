@@ -208,6 +208,46 @@ def test_svd_batch_is_bitwise_equal_to_single():
         assert np.array_equal(vtb[i], vt1)
 
 
+def _mixed_svd_stacks():
+    """Square, tall and wide stacks, each with full-rank and rank-dropping
+    members: a rank-1, a zero and a 1e-17-scaled rank-1 matrix."""
+    rng = np.random.default_rng(31)
+    stacks = {}
+    for name, (r, c) in (("square", (3, 3)), ("tall", (3, 2)),
+                         ("wide", (2, 3))):
+        rank1 = np.outer(rng.normal(size=r), rng.normal(size=c))
+        stacks[name] = np.array([rng.normal(size=(r, c)), rank1,
+                                 np.zeros((r, c)), 1e-17 * rank1,
+                                 rng.normal(size=(r, c)) * 50.0])
+    return stacks
+
+
+# sha256 of the u, s and vt bytes of compute_u=True, then of the s and vt
+# bytes of compute_u=False
+GOLDEN_SVD = {
+    "square": "7375b10336a57a4a5a7b2bbf0b71d6f5"
+              "744197922e86e7d4d96c6a6263c16688",
+    "tall": "490ff2ffc307f1497b223114caea274d"
+            "cefe0c47c64c074776a709f426c9d225",
+    "wide": "d4533a4d4293a7e4cf121c87740c2bd4"
+            "8c044c2c6202ec101bd9cdcb7dab7603",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SVD))
+def test_svd_golden_on_mixed_stacks(name):
+    stack = _mixed_svd_stacks()[name]
+    with_u = linalg.jacobi_svd(stack)
+    without_u = linalg.jacobi_svd(stack, compute_u=False)
+    digest = hashlib.sha256()
+    for arr in (*with_u, *without_u):
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    assert digest.hexdigest() == GOLDEN_SVD[name]
+    for b, member in enumerate(stack):
+        for got, single in zip(with_u, linalg.jacobi_svd(member)):
+            assert np.array_equal(got[b], single)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=10**6))
 def test_eigh_reconstructs_hypothesis(d, seed):

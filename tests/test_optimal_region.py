@@ -377,18 +377,39 @@ def test_block_plan_partitions_and_gram_vanishes_outside(shape):
     flat = np.concatenate([idx.reshape(-1) for idx in plan.index])
     assert sorted(flat.tolist()) == list(range(basis.dim))
     inside = np.zeros((basis.dim, basis.dim), dtype=bool)
-    full_sums, full_diffs = opt._pair_tensors(basis)
-    for idx, (sums, diffs) in zip(plan.index, plan.pairs):
+    full_pair = opt._pair_tensors(basis)
+    for idx, terms in zip(plan.index, plan.terms):
         assert np.all(np.diff(idx, axis=1) > 0)
         cut = (idx[:, :, None], idx[:, None, :])
         inside[cut] = True
-        assert np.array_equal(sums, full_sums[cut])
-        assert np.array_equal(diffs, full_diffs[cut])
-        with pytest.raises(ValueError):
-            sums[(0,) * sums.ndim] = 1.0
+        for full, cached in zip(full_pair, terms):
+            expected = opt.f_terms(full[cut])
+            assert np.array_equal(cached.norm2, expected.norm2)
+            assert np.array_equal(cached.cross, expected.cross)
+            for arr in (cached.norm2, cached.cross):
+                with pytest.raises(ValueError):
+                    arr[(0,) * arr.ndim] = 1.0
     rng = np.random.default_rng(20)
     grams = opt._gram_matrix(rng.uniform(-3.0, 3.0, (40, shape[0])), basis)
     assert np.all(grams[:, ~inside] == 0.0)
+
+
+@pytest.mark.parametrize("shape", BLOCK_SHAPES)
+def test_F_from_cached_terms_is_bitwise_F_of_h(shape):
+    plan = opt.block_plan(*shape)
+    full_pair = opt._pair_tensors(opt.h_space_basis(*shape))
+    lam = _random_lambdas(np.random.default_rng(23), 12, shape[0])
+    lamb = lam.reshape(lam.shape[:1] + (1, 1, 1) + lam.shape[1:])
+    for idx, terms in zip(plan.index, plan.terms):
+        cut = (idx[:, :, None], idx[:, None, :])
+        for full, cached in zip(full_pair, terms):
+            from_h = opt.evaluate_F_direct(lamb, full[cut])
+            from_terms = opt.evaluate_F_direct(lamb, cached)
+            assert np.array_equal(from_terms.view(np.int64),
+                                  from_h.view(np.int64))
+            for row in lam[:4]:
+                assert np.array_equal(opt.evaluate_F_direct(row, cached),
+                                      opt.evaluate_F_direct(row, full[cut]))
 
 
 @pytest.mark.parametrize("shape", BLOCK_SHAPES)
@@ -439,3 +460,42 @@ def test_block_path_reaches_larger_forms(n):
                 + np.einsum("i,j,xijk,yjik->xy", row, row, t, t))
         scale = max(1.0, np.sqrt(np.sum(gram * gram)))
         assert abs(value - np.linalg.eigvalsh(gram)[0]) <= 1e-12 * scale
+
+
+def _search_kernel_calls(monkeypatch, a, target, budget, group):
+    """Calls of jacobi_svd, jacobi_eigh and evaluate_F_direct in a search."""
+    from bernstein_lab import rotations as rot
+
+    counts = {}
+    for owner, name in ((linalg, "jacobi_svd"), (linalg, "jacobi_eigh"),
+                        (opt, "evaluate_F_direct")):
+        def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    rot.search_rotation(a, rot.SearchTarget(kind=target), budget=budget,
+                        seed=5, group=group)
+    return counts
+
+
+# kernel calls of the pointwise searches, recorded before the augmented SVD
+# and the cached F terms: neither may add or remove a call
+SEARCH_KERNEL_CALLS = {
+    "OptimalB": {"jacobi_svd": 818, "jacobi_eigh": 818,
+                 "evaluate_F_direct": 1636},
+    "unitary-TheoremA": {"jacobi_svd": 638, "jacobi_eigh": 1},
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEARCH_KERNEL_CALLS))
+def test_search_kernel_call_counts(monkeypatch, case):
+    rng = np.random.default_rng(40)
+    general = rng.uniform(-1.5, 1.5, (3, 3))
+    sym = 0.5 * (general + general.T)
+    if case == "OptimalB":
+        counts = _search_kernel_calls(monkeypatch, general, "OptimalB", 800,
+                                      "orthogonal")
+    else:
+        counts = _search_kernel_calls(monkeypatch, sym, "TheoremA", 600,
+                                      "unitary")
+    assert counts == SEARCH_KERNEL_CALLS[case]
