@@ -186,11 +186,14 @@ class Condition:
     the ``ConditionReport`` of the n x m differentials ``jacs`` (B, n, m)
     with singular values ``lambdas`` (B, n), zero-padded; each evaluator
     reads the thresholds it needs.  ``square`` restricts the condition to
-    n = m = square.
+    n = m = square.  ``peaks_at_zero(n, m, traceless)`` is True only where a
+    proof bounds every n x m differential's margin by the zero
+    differential's; the rotation search stops once it reaches that margin.
     """
 
     evaluate: Callable
     square: Optional[int] = None
+    peaks_at_zero: Callable = lambda n, m, traceless: False
 
     def applies(self, n, m):
         return self.square is None or n == m == self.square
@@ -203,10 +206,18 @@ def _optimal_b(jacs, lambdas, epsilon, traceless, **_):
                              traceless=traceless)
 
 
+def _optimal_b_peaks_at_zero(n, m, traceless):
+    from .optimal_region import peaks_at_zero
+
+    return peaks_at_zero(n, m, traceless)
+
+
 CONDITIONS = {
+    # the product is >= 0 and star_omega <= 1, also in floating point
     "TheoremA": Condition(
         lambda jacs, lambdas, delta, k_min, **_:
-        check_theorem_a(lambdas, delta, k_min)),
+        check_theorem_a(lambdas, delta, k_min),
+        peaks_at_zero=lambda n, m, traceless: True),
     "JostXin": Condition(lambda jacs, lambdas, **_: check_jost_xin(lambdas)),
     "FC_HJW": Condition(
         lambda jacs, lambdas, **_:
@@ -214,7 +225,7 @@ CONDITIONS = {
     "Hemisphere24": Condition(
         lambda jacs, lambdas, **_:
         check_hemisphere24(_signed_lambdas(jacs, lambdas)), square=2),
-    "OptimalB": Condition(_optimal_b),
+    "OptimalB": Condition(_optimal_b, peaks_at_zero=_optimal_b_peaks_at_zero),
 }
 
 

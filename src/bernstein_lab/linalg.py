@@ -104,13 +104,21 @@ def _rotate(g, v, p, q, live, skip):
     """
     apq = g[:, p, q]
     active = live & (np.abs(apq) > skip)
-    if not active.any():
+    if not np.count_nonzero(active):
         return
     c, s = _jacobi_angle(g[:, p, p], g[:, q, q], apq, active)
     _rotate_columns(np.swapaxes(g, 1, 2), p, q, c, s)   # rows p and q
     _rotate_columns(g, p, q, c, s)
     if v is not None:
         _rotate_columns(v, p, q, c, s)
+
+
+def _permute_columns(x, order):
+    """Member b of x (nb, r, c) with its columns in order[b] (nb, c), by
+    direct indexing: the bits and C-ordered layout of np.take_along_axis."""
+    nb, r = x.shape[:2]
+    return x[np.arange(nb)[:, None, None], np.arange(r)[:, None],
+             order[:, None, :]]
 
 
 def jacobi_eigh(a, max_sweeps=MAX_SWEEPS, compute_v=True):
@@ -146,7 +154,7 @@ def jacobi_eigh(a, max_sweeps=MAX_SWEEPS, compute_v=True):
     skip = (OFF_DIAG_TOL / (10.0 * max(d, 2))) * scale
     for _ in range(max_sweeps):
         live = _offdiag_mass(g) > OFF_DIAG_TOL * scale
-        if not live.any():
+        if not np.count_nonzero(live):
             break
         for p in range(d - 1):
             for q in range(p + 1, d):
@@ -157,12 +165,12 @@ def jacobi_eigh(a, max_sweeps=MAX_SWEEPS, compute_v=True):
             raise ConvergenceError("jacobi_eigh did not converge",
                                    np.max(off / scale))
 
-    w = np.diagonal(g, axis1=-2, axis2=-1).copy()
+    w = np.diagonal(g, axis1=-2, axis2=-1)
     order = np.argsort(w, axis=-1, kind="stable")
-    w = np.take_along_axis(w, order, axis=-1).reshape(batch_shape + (d,))
+    w = w[np.arange(nb)[:, None], order].reshape(batch_shape + (d,))
     if not compute_v:
         return w
-    v = np.take_along_axis(v, order[:, None, :], axis=-1)
+    v = _permute_columns(v, order)
     return w, v.reshape(batch_shape + (d, d))
 
 
@@ -217,13 +225,13 @@ def jacobi_svd(a, compute_u=True):
                         np.abs(gamma) > 1e-14 * np.sqrt(alpha * beta)
                         + gamma_floor
                     )
-                    if not active.any():
+                    if not np.count_nonzero(active):
                         continue
                     rotated |= active
                     cs, sn = _jacobi_angle(alpha, beta, gamma, active)
                     _rotate_columns(wv, p, q, cs, sn)
             live = rotated
-            if not live.any():
+            if not np.count_nonzero(live):
                 converged = True
                 break
         if not converged:
@@ -233,9 +241,9 @@ def jacobi_svd(a, compute_u=True):
 
     norms = np.sqrt(np.add.reduce(w * w, axis=-2))  # (nb, c)
     order = np.argsort(-norms, axis=-1, kind="stable")
-    norms = np.take_along_axis(norms, order, axis=-1)
-    w = np.take_along_axis(w, order[:, None, :], axis=-1)
-    v = np.take_along_axis(v, order[:, None, :], axis=-1)
+    norms = norms[np.arange(nb)[:, None], order]
+    w = _permute_columns(w, order)
+    v = _permute_columns(v, order)
 
     k = min(r, c)
     s = norms[:, :k]

@@ -151,6 +151,22 @@ def f_terms(h) -> FTerms:
                   cross=np.einsum("...ijk,...jik->...ij", hp, hp), n=n)
 
 
+def peaks_at_zero(n, m, traceless) -> bool:
+    """True when F's minimum eigenvalue is at most its value at lambda = 0.
+
+    The certificate is a tensor b of ``h_space_basis(n, m, traceless)`` whose
+    ``f_terms(b).cross`` is all zero: then F(b) = |b|^2 = 1 at every lambda,
+    so the minimum eigenvalue is at most 1, which it equals at lambda = 0.
+    Such a b exists when m > n (a normal direction beyond the first p) or when
+    some basis tensor of a direction a < p has a zero row a: (2, 2) and
+    (1, 2) full, (3, 3) and (2, 3) trace-free.  There is none for (1, 1)
+    full, nor for n = 2 trace-free with m <= 2, where the minimum eigenvalue
+    reaches or passes 1 away from 0.
+    """
+    cross = f_terms(h_space_basis(n, m, traceless).tensors).cross
+    return bool(np.any(~np.any(cross, axis=(-2, -1))))
+
+
 def evaluate_F_direct(lambdas, h):
     """Evaluate F(h) at singular values ``lambdas``.
 

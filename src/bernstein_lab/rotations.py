@@ -16,8 +16,11 @@ symmetry check of the result.
 Both transforms also take a sequence of blocks and solve it as one stack.
 ``search_rotation`` looks for a rotation whose transformed differential
 satisfies a chosen flatness condition, by seeded random restarts followed by
-coordinate descent on single plane-rotation angles.  It never claims
-optimality.
+coordinate descent on single plane-rotation angles.  It claims optimality
+only where the condition proves that no differential beats the zero one
+(``Condition.peaks_at_zero``: TheoremA always, OptimalB on certified
+shapes); there it stops as soon as it reaches that margin.  Otherwise it
+runs until its budget or its restarts run out.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .conditions import ConditionReport, evaluate_condition
+from .conditions import CONDITIONS, ConditionReport, evaluate_condition
 
 COND_MAX = 1e12
 ORTH_TOL = 1e-10
@@ -277,6 +280,18 @@ class SearchTarget:
                                   k_min=self.k_min, epsilon=self.epsilon,
                                   traceless=self.traceless)
 
+    def ceiling(self, n, m):
+        """The margin no n x m differential can exceed, or inf if unproven.
+
+        It is the zero differential's margin where the condition's
+        ``peaks_at_zero`` holds.  Evaluating the zero differential first
+        raises whatever error an n x m evaluation would.
+        """
+        zero = self.report(np.zeros((n, m))).margin
+        if CONDITIONS[self.kind].peaks_at_zero(n, m, self.traceless):
+            return zero
+        return np.inf
+
 
 @dataclass(frozen=True)
 class SearchOutcome:
@@ -316,8 +331,10 @@ def search_rotation(a_matrix, target: SearchTarget, budget, seed,
     flattening rotation, then seeded random elements), each followed by
     coordinate descent that perturbs one plane-rotation angle at a time and
     accepts on improvement, with a shrinking step.  ``budget`` caps the total
-    number of condition evaluations.  Fully deterministic given
-    (a_matrix, target, budget, seed).
+    number of condition evaluations.  The search also stops at the first
+    evaluation whose margin reaches ``target.ceiling(n, m)``, a certified
+    optimum: nothing after it could improve the outcome.  Fully
+    deterministic given (a_matrix, target, budget, seed).
 
     A move's +step and -step candidates are evaluated as one batch (one
     transform, SVD and condition call) and consumed in that order, so the
@@ -334,8 +351,14 @@ def search_rotation(a_matrix, target: SearchTarget, budget, seed,
             raise ValueError("unitary search requires n == m")
         _require_symmetric(a)
     d = n + m if group == "orthogonal" else n
+    ceiling = target.ceiling(n, m)
 
     state = {"evals": 0, "best": None, "trace": []}
+
+    def spent():
+        """The budget is used up, or a consumed margin reached the ceiling."""
+        return state["evals"] >= budget or (
+            state["best"] is not None and state["best"][0] >= ceiling)
 
     def solve(cands):
         """(report, transformed) of each candidate, None where it is not
@@ -413,18 +436,18 @@ def search_rotation(a_matrix, target: SearchTarget, budget, seed,
 
     def descend(g):
         """Coordinate descent from g; each move is its +step and -step pair,
-        cut at the remaining budget and evaluated as one batch."""
-        if state["evals"] >= budget:
-            return
+        cut at the remaining budget and evaluated as one batch.  A +step
+        that reaches the ceiling is an improvement, so its -step is never
+        consumed."""
         margin = next(evaluate([g]))
         step = np.pi / 8.0
         plan = moves()
-        while step > 1e-3 and state["evals"] < budget:
+        while step > 1e-3:
             improved = False
             for p, q, mode in plan:
-                signs = (1.0, -1.0)[: budget - state["evals"]]
-                if not signs:
+                if spent():
                     return
+                signs = (1.0, -1.0)[: budget - state["evals"]]
                 cands = [perturb(g, p, q, sign * step, mode)
                          for sign in signs]
                 for cand, value in zip(cands, evaluate(cands)):
@@ -452,7 +475,7 @@ def search_rotation(a_matrix, target: SearchTarget, budget, seed,
             starts.append(random_unitary(n, sub))
 
     for g0 in starts:
-        if state["evals"] >= budget:
+        if spent():
             break
         descend(g0)
 

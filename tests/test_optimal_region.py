@@ -478,12 +478,14 @@ def _search_kernel_calls(monkeypatch, a, target, budget, group):
     return counts
 
 
-# kernel calls of the pointwise searches, recorded before the augmented SVD
-# and the cached F terms: neither may add or remove a call
+# kernel calls of the pointwise searches, both stopped at their certified
+# ceiling before the budget: each batch is one transform SVD and one
+# singular-value SVD, plus for OptimalB two block eigensolves of two F
+# calls each; the ceiling's zero differential adds one evaluation
 SEARCH_KERNEL_CALLS = {
-    "OptimalB": {"jacobi_svd": 818, "jacobi_eigh": 818,
-                 "evaluate_F_direct": 1636},
-    "unitary-TheoremA": {"jacobi_svd": 638, "jacobi_eigh": 1},
+    "OptimalB": {"jacobi_svd": 665, "jacobi_eigh": 666,
+                 "evaluate_F_direct": 1332},
+    "unitary-TheoremA": {"jacobi_svd": 329, "jacobi_eigh": 1},
 }
 
 

@@ -4,8 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bernstein_lab import optimal_region as opt
 from bernstein_lab import rotations as rot
+from bernstein_lab.conditions import check_theorem_a
 
 
 def rotation_block(theta):
@@ -219,6 +223,111 @@ def test_search_on_cone_differential_recorded():
     assert np.isfinite(out.report.margin) or out.report.margin == -np.inf
     print(f"cone differential search margin (diagnostic): "
           f"{out.report.margin:.4f}")
+
+
+# ---------------------------------------------------------------------------
+# certified ceiling
+
+# (n, m, traceless) where OptimalB's minimum eigenvalue is certified to peak
+# at lambda = 0, and where it reaches or passes that value elsewhere
+CERTIFIED = [(3, 3, True), (2, 3, True), (2, 2, False), (1, 2, False)]
+NOT_CERTIFIED = [(1, 1, False), (2, 1, True), (2, 2, True)]
+
+
+@pytest.mark.parametrize("n, m, traceless", CERTIFIED)
+def test_optimal_b_ceiling_is_certified(n, m, traceless):
+    assert opt.peaks_at_zero(n, m, traceless)
+    target = rot.SearchTarget("OptimalB", epsilon=1e-3, traceless=traceless)
+    zero = target.report(np.zeros((n, m)))
+    assert target.ceiling(n, m) == zero.margin
+    assert abs(zero.details["min_eigenvalue"] - 1.0) <= opt.EIG_TOL
+
+
+@pytest.mark.parametrize("n, m, traceless", NOT_CERTIFIED)
+def test_optimal_b_ceiling_is_not_certified(n, m, traceless):
+    assert not opt.peaks_at_zero(n, m, traceless)
+    target = rot.SearchTarget("OptimalB", epsilon=1e-3, traceless=traceless)
+    assert target.ceiling(n, m) == np.inf
+    # away from 0 the minimum eigenvalue is not below its value there
+    a = np.zeros((n, m))
+    a[0, 0] = 0.8
+    assert target.report(a).details["min_eigenvalue"] >= 1.0 - opt.EIG_TOL
+
+
+def test_theorem_a_ceiling_is_the_zero_margin():
+    target = rot.SearchTarget("TheoremA", delta=0.2, k_min=0.4)
+    for n, m in [(1, 1), (2, 3), (3, 2)]:
+        assert target.ceiling(n, m) == min(1.0 - 0.2, 1.0 - 0.4)
+    assert rot.SearchTarget("JostXin").ceiling(2, 2) == np.inf
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CERTIFIED),
+       st.lists(st.floats(0.0, 3.0), min_size=3, max_size=3))
+def test_no_singular_values_beat_the_ceiling(shape, values):
+    n, m, traceless = shape
+    lam = np.zeros(n)
+    lam[: min(n, m)] = values[: min(n, m)]
+    theorem_a = rot.SearchTarget("TheoremA", delta=0.1, k_min=0.1)
+    for scale in (1.0, 1e3):
+        margin = check_theorem_a(lam * scale, 0.1, 0.1).margin
+        assert margin <= theorem_a.ceiling(n, m)
+    optimal_b = rot.SearchTarget("OptimalB", epsilon=1e-3,
+                                 traceless=traceless)
+    margin = opt.optimal_condition(lam, m, epsilon=1e-3,
+                                   traceless=traceless).margin
+    assert margin <= optimal_b.ceiling(n, m) + opt.EIG_TOL
+
+
+def test_uncertified_search_runs_its_whole_budget():
+    target = rot.SearchTarget("OptimalB", epsilon=1e-3, traceless=False)
+    out = rot.search_rotation([[0.7]], target, budget=120, seed=4)
+    assert out.evaluations == 120
+    assert out.report.margin > 1.0 - 1e-3
+
+
+def _one_at_a_time(monkeypatch, transform):
+    """Make every stacked transform of more than one candidate fail, so the
+    search solves each candidate alone as it consumes it."""
+    real = getattr(rot, transform)
+
+    def single(a_matrix, blocks):
+        if len(blocks) > 1:
+            raise rot.linalg.ConvergenceError("stacked SVD", 1.0)
+        return real(a_matrix, blocks)
+
+    monkeypatch.setattr(rot, transform, single)
+
+
+@pytest.mark.parametrize("group", ["orthogonal", "unitary"])
+def test_search_stopped_at_ceiling_equals_search_with_that_budget(
+        monkeypatch, group):
+    a = np.random.default_rng(40).uniform(-1.5, 1.5, (3, 3))
+    if group == "orthogonal":
+        target = rot.SearchTarget("OptimalB", epsilon=1e-3)
+        budget = 800
+    else:
+        a = 0.5 * (a + a.T)
+        target = rot.SearchTarget("TheoremA", delta=0.1, k_min=0.1)
+        budget = 600
+    stopped = rot.search_rotation(a, target, budget=budget, seed=5,
+                                  group=group)
+    k = stopped.evaluations
+    assert k < budget
+    assert k == stopped.objective_trace[-1][0]
+    assert stopped.report.margin >= target.ceiling(3, 3)
+
+    def same(out):
+        assert out.best_g.matrix.tobytes() == stopped.best_g.matrix.tobytes()
+        assert out.transformed.tobytes() == stopped.transformed.tobytes()
+        assert out.report == stopped.report
+        assert out.objective_trace == stopped.objective_trace
+        assert out.evaluations == k
+
+    same(rot.search_rotation(a, target, budget=k, seed=5, group=group))
+    _one_at_a_time(monkeypatch, "transform_graph" if group == "orthogonal"
+                   else "lagrangian_transform")
+    same(rot.search_rotation(a, target, budget=budget, seed=5, group=group))
 
 
 # ---------------------------------------------------------------------------
