@@ -115,10 +115,10 @@ def _rotate(g, v, p, q, live, skip):
 
 def _permute_columns(x, order):
     """Member b of x (nb, r, c) with its columns in order[b] (nb, c), by
-    direct indexing: the bits and C-ordered layout of np.take_along_axis."""
-    nb, r = x.shape[:2]
-    return x[np.arange(nb)[:, None, None], np.arange(r)[:, None],
-             order[:, None, :]]
+    gathering whole columns: the bits and C-ordered layout of
+    np.take_along_axis."""
+    cols = np.swapaxes(x, 1, 2)[np.arange(x.shape[0])[:, None], order]
+    return np.ascontiguousarray(np.swapaxes(cols, 1, 2))
 
 
 def jacobi_eigh(a, max_sweeps=MAX_SWEEPS, compute_v=True):
@@ -188,22 +188,33 @@ def jacobi_svd(a, compute_u=True):
     one step.  u is w with normalized columns wherever the r leading
     columns pass the rank test; only a member with a rank drop, or with
     r > c, has its u completed by ``complete_orthonormal``.
+
+    Each member is scaled by a power of two before the sweep, so the result
+    does not depend on its scale: for 2^k a, s is 2^k times a's and u, vt
+    are a's, bit for bit, wherever no value under- or overflows.
     """
     a = np.asarray(a, dtype=float)
     r, c = a.shape[-2], a.shape[-1]
     batch_shape = a.shape[:-2]
-    wv = np.empty(batch_shape + (r + c, c))
-    wv[..., :r, :] = a
-    wv[..., r:, :] = np.eye(c)
-    wv = wv.reshape((-1, r + c, c))
+    a = a.reshape((-1, r, c))
+    nb = a.shape[0]
+    # Each member is scaled by 2^-e to max|a| in [0.5, 1): exact, and every
+    # test below is relative, so no rotation changes, but the squared column
+    # norms of tiny or huge members stay in range.  s is scaled back.  The
+    # max runs down a C-ordered (r c, nb) copy: reducing the short trailing
+    # axes of a large batch is about ten times slower.
+    big = np.abs(a.reshape(nb, r * c).T, order="C").max(axis=0, initial=0.0)
+    _, e = np.frexp(big)
+    wv = np.empty((nb, r + c, c))
+    np.ldexp(a, -e[:, None, None], out=wv[:, :r, :])
+    wv[:, r:, :] = np.eye(c)
     w, v = wv[:, :r], wv[:, r:]
-    nb = wv.shape[0]
 
     sq_norm = np.add.reduce(w * w, axis=(-2, -1))  # ||a||_F^2 ~ ||a.T a||_F
     gram_scale = np.maximum(1.0, sq_norm)
     # A column left by cancellation (norm ~ u ||a||) shrinks by ~u a sweep
     # and never meets the relative test below; this floor stops it.
-    gamma_floor = 1e-32 * sq_norm + 1e-300
+    gamma_floor = 1e-32 * sq_norm
 
     if c > 1:
         converged = False
@@ -246,7 +257,7 @@ def jacobi_svd(a, compute_u=True):
     v = _permute_columns(v, order)
 
     k = min(r, c)
-    s = norms[:, :k]
+    s = np.ldexp(norms[:, :k], e[:, None])
     vt = np.swapaxes(v, -2, -1)
 
     if not compute_u:
@@ -255,7 +266,7 @@ def jacobi_svd(a, compute_u=True):
             vt.reshape(batch_shape + (c, c)),
         )
 
-    rank_tol = 1e-13 * np.maximum(norms[:, 0], 1e-300)
+    rank_tol = 1e-13 * norms[:, 0]
     full = (norms[:, :k] > rank_tol[:, None]).all(axis=-1) & (k == r)
     u = np.zeros((nb, r, r))
     if k == r:

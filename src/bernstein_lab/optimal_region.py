@@ -159,10 +159,16 @@ def peaks_at_zero(n, m, traceless) -> bool:
     so the minimum eigenvalue is at most 1, which it equals at lambda = 0.
     Such a b exists when m > n (a normal direction beyond the first p) or when
     some basis tensor of a direction a < p has a zero row a: (2, 2) and
-    (1, 2) full, (3, 3) and (2, 3) trace-free.  There is none for (1, 1)
-    full, nor for n = 2 trace-free with m <= 2, where the minimum eigenvalue
-    reaches or passes 1 away from 0.
+    (1, 2) full, (3, 3) and (2, 3) trace-free.  For n = 2 trace-free with
+    m >= 2 the certificate is the completed square
+    (``two_d_completed_square``): F(h) - |h|^2 is a sum of two squares of
+    linear forms in h, and some nonzero h of the 2m >= 4 dimensional space
+    zeroes both, so again the minimum is at most 1.  There is none for
+    (1, 1) full, nor for (2, 1) trace-free, where the minimum eigenvalue
+    passes 1 away from 0.
     """
+    if n == 2 and traceless and m >= 2:
+        return True
     cross = f_terms(h_space_basis(n, m, traceless).tensors).cross
     return bool(np.any(~np.any(cross, axis=(-2, -1))))
 

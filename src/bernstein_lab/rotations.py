@@ -16,7 +16,8 @@ symmetry check of the result.
 Both transforms also take a sequence of blocks and solve it as one stack.
 ``search_rotation`` looks for a rotation whose transformed differential
 satisfies a chosen flatness condition, by seeded random restarts followed by
-coordinate descent on single plane-rotation angles.  It claims optimality
+coordinate descent on single plane-rotation angles; the candidates of the
+rest of a descent pass go through one such stack.  It claims optimality
 only where the condition proves that no differential beats the zero one
 (``Condition.peaks_at_zero``: TheoremA always, OptimalB on certified
 shapes); there it stops as soon as it reaches that margin.  Otherwise it
@@ -25,6 +26,7 @@ runs until its budget or its restarts run out.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -176,7 +178,7 @@ def transform_graph(a_matrix, g):
     blocks = [b.graph_blocks() for b in ([g] if single else g)]
     if any((p.shape[0], s.shape[0]) != (n, m) for p, _, _, s in blocks):
         raise ValueError("block shapes do not match the matrix")
-    scale = float(np.sqrt(n + np.sum(a * a)))
+    scale = math.hypot(*a.ravel(), *[1.0] * n)   # no square overflows
     out = _svd_solve([p + a @ r for p, _, r, _ in blocks],
                      [q + a @ s for _, q, _, s in blocks], scale)
     return _one(out[0]) if single else out
@@ -336,9 +338,10 @@ def search_rotation(a_matrix, target: SearchTarget, budget, seed,
     optimum: nothing after it could improve the outcome.  Fully
     deterministic given (a_matrix, target, budget, seed).
 
-    A move's +step and -step candidates are evaluated as one batch (one
-    transform, SVD and condition call) and consumed in that order, so the
-    outcome is the bits of evaluating them one at a time.
+    The rest of each descent pass, the +step and -step candidates of every
+    remaining move, is evaluated as one batch (one transform, SVD and
+    condition call) and consumed in order until the first improvement, so
+    the outcome is the bits of evaluating the candidates one at a time.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -408,9 +411,11 @@ def search_rotation(a_matrix, target: SearchTarget, budget, seed,
                 state["trace"].append((state["evals"], float(margin)))
             yield margin
 
-    def perturb(g, p, q, angle, mode=0):
-        """g times the plane rotation of ``moves``' (p, q, mode) by angle:
-        real (mode 0), imaginary (mode 1), or a phase on axis p (mode 2)."""
+    def perturb(g, move, angle):
+        """g times the plane rotation of a ``moves`` entry (p, q, mode) by
+        angle: real (mode 0), imaginary (mode 1), or a phase on axis p
+        (mode 2)."""
+        p, q, mode = move
         c, s = np.cos(angle), np.sin(angle)
         rot = np.eye(d, dtype=float if group == "orthogonal" else complex)
         if mode == 2:
@@ -435,25 +440,30 @@ def search_rotation(a_matrix, target: SearchTarget, budget, seed,
         return out
 
     def descend(g):
-        """Coordinate descent from g; each move is its +step and -step pair,
-        cut at the remaining budget and evaluated as one batch.  A +step
-        that reaches the ceiling is an improvement, so its -step is never
-        consumed."""
+        """Coordinate descent from g.  The rest of a pass -- the +step and
+        -step candidates of every remaining move, built from the current g
+        and cut at the remaining budget -- is evaluated as one batch and
+        consumed in order (+ then - for each move).  An improvement drops
+        the rest of the batch, and the pass goes on from the next move with
+        the new g.  Only the batch's start can find the search spent: inside
+        it the cut ends it at the budget, and a member that reaches the
+        ceiling is an improvement."""
         margin = next(evaluate([g]))
         step = np.pi / 8.0
         plan = moves()
         while step > 1e-3:
             improved = False
-            for p, q, mode in plan:
+            start = 0
+            while start < len(plan):
                 if spent():
                     return
-                signs = (1.0, -1.0)[: budget - state["evals"]]
-                cands = [perturb(g, p, q, sign * step, mode)
-                         for sign in signs]
-                for cand, value in zip(cands, evaluate(cands)):
+                rest = [(k, sign) for k in range(start, len(plan))
+                        for sign in (1.0, -1.0)][: budget - state["evals"]]
+                cands = [perturb(g, plan[k], sign * step) for k, sign in rest]
+                start = len(plan)
+                for (k, _), cand, value in zip(rest, cands, evaluate(cands)):
                     if value > margin:
-                        g, margin = cand, value
-                        improved = True
+                        g, margin, improved, start = cand, value, True, k + 1
                         break
             if not improved:
                 step /= 2.0

@@ -152,6 +152,33 @@ ROTATE_GOLDEN = {
         ["--target", "TheoremA", "--budget", "120", "--seed", "2"],
         "05ef9910ae679c34741f1fc5e2a74a7f"
         "7be368e39da691d4e936cd5da077d0cb"),
+    # recorded with one batch per move, at the edges of a whole-pass batch:
+    # an improvement on the last move of a pass (evaluation 18 of 19), a
+    # budget that ends on a +step member in the middle of a pass, the
+    # certified stop at the -step member of a pass's third move, and a
+    # unitary search that improves on phase moves and ends mid-pass
+    "orthogonal-theorema-2x3-last-move-improvement": (
+        np.random.default_rng(32).uniform(-1.5, 1.5, (2, 3)).tolist(),
+        ["--target", "TheoremA", "--budget", "19", "--seed", "6"],
+        "2cc8d7eaf03e31dec3460e6aedb834db"
+        "2cc6d01c08f9832ede95218ab1246629"),
+    "orthogonal-theorema-2x3-mid-pass-mid-move": (
+        np.random.default_rng(32).uniform(-1.5, 1.5, (2, 3)).tolist(),
+        ["--target", "TheoremA", "--budget", "100", "--seed", "6"],
+        "cc525208fdc393bd39aa426ee7d5f463"
+        "7be2259f5fa1b71736e5ef51f2c82e70"),
+    "orthogonal-optimalb-3x3-ceiling-in-batch": (
+        [[float(np.tan(np.pi / 8)), 0.2, 0.0], [0.0, 0.3, 0.0],
+         [0.0, 0.0, 0.0]],
+        ["--target", "OptimalB", "--budget", "800", "--seed", "5"],
+        "ecb0aa45bf10525074df3c553c666ae2"
+        "478f35b48534d732805d065e60ca954b"),
+    "unitary-theorema-3x3-phase-moves": (
+        _symmetric(53),
+        ["--target", "TheoremA", "--group", "unitary", "--budget", "150",
+         "--seed", "7"],
+        "b2d50760bf59bc1a204510e57776e0f1"
+        "634e769b87edb028704fd081c9f5becb"),
 }
 
 
@@ -589,6 +616,22 @@ def test_check_optimal_b_fails_on_widely_spread_singular_values(tmp_path):
     assert report["pass"] is False
     low = report["details"]["min_eigenvalue"]
     assert abs(low / -7.0710678118654e13 - 1.0) <= 1e-12
+
+
+def test_check_answers_on_tiny_entries(tmp_path, monkeypatch, capsys):
+    # entries near 1e-100 once made jacobi_svd's squared column norms
+    # underflow, and check exited 2 with "jacobi_svd did not converge"
+    matrix = [[1e-100, 2e-100, 0], [0.5e-100, 1e-100, 3e-100],
+              [1e-100, 0, 1e-100]]
+    code, out, err = _main_in(tmp_path, monkeypatch, capsys,
+                              {"m.json": {"matrix": matrix}},
+                              ["check", "--input", "m.json"])
+    assert (code, err) == (0, "")
+    reports = {r["condition"]: r
+               for r in json.loads(out)["results"][0]["reports"]}
+    assert reports["TheoremA"]["margin"] == 0.9
+    assert reports["TheoremA"]["details"]["star_omega"] == 1.0
+    assert reports["OptimalB"]["pass"] is True
 
 
 def test_region_labels_widely_spread_node_outside():

@@ -4,7 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bernstein_lab import linalg
@@ -246,6 +246,57 @@ def test_svd_golden_on_mixed_stacks(name):
     for b, member in enumerate(stack):
         for got, single in zip(with_u, linalg.jacobi_svd(member)):
             assert np.array_equal(got[b], single)
+
+
+@pytest.mark.parametrize("nb, r, c", [(1, 1, 1), (1, 3, 3), (5, 2, 4),
+                                      (7, 4, 2), (300, 6, 3)])
+def test_permute_columns_is_take_along_axis(nb, r, c):
+    rng = np.random.default_rng(nb + r + c)
+    buffer = rng.normal(size=(nb, r + c, c))
+    order = np.argsort(rng.random((nb, c)), axis=-1, kind="stable")
+    for x in (buffer[:, :r], buffer[:, r:], buffer[:, :r].copy()):
+        got = linalg._permute_columns(x, order)
+        ref = np.take_along_axis(x, order[:, None, :], axis=2)
+        assert got.flags.c_contiguous and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+
+def _scales_exactly(x, k):
+    """2^k x holds no subnormal or infinite value where x is not zero."""
+    scaled = np.abs(np.ldexp(x, k))
+    return bool(np.all((x == 0.0) | ((scaled >= np.finfo(float).tiny)
+                                     & np.isfinite(scaled))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(-1000, 1000),
+       st.lists(st.floats(-2.0, 2.0, allow_subnormal=False), min_size=16,
+                max_size=16))
+def test_svd_of_power_of_two_multiple_scales_s_only(r, c, k, entries):
+    # the prescale makes jacobi_svd(2^k a) exactly 2^k s with a's u and vt,
+    # wherever neither 2^k a nor 2^k s holds a subnormal or infinite value
+    a = np.array(entries[: r * c]).reshape(r, c)
+    u, s, vt = linalg.jacobi_svd(a)
+    assume(_scales_exactly(a, k) and _scales_exactly(s, k))
+    assume(_scales_exactly(s, 0))
+    scaled = np.ldexp(a, k)
+    u2, s2, vt2 = linalg.jacobi_svd(scaled)
+    assert u2.tobytes() == u.tobytes()
+    assert vt2.tobytes() == vt.tobytes()
+    assert s2.tobytes() == np.ldexp(s, k).tobytes()
+    stack = linalg.jacobi_svd(np.array([a, scaled]), compute_u=False)
+    assert stack[0][1].tobytes() == s2.tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-100, 1e-90, 1e200, 1e300])
+def test_svd_answers_at_extreme_scales(scale):
+    # below about 1e-77 the squared column norms underflowed and the sweep
+    # never converged; above about 1e154 they overflowed
+    a = np.random.default_rng(41).uniform(-1.5, 1.5, (3, 3))
+    u, s, vt = linalg.jacobi_svd(a * scale)
+    ref = np.linalg.svd(a, compute_uv=False)
+    assert np.allclose(s / scale, ref, rtol=1e-13, atol=0.0)
+    assert np.allclose(u @ np.diag(s / scale) @ vt, a, atol=1e-13)
 
 
 @settings(max_examples=50, deadline=None)

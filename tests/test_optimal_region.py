@@ -479,13 +479,15 @@ def _search_kernel_calls(monkeypatch, a, target, budget, group):
 
 
 # kernel calls of the pointwise searches, both stopped at their certified
-# ceiling before the budget: each batch is one transform SVD and one
-# singular-value SVD, plus for OptimalB two block eigensolves of two F
-# calls each; the ceiling's zero differential adds one evaluation
+# ceiling before the budget: each batch (a restart's start, or the rest of
+# a descent pass) is one transform SVD and one singular-value SVD, plus for
+# OptimalB two block eigensolves of two F calls each; the ceiling's zero
+# differential adds one evaluation, and the unitary search's one eigensolve
+# builds its flattening start
 SEARCH_KERNEL_CALLS = {
-    "OptimalB": {"jacobi_svd": 665, "jacobi_eigh": 666,
-                 "evaluate_F_direct": 1332},
-    "unitary-TheoremA": {"jacobi_svd": 329, "jacobi_eigh": 1},
+    "OptimalB": {"jacobi_svd": 125, "jacobi_eigh": 126,
+                 "evaluate_F_direct": 252},
+    "unitary-TheoremA": {"jacobi_svd": 105, "jacobi_eigh": 1},
 }
 
 

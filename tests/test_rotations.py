@@ -230,8 +230,9 @@ def test_search_on_cone_differential_recorded():
 
 # (n, m, traceless) where OptimalB's minimum eigenvalue is certified to peak
 # at lambda = 0, and where it reaches or passes that value elsewhere
-CERTIFIED = [(3, 3, True), (2, 3, True), (2, 2, False), (1, 2, False)]
-NOT_CERTIFIED = [(1, 1, False), (2, 1, True), (2, 2, True)]
+CERTIFIED = [(3, 3, True), (2, 3, True), (2, 2, True), (2, 2, False),
+             (1, 2, False)]
+NOT_CERTIFIED = [(1, 1, False), (2, 1, True)]
 
 
 @pytest.mark.parametrize("n, m, traceless", CERTIFIED)
@@ -279,6 +280,40 @@ def test_no_singular_values_beat_the_ceiling(shape, values):
     assert margin <= optimal_b.ceiling(n, m) + opt.EIG_TOL
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4), st.lists(st.floats(0.0, 5.0), min_size=2,
+                                   max_size=2))
+def test_two_dimensional_trace_free_minimum_is_one(m, values):
+    # the completed square: the minimum eigenvalue is 1 at every lambda, so
+    # it neither passes the ceiling nor falls below it beyond EIG_TOL
+    target = rot.SearchTarget("OptimalB", epsilon=1e-3, traceless=True)
+    margin = opt.optimal_condition(np.array(values), m, epsilon=1e-3,
+                                   traceless=True).margin
+    assert abs(margin - target.ceiling(2, m)) <= opt.EIG_TOL
+
+
+def test_two_by_two_trace_free_search_stops_at_its_ceiling():
+    # without the completed-square certificate this search used all 800
+    # evaluations climbing on rounding noise, from 0.999 to 0.999000000000177
+    a = np.random.default_rng(3).uniform(-1.5, 1.5, (2, 2))
+    target = rot.SearchTarget("OptimalB", epsilon=1e-3, traceless=True)
+    out = rot.search_rotation(a, target, budget=800, seed=5)
+    assert out.evaluations <= 5
+    assert out.evaluations == out.objective_trace[-1][0]
+    assert out.report.margin >= target.ceiling(2, 2)
+    assert abs(out.report.margin - (1.0 - 1e-3)) <= opt.EIG_TOL
+
+
+def test_search_on_a_huge_differential_reaches_its_ceiling():
+    # the squares of entries near 1e160 overflow, the norm of [I | A] that
+    # the graphic test divides does not
+    a = np.random.default_rng(2).uniform(-1.0, 1.0, (2, 3)) * 1e160
+    target = rot.SearchTarget("OptimalB", epsilon=1e-3)
+    with np.errstate(over="ignore"):    # as the command line runs it
+        out = rot.search_rotation(a, target, budget=800, seed=5)
+    assert out.report.margin >= target.ceiling(2, 3)
+
+
 def test_uncertified_search_runs_its_whole_budget():
     target = rot.SearchTarget("OptimalB", epsilon=1e-3, traceless=False)
     out = rot.search_rotation([[0.7]], target, budget=120, seed=4)
@@ -288,15 +323,19 @@ def test_uncertified_search_runs_its_whole_budget():
 
 def _one_at_a_time(monkeypatch, transform):
     """Make every stacked transform of more than one candidate fail, so the
-    search solves each candidate alone as it consumes it."""
+    search solves each candidate alone as it consumes it.  Returns the list
+    of the failed batch sizes, filled as the search runs."""
     real = getattr(rot, transform)
+    failed = []
 
     def single(a_matrix, blocks):
         if len(blocks) > 1:
+            failed.append(len(blocks))
             raise rot.linalg.ConvergenceError("stacked SVD", 1.0)
         return real(a_matrix, blocks)
 
     monkeypatch.setattr(rot, transform, single)
+    return failed
 
 
 @pytest.mark.parametrize("group", ["orthogonal", "unitary"])
@@ -325,9 +364,11 @@ def test_search_stopped_at_ceiling_equals_search_with_that_budget(
         assert out.evaluations == k
 
     same(rot.search_rotation(a, target, budget=k, seed=5, group=group))
-    _one_at_a_time(monkeypatch, "transform_graph" if group == "orthogonal"
-                   else "lagrangian_transform")
+    failed = _one_at_a_time(monkeypatch, "transform_graph"
+                            if group == "orthogonal" else "lagrangian_transform")
     same(rot.search_rotation(a, target, budget=budget, seed=5, group=group))
+    # whole-pass batches, longer than one move's pair, fell back
+    assert max(failed) > 2
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +428,8 @@ def test_report_batch_equals_single_reports():
 
 
 def test_stored_error_of_a_later_member_is_not_raised(monkeypatch):
-    """A move whose -step member would raise is harmless once its +step
-    member improves: the search stops consuming the batch there."""
+    """Members after an improvement are harmless even if they would raise:
+    the search stops consuming a pass's batch at its first improvement."""
     a = np.diag([3.0, -2.0])
     target = rot.SearchTarget(kind="TheoremA", delta=0.5, k_min=0.5)
     reference = rot.search_rotation(a, target, budget=50, seed=1,
@@ -399,11 +440,13 @@ def test_stored_error_of_a_later_member_is_not_raised(monkeypatch):
 
     def transform(a_matrix, blocks):
         out = real(a_matrix, blocks)
-        # the move whose +step member is the best rotation: its -step member
-        # is never consumed
-        if len(out) == 2 and blocks[0].matrix.tobytes() == best:
-            armed.append(out)
-            out[1] = AssertionError("later member would raise")
+        # the pass batch whose improving member is the best rotation: every
+        # member after that one is never consumed
+        hits = [k for k, b in enumerate(blocks) if b.matrix.tobytes() == best]
+        if hits and hits[0] + 1 < len(out):
+            armed.append(len(out) - hits[0] - 1)
+            for k in range(hits[0] + 1, len(out)):
+                out[k] = AssertionError("later member would raise")
         return out
 
     monkeypatch.setattr(rot, "lagrangian_transform", transform)
@@ -435,18 +478,10 @@ def test_unconverged_batch_falls_back_to_single_candidates(monkeypatch):
     a = rng.normal(size=(2, 2))
     target = rot.SearchTarget(kind="TheoremA", delta=0.3, k_min=0.3)
     reference = rot.search_rotation(a, target, budget=80, seed=3)
-    real = rot.transform_graph
-    fails = {"n": 0}
-
-    def transform(a_matrix, blocks):
-        if len(blocks) > 1:
-            fails["n"] += 1
-            raise rot.linalg.ConvergenceError("stacked SVD", 1.0)
-        return real(a_matrix, blocks)
-
-    monkeypatch.setattr(rot, "transform_graph", transform)
+    failed = _one_at_a_time(monkeypatch, "transform_graph")
     got = rot.search_rotation(a, target, budget=80, seed=3)
-    assert fails["n"] > 0
+    # whole-pass batches, longer than one move's pair, fell back
+    assert max(failed) > 2
     assert got.objective_trace == reference.objective_trace
     assert got.evaluations == reference.evaluations
     assert got.best_g.matrix.tobytes() == reference.best_g.matrix.tobytes()
