@@ -140,6 +140,10 @@ def jacobi_eigh(a, max_sweeps=MAX_SWEEPS, compute_v=True):
     ``OFF_DIAG_TOL * max(1, ||a||_F)``, so a batched run performs exactly
     the rotations a matrix-at-a-time run would.  Raises
     ``ConvergenceError`` if that is not reached within ``max_sweeps`` sweeps.
+
+    A member whose squared norm overflows is scaled by a power of two first,
+    so it converges as it would in a wider exponent range; a member with a
+    non-finite entry gets NaN eigenvalues and eigenvectors.
     """
     a = np.asarray(a, dtype=float)
     d = a.shape[-1]
@@ -150,6 +154,17 @@ def jacobi_eigh(a, max_sweeps=MAX_SWEEPS, compute_v=True):
     nb = g.shape[0]
     v = np.tile(np.eye(d), (nb, 1, 1)) if compute_v else None
     scale = np.maximum(1.0, np.sqrt(np.add.reduce(g * g, axis=(-2, -1))))
+    # An infinite norm would freeze the member at once and hand back its
+    # diagonal.  Scaling by 2^-e to max|a| in [0.5, 1) is exact, and the
+    # scaled norm (>= 0.5) is 2^-e times the true one, so every test below
+    # decides as it would at the true scale; w is scaled back.  Inf or NaN
+    # entries keep a non-finite norm and are never rotated.
+    over = np.flatnonzero(~np.isfinite(scale))
+    if over.size:
+        _, e = np.frexp(np.abs(g[over]).max(axis=(-2, -1)))
+        g[over] = np.ldexp(g[over], -e[:, None, None])
+        scale[over] = np.sqrt(np.add.reduce(g[over] * g[over],
+                                            axis=(-2, -1)))
     # Rotations smaller than this cannot affect the convergence target.
     skip = (OFF_DIAG_TOL / (10.0 * max(d, 2))) * scale
     for _ in range(max_sweeps):
@@ -167,7 +182,14 @@ def jacobi_eigh(a, max_sweeps=MAX_SWEEPS, compute_v=True):
 
     w = np.diagonal(g, axis1=-2, axis2=-1)
     order = np.argsort(w, axis=-1, kind="stable")
-    w = w[np.arange(nb)[:, None], order].reshape(batch_shape + (d,))
+    w = w[np.arange(nb)[:, None], order]
+    if over.size:
+        w[over] = np.ldexp(w[over], e[:, None])
+        bad = ~np.isfinite(scale)
+        w[bad] = np.nan
+        if compute_v:
+            v[bad] = np.nan
+    w = w.reshape(batch_shape + (d,))
     if not compute_v:
         return w
     v = _permute_columns(v, order)

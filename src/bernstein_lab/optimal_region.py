@@ -296,7 +296,9 @@ def _min_eigenvalues(lams, basis, chunk=4096):
     ``jacobi_eigh`` call; a row's value is the least of its blocks' minimum
     eigenvalues.  Each block converges against its own Frobenius norm, so
     the value is accurate to about 1e-13 times the norm of the block that
-    holds it, however large the other blocks are.
+    holds it, however large the other blocks are.  A row where F overflows
+    (a block with an inf or NaN entry) reads NaN: ``jacobi_eigh`` gives such
+    a block NaN eigenvalues, and the minimum keeps them.
     """
     plan = block_plan(basis.n, basis.m, basis.traceless)
     values = np.empty(lams.shape[0])

@@ -553,10 +553,14 @@ def test_non_finite_matrix_exits_2(tmp_path, monkeypatch, capsys, command,
     ({"matrix": [[1e200, 0.5], [0.3, 1e200]]}, ["check"],
      "result is not finite (numerical overflow); no JSON written"),
     ({"matrix": [[1e200, 0.5], [0.3, 1e200]]},
+     ["check", "--traceless", "false", "--conditions", "OptimalB"],
+     "result is not finite (numerical overflow); no JSON written"),
+    ({"matrix": [[1e200, 0.5], [0.3, 1e200]]},
      ["rotate", "--seed", "1", "--budget", "5"],
      "no graphic rotation in 5 evaluations (condition number above 1e+12 "
      "or numerical overflow)"),
-], ids=["points", "matrix", "check-overflow", "rotate-overflow"])
+], ids=["points", "matrix", "check-overflow", "optimal-b-overflow",
+        "rotate-overflow"])
 def test_non_finite_input_stderr_is_one_line(tmp_path, doc, argv, message):
     """Refused at the input boundary, or overflowing on the way to a
     non-finite result: no numpy warning above the error."""
@@ -632,6 +636,23 @@ def test_check_answers_on_tiny_entries(tmp_path, monkeypatch, capsys):
     assert reports["TheoremA"]["margin"] == 0.9
     assert reports["TheoremA"]["details"]["star_omega"] == 1.0
     assert reports["OptimalB"]["pass"] is True
+
+
+def test_check_optimal_b_fails_where_the_gram_norm_overflows(
+        tmp_path, monkeypatch, capsys):
+    # at lambda near 1e100 the Gram blocks hold entries near 1e200, whose
+    # squared norm overflows; the eigensolve once froze them at their
+    # diagonal and reported the minimum 1.0, a pass
+    code, out, err = _main_in(
+        tmp_path, monkeypatch, capsys,
+        {"m.json": {"matrix": [[1e100, 0.5], [0.3, 1e100]]}},
+        ["check", "--input", "m.json", "--traceless", "false",
+         "--conditions", "OptimalB"])
+    assert (code, err) == (1, "")
+    report, = json.loads(out)["results"][0]["reports"]
+    assert report["pass"] is False
+    low = report["details"]["min_eigenvalue"]
+    assert low == pytest.approx(-5e199, rel=1e-12)   # -lambda1 lambda2 / 2
 
 
 def test_region_labels_widely_spread_node_outside():

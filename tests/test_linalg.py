@@ -299,6 +299,43 @@ def test_svd_answers_at_extreme_scales(scale):
     assert np.allclose(u @ np.diag(s / scale) @ vt, a, atol=1e-13)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 10**6), st.integers(520, 1000))
+def test_eigh_of_overflowing_member_scales_exactly(d, seed, k):
+    # a member whose squared norm overflows is solved at a power-of-two
+    # scale: w is 2^k times a's and v is a's, bit for bit, alone or beside
+    # an ordinary member; a's norm is at least 1, where max(1, ||a||) is
+    # its norm too
+    a = random_symmetric(np.random.default_rng(seed), d)
+    assume(np.sqrt(np.sum(a * a)) >= 1.0)
+    w, v = linalg.jacobi_eigh(a)
+    assume(_scales_exactly(w, k))
+    big = np.ldexp(a, k)
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.sum(big * big))
+        w2, v2 = linalg.jacobi_eigh(big)
+        ws, vs = linalg.jacobi_eigh(np.array([big, a]))
+    assert w2.tobytes() == np.ldexp(w, k).tobytes()
+    assert v2.tobytes() == v.tobytes()
+    assert ws.tobytes() == np.array([w2, w]).tobytes()
+    assert vs.tobytes() == np.array([v2, v]).tobytes()
+
+
+def test_eigh_of_non_finite_member_is_nan():
+    # inf or NaN entries were never rotated and came back as the diagonal
+    a = random_symmetric(np.random.default_rng(3), 3)
+    inf, nan = a.copy(), a.copy()
+    inf[0, 0] = np.inf
+    nan[0, 1] = nan[1, 0] = np.nan
+    with np.errstate(invalid="ignore", over="ignore"):
+        w, v = linalg.jacobi_eigh(np.array([inf, a, nan]))
+        alone = [linalg.jacobi_eigh(inf), linalg.jacobi_eigh(nan)]
+    assert np.isnan(w[[0, 2]]).all() and np.isnan(v[[0, 2]]).all()
+    assert all(np.isnan(x).all() for pair in alone for x in pair)
+    w1, v1 = linalg.jacobi_eigh(a)
+    assert w[1].tobytes() == w1.tobytes() and v[1].tobytes() == v1.tobytes()
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=10**6))
 def test_eigh_reconstructs_hypothesis(d, seed):

@@ -348,6 +348,21 @@ def test_min_eigenvalues_chunks_and_batches_of_one_agree_bitwise():
     assert batch.rows() == singles
 
 
+def test_min_eigenvalues_at_huge_lambda():
+    # near lambda = 1e100 the Gram entries are finite but their squared
+    # norm overflows; near 1e200 the entries themselves overflow, and that
+    # row reads NaN rather than some other block's finite minimum
+    basis = opt.h_space_basis(2, 2, False)
+    lam = np.array([[1e200, 1e200], [0.5, 0.3], [1e100, 1e100]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = opt._min_eigenvalues(lam, basis)
+        gram = opt.assemble_gram(lam[2], basis).gram
+    assert np.isnan(values[0])
+    assert values[1] == opt._min_eigenvalues(lam[1:2], basis)[0]
+    assert values[2] == pytest.approx(np.linalg.eigvalsh(gram)[0], rel=1e-12)
+    assert values[2] < -1e199
+
+
 @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -1e-3])
 def test_optimal_condition_rejects_non_finite_epsilon(epsilon):
     with pytest.raises(ValueError, match="finite and positive"):
