@@ -257,10 +257,6 @@ def cmd_rotate(args):
             f"(condition number above {rotations.COND_MAX:.0e} or numerical "
             "overflow)")
     g = outcome.best_g
-    if isinstance(g, rotations.OrthBlock):
-        blocks = {"P": g.P, "Q": g.Q, "R": g.R, "S": g.S}
-    else:
-        blocks = {"P": g.P, "Q": g.Q}
     payload = {
         "schema": SCHEMA,
         "config": _config_echo(
@@ -268,7 +264,7 @@ def cmd_rotate(args):
                    "kmin", "epsilon", "traceless")),
         "results": {
             "g": g.matrix,
-            "blocks": blocks,
+            "blocks": {k: getattr(g, k) for k in outcome.group.block_names},
             "transformed": outcome.transformed,
             "report": outcome.report.to_json(),
             "objective_trace": [list(t) for t in outcome.objective_trace],

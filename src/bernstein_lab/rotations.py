@@ -7,27 +7,31 @@ submanifold is again a graph with differential
 
     transform_graph(A, g) = (P + A R)^{-1} (Q + A S).
 
-The Lagrangian analogue replaces O(2n) by U(n) acting through its real
-block form [[P, -Q], [Q, P]] on graphs of symmetric A, giving
+The Lagrangian analogue replaces O(2n) by U(n), held as its real form
+[[P, -Q], [Q, P]]: the elements of O(2n) that commute with
+J = [[0, -I], [I, 0]].  On graphs of symmetric A it gives
 (P + A Q)^{-1} (-Q + A P), again symmetric; ``lagrangian_transform`` is
 ``transform_graph`` on that real form, between a symmetry gate on A and a
-symmetry check of the result.
+symmetry check of the result.  ``OrthBlock`` is the one element type, and
+``UnitaryBlock`` only adds U(n)'s constructors.
 
 Both transforms also take a sequence of blocks and solve it as one stack.
 ``search_rotation`` looks for a rotation whose transformed differential
 satisfies a chosen flatness condition, by seeded random restarts followed by
-coordinate descent on single plane-rotation angles; the candidates of the
-rest of a descent pass go through one such stack.  It claims optimality
-only where the condition proves that no differential beats the zero one
-(``Condition.peaks_at_zero``: TheoremA always, OptimalB on certified
-shapes); there it stops as soon as it reaches that margin.  Otherwise it
-runs until its budget or its restarts run out.
+coordinate descent on plane-rotation angles; the candidates of the rest of
+a descent pass go through one such stack.  A ``RotationGroup`` record holds
+what differs between the groups: the moves, each a list of real planes
+turned together, the identity, the restarts and the transform.  The search
+claims optimality only where the condition proves that no differential
+beats the zero one (``Condition.peaks_at_zero``: TheoremA always, OptimalB
+on certified shapes); there it stops as soon as it reaches that margin.
+Otherwise it runs until its budget or its restarts run out.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +47,7 @@ class NonGraphicError(RuntimeError):
 
 
 class OrthBlock:
-    """Element of O(n+m), held as its (n+m) x (n+m) matrix.
+    """Element of O(n+m), held as its (n+m) x (n+m) matrix split at n.
 
     The graph-action blocks P (n, n), Q (n, m), R (m, n) and S (m, m) are
     views into ``matrix``.  Build one from its matrix (``from_matrix``) or
@@ -58,21 +62,13 @@ class OrthBlock:
         dev = np.max(np.abs(g.T @ g - np.eye(g.shape[0])))
         if dev > ORTH_TOL:
             raise ValueError(f"blocks are not orthogonal (deviation {dev:.2e})")
-        self.matrix = g
-        self.P, self.Q = g[:n, :n], g[:n, n:]
-        self.R, self.S = g[n:, :n], g[n:, n:]
-
-    @property
-    def n(self):
-        return self.P.shape[0]
-
-    @property
-    def m(self):
-        return self.S.shape[0]
+        self.matrix, self.n, self.m = g, n, g.shape[0] - n
+        self.P, self.Q, self.R, self.S = self.graph_blocks()
 
     def graph_blocks(self):
         """(P, Q, R, S): the blocks ``transform_graph`` acts through."""
-        return self.P, self.Q, self.R, self.S
+        g, n = self.matrix, self.n
+        return g[:n, :n], g[:n, n:], g[n:, :n], g[n:, n:]
 
     @classmethod
     def from_matrix(cls, g, n):
@@ -85,36 +81,26 @@ class OrthBlock:
         return cls.from_matrix(np.eye(n + m), n)
 
 
-@dataclass(frozen=True)
-class UnitaryBlock:
-    """Element of U(n) in real block form [[P, -Q], [Q, P]]."""
+class UnitaryBlock(OrthBlock):
+    """Element u = P + iQ of U(n), held as its real form [[P, -Q], [Q, P]].
 
-    P: np.ndarray
-    Q: np.ndarray
+    The real form is the element of O(2n), split at n, that commutes with
+    J = [[0, -I], [I, 0]]; its ``graph_blocks`` are (P, -Q, Q, P).  Every
+    constructor goes through ``__init__``, and ``Q`` is u's imaginary part,
+    the real form's lower-left block ``R``.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "P", np.asarray(self.P, dtype=float))
-        object.__setattr__(self, "Q", np.asarray(self.Q, dtype=float))
-        p, q = self.P, self.Q
-        eye = np.eye(p.shape[0])
-        dev = max(
-            np.max(np.abs(p @ p.T + q @ q.T - eye)),
-            np.max(np.abs(-p @ q.T + q @ p.T)),
-        )
-        if dev > ORTH_TOL:
-            raise ValueError(f"blocks are not unitary (deviation {dev:.2e})")
+    def __init__(self, P, Q):
+        P, Q = (np.asarray(b, dtype=float) for b in (P, Q))
+        self._hold(np.block([[P, -Q], [Q, P]]), P.shape[0])
+        self.Q = self.R
 
-    @property
-    def n(self):
-        return self.P.shape[0]
-
-    def graph_blocks(self):
-        """(P, -Q, Q, P): the blocks of the real form, as ``OrthBlock``'s."""
-        return self.P, -self.Q, self.Q, self.P
-
-    @property
-    def matrix(self):
-        return np.block([[self.P, -self.Q], [self.Q, self.P]])
+    @classmethod
+    def from_matrix(cls, g, n):
+        """The element whose real form has g's first n columns: exactly
+        J-commuting, where a product of real forms is only up to rounding."""
+        g = np.asarray(g, dtype=float)
+        return cls(P=g[:n, :n], Q=g[n:, :n])
 
     @property
     def complex_matrix(self):
@@ -164,17 +150,17 @@ def _one(result):
 def transform_graph(a_matrix, g):
     """Differential of the rotated graph: (P + A R)^{-1} (Q + A S).
 
-    ``g`` is one ``OrthBlock`` or ``UnitaryBlock`` (acting through the blocks
-    (P, -Q, Q, P) of its real form), or a sequence of them solved as one
-    stack.  For one block, raises ``NonGraphicError`` when P + A R is
-    singular beyond condition number 1e12, signaling that the rotated
-    submanifold is no longer a graph over the domain subspace.  For a
-    sequence, returns a list holding None for each such member; every other
-    member has the bits of its single-block call.
+    ``g`` is one ``OrthBlock`` (a ``UnitaryBlock`` acts through its real
+    form), or a sequence of them solved as one stack.  For one block, raises
+    ``NonGraphicError`` when P + A R is singular beyond condition number
+    1e12, signaling that the rotated submanifold is no longer a graph over
+    the domain subspace.  For a sequence, returns a list holding None for
+    each such member; every other member has the bits of its single-block
+    call.
     """
     a = np.asarray(a_matrix, dtype=float)
     n, m = a.shape
-    single = isinstance(g, (OrthBlock, UnitaryBlock))
+    single = isinstance(g, OrthBlock)
     blocks = [b.graph_blocks() for b in ([g] if single else g)]
     if any((p.shape[0], s.shape[0]) != (n, m) for p, _, _, s in blocks):
         raise ValueError("block shapes do not match the matrix")
@@ -185,7 +171,8 @@ def transform_graph(a_matrix, g):
 
 
 def _require_symmetric(a):
-    if np.max(np.abs(a - a.T)) > 1e-9 * (1.0 + np.max(np.abs(a))):
+    if a.shape != a.T.shape or (np.max(np.abs(a - a.T))
+                                > 1e-9 * (1.0 + np.max(np.abs(a)))):
         raise ValueError("lagrangian differential must be symmetric")
 
 
@@ -196,17 +183,14 @@ def lagrangian_transform(a_matrix, g):
     through the real form, symmetric again (asserted to 1e-9), and its
     eigenvalues are the signed singular values feeding the flatness
     conditions.  ``g`` is one ``UnitaryBlock`` or a sequence, as in
-    ``transform_graph``; in a sequence a member that lost symmetry is
-    returned as its ``AssertionError``, for the caller to raise when it
-    reaches that member.
+    ``transform_graph`` (which checks the block shapes); in a sequence a
+    member that lost symmetry is returned as its ``AssertionError``, for the
+    caller to raise when it reaches that member.
     """
     a = np.asarray(a_matrix, dtype=float)
-    single = isinstance(g, UnitaryBlock)
-    blocks = [g] if single else list(g)
-    if any(a.shape != (b.n, b.n) for b in blocks):
-        raise ValueError("matrix shape does not match the block size")
+    single = isinstance(g, OrthBlock)
     _require_symmetric(a)
-    out = transform_graph(a, blocks)
+    out = transform_graph(a, [g] if single else g)
     for k, x in enumerate(out):
         if x is None:
             continue
@@ -299,30 +283,89 @@ class SearchTarget:
 class SearchOutcome:
     """Best rotation found, its transformed differential, and the trace."""
 
-    best_g: object            # OrthBlock or UnitaryBlock
+    best_g: object            # OrthBlock; a UnitaryBlock in the unitary group
     transformed: object       # n x m array, or None if nothing was graphic
     report: ConditionReport
     objective_trace: tuple    # ((evaluation_index, best_margin), ...)
     evaluations: int
+    group: RotationGroup      # the group searched, with its block names
 
 
 def _flattening_block(a):
-    """Orthogonal g with transform_graph(a, g) = 0 (rows of [I|A] to R^n x 0)."""
-    a = np.asarray(a, dtype=float)
+    """Orthogonal g with transform_graph(a, g) = 0 (rows of [I|A] to R^n x 0).
+
+    Each column of [I | A]^T is first scaled by a power of two to a largest
+    entry in [0.5, 1): no square overflows, and the result keeps its bits.
+    """
     n, m = a.shape
     rows = np.hstack([np.eye(n), a]).T  # columns span the tangent subspace
-    base = linalg.orthonormalize_columns(rows)
+    _, e = np.frexp(np.max(np.abs(rows), axis=0))
+    base = linalg.orthonormalize_columns(np.ldexp(rows, -e))
     full = np.hstack([base, linalg.complete_orthonormal(base)])
     return OrthBlock.from_matrix(full, n)
 
 
 def _unitary_flattening(a):
-    """U(n) element sending the Lagrangian graph of symmetric a to A = 0."""
-    a = np.asarray(a, dtype=float)
+    """U(n) element sending the Lagrangian graph of symmetric a to A = 0:
+    u = v diag(e^{i arctan w}) v^T for a = v diag(w) v^T, squaring nothing."""
     w, v = linalg.jacobi_eigh(0.5 * (a + a.T))
-    inv_sqrt = v @ np.diag(1.0 / np.sqrt(1.0 + w * w)) @ v.T
-    u = (np.eye(a.shape[0]) + 1j * a) @ inv_sqrt
-    return UnitaryBlock.from_complex(u)
+    t = np.arctan(w)
+    return UnitaryBlock(P=(v * np.cos(t)) @ v.T, Q=(v * np.sin(t)) @ v.T)
+
+
+@dataclass(frozen=True)
+class RotationGroup:
+    """What the rotation search needs of its group, for one differential."""
+
+    identity: OrthBlock
+    moves: list           # per move, the ordered planes (i, j) of ``perturb``
+    random: object        # seed -> element
+    flattening: object    # differential -> element sending it to 0
+    transform: object     # the module's transform when the record is built
+    block_names: tuple    # the element's blocks, by attribute name
+
+
+def rotation_group(name, a):
+    """The ``RotationGroup`` acting on the n x m differential ``a``.
+
+    "orthogonal" is O(n+m), one move per plane p < q.  "unitary" is U(n) in
+    its real form and needs a symmetric ``a``: for each pair p < q of u's
+    coordinates a real and an imaginary rotation, then a phase per axis p.
+    """
+    n, m = a.shape
+    if name == "orthogonal":
+        d = n + m
+        return RotationGroup(
+            identity=OrthBlock.identity(n, m),
+            moves=[[(p, q)] for p in range(d) for q in range(p + 1, d)],
+            random=lambda seed: random_orthogonal(n, m, seed),
+            flattening=_flattening_block, transform=transform_graph,
+            block_names=("P", "Q", "R", "S"))
+    if name != "unitary":
+        raise ValueError(f"unknown rotation group {name!r}")
+    if n != m:
+        raise ValueError("unitary search requires n == m")
+    _require_symmetric(a)
+    turns = [[[(p, q), (n + p, n + q)], [(n + q, p), (n + p, q)]]
+             for p in range(n) for q in range(p + 1, n)]
+    return RotationGroup(
+        identity=UnitaryBlock.identity(n),
+        moves=[move for pair in turns for move in pair]
+        + [[(n + p, p)] for p in range(n)],
+        random=lambda seed: random_unitary(n, seed),
+        flattening=_unitary_flattening, transform=lagrangian_transform,
+        block_names=("P", "Q"))
+
+
+def perturb(g, planes, angle):
+    """g times the rotation by ``angle`` in each ordered plane (i, j) of a
+    move: cos at (i, i) and (j, j), sin at (i, j) and -sin at (j, i)."""
+    c, s = np.cos(angle), np.sin(angle)
+    rot = np.eye(g.matrix.shape[0])
+    for i, j in planes:
+        rot[i, i] = rot[j, j] = c
+        rot[i, j], rot[j, i] = s, -s
+    return type(g).from_matrix(g.matrix @ rot, g.n)
 
 
 def search_rotation(a_matrix, target: SearchTarget, budget, seed,
@@ -349,11 +392,7 @@ def search_rotation(a_matrix, target: SearchTarget, budget, seed,
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix must have finite entries")
     n, m = a.shape
-    if group == "unitary":
-        if n != m:
-            raise ValueError("unitary search requires n == m")
-        _require_symmetric(a)
-    d = n + m if group == "orthogonal" else n
+    grp = rotation_group(group, a)
     ceiling = target.ceiling(n, m)
 
     state = {"evals": 0, "best": None, "trace": []}
@@ -370,10 +409,7 @@ def search_rotation(a_matrix, target: SearchTarget, budget, seed,
         One stacked transform, one stacked SVD and one condition call; a
         member's results are the bits of evaluating it alone.
         """
-        if group == "orthogonal":
-            results = transform_graph(a, cands)
-        else:
-            results = lagrangian_transform(a, cands)
+        results = grp.transform(a, cands)
         graphic = [t for t in results if isinstance(t, np.ndarray)]
         reports = iter(target.report(np.stack(graphic)).rows()
                        if graphic else ())
@@ -411,34 +447,6 @@ def search_rotation(a_matrix, target: SearchTarget, budget, seed,
                 state["trace"].append((state["evals"], float(margin)))
             yield margin
 
-    def perturb(g, move, angle):
-        """g times the plane rotation of a ``moves`` entry (p, q, mode) by
-        angle: real (mode 0), imaginary (mode 1), or a phase on axis p
-        (mode 2)."""
-        p, q, mode = move
-        c, s = np.cos(angle), np.sin(angle)
-        rot = np.eye(d, dtype=float if group == "orthogonal" else complex)
-        if mode == 2:
-            rot[p, p] = np.exp(1j * angle)
-        else:
-            rot[p, p] = rot[q, q] = c
-            rot[p, q], rot[q, p] = (s, -s) if mode == 0 else (1j * s, 1j * s)
-        if group == "orthogonal":
-            return OrthBlock.from_matrix(g.matrix @ rot, n)
-        return UnitaryBlock.from_complex(g.complex_matrix @ rot)
-
-    def moves():
-        out = []
-        for p in range(d):
-            for q in range(p + 1, d):
-                out.append((p, q, 0))
-                if group == "unitary":
-                    out.append((p, q, 1))
-        if group == "unitary":
-            for p in range(d):
-                out.append((p, p, 2))
-        return out
-
     def descend(g):
         """Coordinate descent from g.  The rest of a pass -- the +step and
         -step candidates of every remaining move, built from the current g
@@ -450,7 +458,7 @@ def search_rotation(a_matrix, target: SearchTarget, budget, seed,
         ceiling is an improvement."""
         margin = next(evaluate([g]))
         step = np.pi / 8.0
-        plan = moves()
+        plan = grp.moves
         while step > 1e-3:
             improved = False
             start = 0
@@ -468,36 +476,24 @@ def search_rotation(a_matrix, target: SearchTarget, budget, seed,
             if not improved:
                 step /= 2.0
 
-    if group == "orthogonal":
-        starts = [OrthBlock.identity(n, m)]
-        try:
-            starts.append(_flattening_block(a))
-        except ValueError:
-            pass
-    else:
-        starts = [UnitaryBlock.identity(n), _unitary_flattening(a)]
-    children = np.random.SeedSequence(seed).spawn(8)
-    for child in children:
-        sub = int(child.generate_state(1)[0])
-        if group == "orthogonal":
-            starts.append(random_orthogonal(n, m, sub))
-        else:
-            starts.append(random_unitary(n, sub))
+    starts = [grp.identity]
+    try:
+        starts.append(grp.flattening(a))
+    except ValueError:
+        pass
+    starts += [grp.random(int(child.generate_state(1)[0]))
+               for child in np.random.SeedSequence(seed).spawn(8)]
 
     for g0 in starts:
         if spent():
             break
         descend(g0)
 
-    if state["best"] is None:
-        identity = (OrthBlock.identity(n, m) if group == "orthogonal"
-                    else UnitaryBlock.identity(n))
-        report = ConditionReport(condition_name=target.kind, pass_=False,
-                                 margin=-np.inf, details={})
-        return SearchOutcome(best_g=identity, transformed=None, report=report,
-                             objective_trace=(), evaluations=state["evals"])
-    margin, g, transformed, report = state["best"]
+    margin, g, transformed, report = state["best"] or (
+        -np.inf, grp.identity, None,
+        ConditionReport(condition_name=target.kind, pass_=False,
+                        margin=-np.inf, details={}))
     return SearchOutcome(best_g=g, report=report,
                          transformed=None if margin == -np.inf else transformed,
                          objective_trace=tuple(state["trace"]),
-                         evaluations=state["evals"])
+                         evaluations=state["evals"], group=grp)

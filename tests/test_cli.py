@@ -145,8 +145,8 @@ ROTATE_GOLDEN = {
         _symmetric(23),
         ["--target", "TheoremA", "--group", "unitary", "--budget", "150",
          "--seed", "8"],
-        "e225348a60a051f38dfc277e99f13716"
-        "0067cb6afd716ffcefe976f3413c2ab5"),
+        "96695e3f188465f7d6783b12d42b9bda"
+        "6fd5401c71c3a6eb603bc1feae7c8ef6"),
     "orthogonal-theorema-3x2-non-graphic": (
         (np.array([[3.0, -1.0], [2.0, 4.0], [-1.0, 2.0]]) * 1e11).tolist(),
         ["--target", "TheoremA", "--budget", "120", "--seed", "2"],
@@ -177,8 +177,8 @@ ROTATE_GOLDEN = {
         _symmetric(53),
         ["--target", "TheoremA", "--group", "unitary", "--budget", "150",
          "--seed", "7"],
-        "b2d50760bf59bc1a204510e57776e0f1"
-        "634e769b87edb028704fd081c9f5becb"),
+        "d1b64dc0698f75963a8fc1a99503017b"
+        "69c531045365b924da743451cc4dff93"),
 }
 
 
@@ -278,13 +278,31 @@ def test_region_invalid_bounds_or_epsilon_exits_2(argv):
     assert "Traceback" not in proc.stderr
 
 
-def test_rotate_unitary_non_symmetric_exits_2(tmp_path):
+@pytest.mark.parametrize("matrix, message", [
+    ([[0.3, -0.9], [1.1, 0.4]], "lagrangian differential must be symmetric"),
+    ([[0.3, 0.1, 0.0], [0.1, 0.4, 0.2]], "unitary search requires n == m"),
+], ids=["non-symmetric", "non-square"])
+def test_rotate_unitary_gate_exits_2(tmp_path, matrix, message):
     path = tmp_path / "a.json"
-    write_json(path, {"matrix": [[0.3, -0.9], [1.1, 0.4]]})
+    write_json(path, {"matrix": matrix})
     proc = run_cli(["rotate", "--input", str(path), "--group", "unitary",
                     "--target", "OptimalB", "--budget", "200", "--seed", "3"])
-    assert proc.returncode == 2
-    assert proc.stderr == "error: lagrangian differential must be symmetric\n"
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {message}\n"
+
+
+def test_rotate_unitary_answers_on_huge_entries(tmp_path, monkeypatch,
+                                                capsys):
+    # the search reaches the ceiling from its flattening start
+    s = np.random.default_rng(3).uniform(-1.0, 1.0, (3, 3))
+    matrix = (0.5 * (s + s.T) * 1e160).tolist()
+    code, out, err = _main_in(
+        tmp_path, monkeypatch, capsys, {"in.json": {"matrix": matrix}},
+        ["rotate", "--input", "in.json", "--group", "unitary", "--target",
+         "TheoremA", "--delta", "0.1", "--kmin", "0.1", "--budget", "200",
+         "--seed", "1"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["results"]["report"]["margin"] == 0.9
 
 
 @pytest.mark.parametrize("group", ["orthogonal", "unitary"])

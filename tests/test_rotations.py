@@ -161,6 +161,44 @@ def test_random_unitary_block_constraints():
         assert np.max(np.abs(full.T @ full - np.eye(2 * n))) < 1e-12
 
 
+def _j_form(n):
+    """J = [[0, -I], [I, 0]], the complex structure U(n)'s real forms keep."""
+    eye, zero = np.eye(n), np.zeros((n, n))
+    return np.block([[zero, -eye], [eye, zero]])
+
+
+def _complex_move(n, p, q, mode, angle):
+    """The complex rotation of a unitary move: real (mode 0) or imaginary
+    (mode 1) in u's coordinates p, q, or a phase on axis p (mode 2)."""
+    c, s = np.cos(angle), np.sin(angle)
+    out = np.eye(n, dtype=complex)
+    if mode == 2:
+        out[p, p] = np.exp(1j * angle)
+    else:
+        out[p, p] = out[q, q] = c
+        out[p, q], out[q, p] = (s, -s) if mode == 0 else (1j * s, 1j * s)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_unitary_moves_are_the_complex_rotations(n):
+    moves = rot.rotation_group("unitary", np.zeros((n, n))).moves
+    modes = [(p, q, mode) for p in range(n) for q in range(p + 1, n)
+             for mode in (0, 1)] + [(p, p, 2) for p in range(n)]
+    assert len(moves) == len(modes)
+    rng = np.random.default_rng(n)
+    j = _j_form(n)
+    for seed in range(5):
+        g = rot.random_unitary(n, seed)
+        for planes, (p, q, mode) in zip(moves, modes):
+            angle = rng.uniform(-np.pi, np.pi)
+            got = rot.perturb(g, planes, angle)
+            want = g.complex_matrix @ _complex_move(n, p, q, mode, angle)
+            assert isinstance(got, rot.UnitaryBlock)
+            assert np.max(np.abs(got.complex_matrix - want)) <= 1e-12
+            assert np.array_equal(got.matrix @ j, j @ got.matrix)
+
+
 def test_search_flattens_linear_graphs():
     rng = np.random.default_rng(6)
     target = rot.SearchTarget(kind="TheoremA", delta=0.5, k_min=0.5)
@@ -198,6 +236,8 @@ def test_search_unitary_group():
     out = rot.search_rotation(a, target, budget=3000, seed=1, group="unitary")
     assert out.report.margin > 0
     assert isinstance(out.best_g, rot.UnitaryBlock)
+    g, j = out.best_g.matrix, _j_form(2)
+    assert np.array_equal(g @ j, j @ g)
 
 
 def test_search_objective_trace_monotone():
@@ -312,6 +352,41 @@ def test_search_on_a_huge_differential_reaches_its_ceiling():
     with np.errstate(over="ignore"):    # as the command line runs it
         out = rot.search_rotation(a, target, budget=800, seed=5)
     assert out.report.margin >= target.ceiling(2, 3)
+
+
+def test_flattening_block_at_huge_entries():
+    # squares of entries near 1e160 overflow; the search needs this start
+    # to reach the ceiling within its budget
+    a = np.random.default_rng(2).uniform(-1.0, 1.0, (2, 3)) * 1e160
+    g = rot._flattening_block(a)
+    assert np.max(np.abs(g.matrix.T @ g.matrix - np.eye(5))) < 1e-12
+    assert np.max(np.abs(rot.transform_graph(a, g))) < 1e-12
+    target = rot.SearchTarget("TheoremA", delta=0.1, k_min=0.1)
+    with np.errstate(over="ignore"):
+        out = rot.search_rotation(a, target, budget=200, seed=1)
+    assert out.report.margin >= target.ceiling(2, 3)
+
+
+def test_flattening_block_scaling_keeps_the_bits():
+    # scaling a column by a power of two scales its Gram-Schmidt residuals
+    # exactly, so the normalized columns are unchanged
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        n, m = (int(k) for k in rng.integers(1, 5, 2))
+        a = rng.uniform(-3.0, 3.0, (n, m)) * 10.0 ** rng.integers(-5, 6)
+        base = rot.linalg.orthonormalize_columns(np.hstack([np.eye(n), a]).T)
+        got = rot._flattening_block(a).matrix[:, :n]
+        assert got.tobytes() == base.tobytes()
+
+
+def test_unitary_flattening_at_huge_entries():
+    # 1 + w^2 overflows for eigenvalues w near 1e160
+    s = np.random.default_rng(3).uniform(-1.0, 1.0, (3, 3))
+    a = 0.5 * (s + s.T) * 1e160
+    with np.errstate(over="ignore"):
+        g = rot._unitary_flattening(a)
+        assert np.max(np.abs(g.matrix.T @ g.matrix - np.eye(6))) < 1e-12
+        assert np.max(np.abs(rot.lagrangian_transform(a, g))) < 1e-12
 
 
 def test_uncertified_search_runs_its_whole_budget():
