@@ -161,7 +161,7 @@ def cmd_check(args):
     if args.conditions:
         names = tuple(s.strip() for s in args.conditions.split(","))
     else:
-        names = condition_names(*jacs.shape[1:])
+        names = condition_names(*jacs.shape[1:], args.traceless)
     reports = [
         evaluate_condition(name, jacs, lams, delta=args.delta,
                            k_min=args.kmin, epsilon=args.epsilon,

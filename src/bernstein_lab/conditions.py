@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -185,18 +185,15 @@ class Condition:
     ``evaluate(jacs, lambdas, delta=, k_min=, epsilon=, traceless=)`` returns
     the ``ConditionReport`` of the n x m differentials ``jacs`` (B, n, m)
     with singular values ``lambdas`` (B, n), zero-padded; each evaluator
-    reads the thresholds it needs.  ``square`` restricts the condition to
-    n = m = square.  ``peaks_at_zero(n, m, traceless)`` is True only where a
-    proof bounds every n x m differential's margin by the zero
+    reads the thresholds it needs.  ``refusal(n, m, traceless)`` is why it
+    is undefined there, or None; ``peaks_at_zero(n, m, traceless)`` is True
+    only where a proof bounds every n x m differential's margin by the zero
     differential's; the rotation search stops once it reaches that margin.
     """
 
     evaluate: Callable
-    square: Optional[int] = None
+    refusal: Callable = lambda n, m, traceless: None
     peaks_at_zero: Callable = lambda n, m, traceless: False
-
-    def applies(self, n, m):
-        return self.square is None or n == m == self.square
 
 
 def _optimal_b(jacs, lambdas, epsilon, traceless, **_):
@@ -206,10 +203,13 @@ def _optimal_b(jacs, lambdas, epsilon, traceless, **_):
                              traceless=traceless)
 
 
-def _optimal_b_peaks_at_zero(n, m, traceless):
-    from .optimal_region import peaks_at_zero
+def _optimal_region(name):
+    """Call ``optimal_region.<name>``, imported late (it imports this one)."""
+    def call(*args):
+        from . import optimal_region
 
-    return peaks_at_zero(n, m, traceless)
+        return getattr(optimal_region, name)(*args)
+    return call
 
 
 CONDITIONS = {
@@ -224,15 +224,19 @@ CONDITIONS = {
         check_fc_hjw(lambdas, *np.shape(jacs)[-2:])),
     "Hemisphere24": Condition(
         lambda jacs, lambdas, **_:
-        check_hemisphere24(_signed_lambdas(jacs, lambdas)), square=2),
-    "OptimalB": Condition(_optimal_b, peaks_at_zero=_optimal_b_peaks_at_zero),
+        check_hemisphere24(_signed_lambdas(jacs, lambdas)),
+        refusal=lambda n, m, traceless:
+        None if n == m == 2 else "Hemisphere24 requires n = m = 2"),
+    "OptimalB": Condition(_optimal_b,
+                          refusal=_optimal_region("basis_refusal"),
+                          peaks_at_zero=_optimal_region("peaks_at_zero")),
 }
 
 
-def condition_names(n, m):
-    """Registered conditions that apply to an n x m differential, in order."""
+def condition_names(n, m, traceless):
+    """Registered conditions defined for (n, m, traceless), in order."""
     return tuple(name for name, cond in CONDITIONS.items()
-                 if cond.applies(n, m))
+                 if cond.refusal(n, m, traceless) is None)
 
 
 def evaluate_condition(name, jacs, lambdas, *, delta, k_min, epsilon,
@@ -247,8 +251,8 @@ def evaluate_condition(name, jacs, lambdas, *, delta, k_min, epsilon,
     if cond is None:
         raise ValueError(f"unknown condition {name!r} "
                          f"(known: {', '.join(CONDITIONS)})")
-    if not cond.applies(*np.shape(jacs)[-2:]):
-        raise ValueError(f"{name} requires n = m = {cond.square}")
+    if refusal := cond.refusal(*np.shape(jacs)[-2:], traceless):
+        raise ValueError(refusal)
     validate_thresholds(delta=delta, k_min=k_min, epsilon=epsilon)
     return cond.evaluate(jacs, lambdas, delta=delta, k_min=k_min,
                          epsilon=epsilon, traceless=traceless)

@@ -11,12 +11,13 @@ independent library in the test suite.  Two kernels carry the load:
 
 Both accept a batch of matrices in the leading axes and rotate the whole
 batch in lockstep; per-matrix stopping tests and skip thresholds make the
-batched result bit-identical to a matrix-at-a-time run.  A caller that
-knows the zero structure of its matrices in advance (F's Gram matrices,
-whose blocks depend only on the shape of the form) hands each stack of
-equal-size blocks to ``jacobi_eigh`` as a batch of small matrices, so each
-block converges against its own norm.  Every rotation of both kernels takes
-its angle from ``_jacobi_angle`` and is applied by ``_rotate_columns``.
+batched result bit-identical to a matrix-at-a-time run.  One scale rule:
+each member is scaled by 2^-e (``_pow2_exponents``) and every test compares
+against its own size, so for 2^k a the values are 2^k times a's and the
+vectors a's, bit for bit, wherever nothing under- or overflows.  F's Gram
+matrices reach ``jacobi_eigh`` as stacks of equal-size blocks, each stack a
+batch of small matrices.  Every rotation takes its angle from
+``_jacobi_angle`` and is applied by ``_rotate_columns``.
 """
 
 from __future__ import annotations
@@ -35,6 +36,16 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message, residual):
         super().__init__(f"{message} (off-diagonal residual {residual:.3e})")
         self.residual = float(residual)
+
+
+def _pow2_exponents(a):
+    """Per member of ``a`` (nb, r, c), the e that scales it exactly by 2^-e
+    to max|a| in [0.5, 1) (0 for a zero or non-finite member).  The max runs
+    down a C-ordered (r c, nb) copy: reducing the short trailing axes of a
+    large batch is about ten times slower."""
+    nb = a.shape[0]
+    big = np.abs(a.reshape(nb, -1).T, order="C").max(axis=0, initial=0.0)
+    return np.frexp(big)[1]
 
 
 def _offdiag_mass(g):
@@ -135,60 +146,46 @@ def jacobi_eigh(a, max_sweeps=MAX_SWEEPS, compute_v=True):
         With ``compute_v=False`` only w is returned (the same bits), and no
         eigenvector is rotated.
 
-    Each sweep rotates every pair (p, q) in lexicographic order.  A matrix
-    is frozen once its off-diagonal mass is at most
-    ``OFF_DIAG_TOL * max(1, ||a||_F)``, so a batched run performs exactly
-    the rotations a matrix-at-a-time run would.  Raises
-    ``ConvergenceError`` if that is not reached within ``max_sweeps`` sweeps.
-
-    A member whose squared norm overflows is scaled by a power of two first,
-    so it converges as it would in a wider exponent range; a member with a
-    non-finite entry gets NaN eigenvalues and eigenvectors.
+    Each sweep rotates every pair (p, q) in lexicographic order.  A member,
+    scaled by 2^-e to a', is frozen once its off-diagonal mass is at most
+    ``OFF_DIAG_TOL * ||a'||_F``: a batched run performs the rotations of a
+    matrix-at-a-time run, and none depends on the member's scale.  Raises
+    ``ConvergenceError`` if that is not reached within ``max_sweeps``
+    sweeps.  A member with an inf or NaN entry gets NaN w and v.
     """
     a = np.asarray(a, dtype=float)
     d = a.shape[-1]
     if a.shape[-2] != d:
         raise ValueError("expected square matrices")
     batch_shape = a.shape[:-2]
-    g = a.reshape((-1, d, d)).copy()
+    g = a.reshape((-1, d, d))
     nb = g.shape[0]
+    e = _pow2_exponents(g)
+    g = np.ldexp(g, -e[:, None, None])
     v = np.tile(np.eye(d), (nb, 1, 1)) if compute_v else None
-    scale = np.maximum(1.0, np.sqrt(np.add.reduce(g * g, axis=(-2, -1))))
-    # An infinite norm would freeze the member at once and hand back its
-    # diagonal.  Scaling by 2^-e to max|a| in [0.5, 1) is exact, and the
-    # scaled norm (>= 0.5) is 2^-e times the true one, so every test below
-    # decides as it would at the true scale; w is scaled back.  Inf or NaN
-    # entries keep a non-finite norm and are never rotated.
-    over = np.flatnonzero(~np.isfinite(scale))
-    if over.size:
-        _, e = np.frexp(np.abs(g[over]).max(axis=(-2, -1)))
-        g[over] = np.ldexp(g[over], -e[:, None, None])
-        scale[over] = np.sqrt(np.add.reduce(g[over] * g[over],
-                                            axis=(-2, -1)))
+    # Inf or NaN entries give a non-finite norm: never rotated, read NaN.
+    scale = np.sqrt(np.add.reduce(g * g, axis=(-2, -1)))
     # Rotations smaller than this cannot affect the convergence target.
     skip = (OFF_DIAG_TOL / (10.0 * max(d, 2))) * scale
-    for _ in range(max_sweeps):
-        live = _offdiag_mass(g) > OFF_DIAG_TOL * scale
+    for sweep in range(max_sweeps + 1):
+        off = _offdiag_mass(g)
+        live = off > OFF_DIAG_TOL * scale
         if not np.count_nonzero(live):
             break
+        if sweep == max_sweeps:
+            raise ConvergenceError("jacobi_eigh did not converge",
+                                   np.max(off[live] / scale[live]))
         for p in range(d - 1):
             for q in range(p + 1, d):
                 _rotate(g, v, p, q, live, skip)
-    else:
-        off = _offdiag_mass(g)
-        if not np.all(off <= OFF_DIAG_TOL * scale):
-            raise ConvergenceError("jacobi_eigh did not converge",
-                                   np.max(off / scale))
 
     w = np.diagonal(g, axis1=-2, axis2=-1)
     order = np.argsort(w, axis=-1, kind="stable")
-    w = w[np.arange(nb)[:, None], order]
-    if over.size:
-        w[over] = np.ldexp(w[over], e[:, None])
-        bad = ~np.isfinite(scale)
-        w[bad] = np.nan
-        if compute_v:
-            v[bad] = np.nan
+    w = np.ldexp(w[np.arange(nb)[:, None], order], e[:, None])
+    bad = ~np.isfinite(scale)
+    w[bad] = np.nan
+    if compute_v:
+        v[bad] = np.nan
     w = w.reshape(batch_shape + (d,))
     if not compute_v:
         return w
@@ -209,37 +206,26 @@ def jacobi_svd(a, compute_u=True):
     plane rotation updates w (its top r rows) and v (its bottom c rows) in
     one step.  u is w with normalized columns wherever the r leading
     columns pass the rank test; only a member with a rank drop, or with
-    r > c, has its u completed by ``complete_orthonormal``.
-
-    Each member is scaled by a power of two before the sweep, so the result
-    does not depend on its scale: for 2^k a, s is 2^k times a's and u, vt
-    are a's, bit for bit, wherever no value under- or overflows.
+    r > c, has its u completed by ``complete_orthonormal``.  The scale rule
+    of the module makes s of 2^k a 2^k times a's, with a's u and vt.
     """
     a = np.asarray(a, dtype=float)
     r, c = a.shape[-2], a.shape[-1]
     batch_shape = a.shape[:-2]
     a = a.reshape((-1, r, c))
     nb = a.shape[0]
-    # Each member is scaled by 2^-e to max|a| in [0.5, 1): exact, and every
-    # test below is relative, so no rotation changes, but the squared column
-    # norms of tiny or huge members stay in range.  s is scaled back.  The
-    # max runs down a C-ordered (r c, nb) copy: reducing the short trailing
-    # axes of a large batch is about ten times slower.
-    big = np.abs(a.reshape(nb, r * c).T, order="C").max(axis=0, initial=0.0)
-    _, e = np.frexp(big)
+    e = _pow2_exponents(a)
     wv = np.empty((nb, r + c, c))
     np.ldexp(a, -e[:, None, None], out=wv[:, :r, :])
     wv[:, r:, :] = np.eye(c)
     w, v = wv[:, :r], wv[:, r:]
 
     sq_norm = np.add.reduce(w * w, axis=(-2, -1))  # ||a||_F^2 ~ ||a.T a||_F
-    gram_scale = np.maximum(1.0, sq_norm)
     # A column left by cancellation (norm ~ u ||a||) shrinks by ~u a sweep
     # and never meets the relative test below; this floor stops it.
     gamma_floor = 1e-32 * sq_norm
 
     if c > 1:
-        converged = False
         # A member is done once a whole sweep applies no rotation under the
         # pairwise relative criterion |<w_p, w_q>| <= 1e-14 ||w_p|| ||w_q||,
         # which bounds the relative non-orthogonality of the singular vectors
@@ -265,11 +251,10 @@ def jacobi_svd(a, compute_u=True):
                     _rotate_columns(wv, p, q, cs, sn)
             live = rotated
             if not np.count_nonzero(live):
-                converged = True
                 break
-        if not converged:
-            gram = np.einsum("bic,bid->bcd", w, w)
-            residual = np.max(_offdiag_mass(gram) / gram_scale)
+        else:
+            gram = np.einsum("bic,bid->bcd", w[live], w[live])
+            residual = np.max(_offdiag_mass(gram) / sq_norm[live])
             raise ConvergenceError("jacobi_svd did not converge", residual)
 
     norms = np.sqrt(np.add.reduce(w * w, axis=-2))  # (nb, c)
@@ -346,8 +331,9 @@ def det(a):
 def orthonormalize_columns(a):
     """Modified Gram-Schmidt orthonormalization of the columns of ``a``.
 
-    Requires full column rank.  The normalization constants are positive, so
-    for a Gaussian random input the result is Haar-distributed.
+    Requires full column rank: a residual norm at most 1e-13 max|a| is
+    refused.  The normalization constants are positive, so for a Gaussian
+    random input the result is Haar-distributed.
     """
     a = np.asarray(a, dtype=float)
     q = a.copy()
@@ -356,7 +342,7 @@ def orthonormalize_columns(a):
         for i in range(j):
             q[:, j] -= (q[:, i] @ q[:, j]) * q[:, i]
         norm = np.sqrt(q[:, j] @ q[:, j])
-        if norm <= 1e-13 * max(1.0, float(np.max(np.abs(a)))):
+        if norm <= 1e-13 * float(np.max(np.abs(a))):
             raise ValueError("columns are numerically rank deficient")
         q[:, j] /= norm
     return q

@@ -74,6 +74,14 @@ class HBasis:
         return self.tensors.shape[0]
 
 
+def basis_refusal(n, m, traceless):
+    """Why no ``HBasis`` exists for (n, m, traceless), or None."""
+    if n < 1 or m < 1:
+        return "n and m must be positive"
+    if traceless and n < 2:
+        return "trace-free basis requires n >= 2"
+
+
 @lru_cache(maxsize=32)
 def h_space_basis(n, m, traceless) -> HBasis:
     """Build the orthonormal basis described on ``HBasis``.
@@ -82,10 +90,8 @@ def h_space_basis(n, m, traceless) -> HBasis:
     (which requires n >= 2).  One basis per (n, m, traceless) is built and
     shared; its ``tensors`` are read-only.
     """
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be positive")
-    if traceless and n < 2:
-        raise ValueError("trace-free basis requires n >= 2")
+    if refusal := basis_refusal(n, m, traceless):
+        raise ValueError(refusal)
     per_alpha = []
     if traceless:
         diffs = []

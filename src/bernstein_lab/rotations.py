@@ -172,20 +172,20 @@ def transform_graph(a_matrix, g):
 
 def _require_symmetric(a):
     if a.shape != a.T.shape or (np.max(np.abs(a - a.T))
-                                > 1e-9 * (1.0 + np.max(np.abs(a)))):
+                                > 1e-9 * np.max(np.abs(a))):
         raise ValueError("lagrangian differential must be symmetric")
 
 
 def lagrangian_transform(a_matrix, g):
     """Differential of the rotated Lagrangian graph: (P + A Q)^{-1}(-Q + A P).
 
-    ``a_matrix`` must be symmetric; the result is ``transform_graph``'s
-    through the real form, symmetric again (asserted to 1e-9), and its
-    eigenvalues are the signed singular values feeding the flatness
-    conditions.  ``g`` is one ``UnitaryBlock`` or a sequence, as in
-    ``transform_graph`` (which checks the block shapes); in a sequence a
-    member that lost symmetry is returned as its ``AssertionError``, for the
-    caller to raise when it reaches that member.
+    ``a_matrix`` must be symmetric to 1e-9 of its largest entry; the result
+    is ``transform_graph``'s through the real form, symmetric again to an
+    absolute 1e-9 (a flattened result is noise), and its eigenvalues are the
+    signed singular values feeding the flatness conditions.  ``g`` is one
+    ``UnitaryBlock`` or a sequence, as in ``transform_graph`` (which checks
+    the block shapes); in a sequence a member that lost symmetry is returned
+    as its ``AssertionError``, for the caller to raise at that member.
     """
     a = np.asarray(a_matrix, dtype=float)
     single = isinstance(g, OrthBlock)
@@ -455,7 +455,7 @@ def search_rotation(a_matrix, target: SearchTarget, budget, seed,
         the rest of the batch, and the pass goes on from the next move with
         the new g.  Only the batch's start can find the search spent: inside
         it the cut ends it at the budget, and a member that reaches the
-        ceiling is an improvement."""
+        ceiling is an improvement.  A pass left at -inf ends the descent."""
         margin = next(evaluate([g]))
         step = np.pi / 8.0
         plan = grp.moves
@@ -473,6 +473,8 @@ def search_rotation(a_matrix, target: SearchTarget, budget, seed,
                     if value > margin:
                         g, margin, improved, start = cand, value, True, k + 1
                         break
+            if margin == -np.inf:
+                return
             if not improved:
                 step /= 2.0
 

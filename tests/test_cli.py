@@ -281,7 +281,10 @@ def test_region_invalid_bounds_or_epsilon_exits_2(argv):
 @pytest.mark.parametrize("matrix, message", [
     ([[0.3, -0.9], [1.1, 0.4]], "lagrangian differential must be symmetric"),
     ([[0.3, 0.1, 0.0], [0.1, 0.4, 0.2]], "unitary search requires n == m"),
-], ids=["non-symmetric", "non-square"])
+    # an absolute floor on the symmetry gate let tiny entries through
+    ((1e-10 * np.array([[0.3, -0.9], [1.1, 0.4]])).tolist(),
+     "lagrangian differential must be symmetric"),
+], ids=["non-symmetric", "non-square", "tiny-non-symmetric"])
 def test_rotate_unitary_gate_exits_2(tmp_path, matrix, message):
     path = tmp_path / "a.json"
     write_json(path, {"matrix": matrix})
@@ -638,6 +641,47 @@ def test_check_optimal_b_fails_on_widely_spread_singular_values(tmp_path):
     assert report["pass"] is False
     low = report["details"]["min_eigenvalue"]
     assert abs(low / -7.0710678118654e13 - 1.0) <= 1e-12
+
+
+def test_check_one_row_differential_leaves_trace_free_optimal_b_out(
+        tmp_path, monkeypatch, capsys):
+    # the trace-free form needs n >= 2: the default list once held OptimalB
+    # for every shape and exited 2 on a 1 x m differential
+    inputs = {"m.json": {"matrix": [[0.5, 0.2]]}}
+    code, out, err = _main_in(tmp_path, monkeypatch, capsys, inputs,
+                              ["check", "--input", "m.json"])
+    assert (code, err) == (0, "")
+    reports = json.loads(out)["results"][0]["reports"]
+    assert [r["condition"] for r in reports] == ["TheoremA", "JostXin",
+                                                 "FC_HJW"]
+    code, out, err = _main_in(tmp_path, monkeypatch, capsys, inputs,
+                              ["check", "--input", "m.json", "--traceless",
+                               "false"])
+    assert code == 0
+    assert "OptimalB" in [r["condition"]
+                          for r in json.loads(out)["results"][0]["reports"]]
+    code, out, err = _main_in(tmp_path, monkeypatch, capsys, inputs,
+                              ["check", "--input", "m.json", "--conditions",
+                               "OptimalB"])
+    assert (code, out) == (2, "")
+    assert err == "error: trace-free basis requires n >= 2\n"
+
+
+def test_rotate_leaves_a_non_graphic_identity_start(tmp_path, monkeypatch,
+                                                     capsys):
+    # at entries near 1e160 no neighbour of the identity is graphic; its
+    # descent once spent the whole budget halving the step before the
+    # flattening start was tried
+    matrix = (np.random.default_rng(100).uniform(-1.0, 1.0, (2, 3))
+              * 1e160).tolist()
+    code, out, err = _main_in(
+        tmp_path, monkeypatch, capsys, {"in.json": {"matrix": matrix}},
+        ["rotate", "--input", "in.json", "--target", "TheoremA", "--budget",
+         "150", "--seed", "14"])
+    assert (code, err) == (0, "")
+    results = json.loads(out)["results"]
+    assert results["report"]["margin"] == 0.9
+    assert results["evaluations"] == 22
 
 
 def test_check_answers_on_tiny_entries(tmp_path, monkeypatch, capsys):

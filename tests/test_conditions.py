@@ -157,8 +157,11 @@ def test_report_json_shape():
 
 
 def test_registry_defaults_and_shape_rule():
-    assert cond.condition_names(2, 2) == tuple(cond.CONDITIONS)
-    assert "Hemisphere24" not in cond.condition_names(2, 3)
+    assert cond.condition_names(2, 2, True) == tuple(cond.CONDITIONS)
+    assert "Hemisphere24" not in cond.condition_names(2, 3, True)
+    # the trace-free form needs n >= 2
+    assert "OptimalB" not in cond.condition_names(1, 3, True)
+    assert "OptimalB" in cond.condition_names(1, 3, False)
     jac = np.array([[0.3, 0.1, 0.0], [0.2, 0.4, 0.1]])
     lams = np.linalg.svd(jac, compute_uv=False)
     params = {"delta": 0.1, "k_min": 0.1, "epsilon": 1e-3, "traceless": True}
@@ -190,7 +193,7 @@ def test_batched_registry_equals_batches_of_one(n, m):
         jacs[5] = [[0.4, 0.7], [0.9, -0.2]]     # det < 0
     lams, _ = geo.jacobian_svd(jacs)
     params = dict(THRESHOLDS, traceless=n >= 2)
-    for name in cond.condition_names(n, m):
+    for name in cond.condition_names(n, m, params["traceless"]):
         batch = cond.evaluate_condition(name, jacs, lams, **params)
         assert np.shape(batch.margin) == (9,)
         rows = batch.rows()

@@ -98,7 +98,7 @@ def _dense_jacobi_eigh(a, tol=linalg.OFF_DIAG_TOL):
     g = a.copy()
     nb, d, _ = g.shape
     v = np.tile(np.eye(d), (nb, 1, 1))
-    scale = np.maximum(1.0, np.sqrt(np.sum(g * g, axis=(-2, -1))))
+    scale = np.sqrt(np.sum(g * g, axis=(-2, -1)))
     skip = (tol / (10.0 * max(d, 2))) * scale
     while True:
         live = linalg._offdiag_mass(g) > tol * scale
@@ -299,26 +299,42 @@ def test_svd_answers_at_extreme_scales(scale):
     assert np.allclose(u @ np.diag(s / scale) @ vt, a, atol=1e-13)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 6), st.integers(0, 10**6), st.integers(520, 1000))
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 10**6), st.integers(-1000, 1000))
 def test_eigh_of_overflowing_member_scales_exactly(d, seed, k):
-    # a member whose squared norm overflows is solved at a power-of-two
-    # scale: w is 2^k times a's and v is a's, bit for bit, alone or beside
-    # an ordinary member; a's norm is at least 1, where max(1, ||a||) is
-    # its norm too
+    # every member is solved at a power-of-two scale and decides against its
+    # own norm: w is 2^k times a's and v is a's, bit for bit, alone or beside
+    # an ordinary member, wherever neither 2^k a nor 2^k w is subnormal or
+    # infinite; that includes squared norms that under- or overflow
     a = random_symmetric(np.random.default_rng(seed), d)
-    assume(np.sqrt(np.sum(a * a)) >= 1.0)
     w, v = linalg.jacobi_eigh(a)
-    assume(_scales_exactly(w, k))
-    big = np.ldexp(a, k)
-    with np.errstate(over="ignore"):
-        assert not np.isfinite(np.sum(big * big))
-        w2, v2 = linalg.jacobi_eigh(big)
-        ws, vs = linalg.jacobi_eigh(np.array([big, a]))
+    assume(_scales_exactly(a, k) and _scales_exactly(w, k))
+    scaled = np.ldexp(a, k)
+    w2, v2 = linalg.jacobi_eigh(scaled)
+    ws, vs = linalg.jacobi_eigh(np.array([scaled, a]))
     assert w2.tobytes() == np.ldexp(w, k).tobytes()
     assert v2.tobytes() == v.tobytes()
     assert ws.tobytes() == np.array([w2, w]).tobytes()
     assert vs.tobytes() == np.array([v2, v]).tobytes()
+
+
+def test_eigh_rotates_members_of_small_norm():
+    # a max(1, ||a||) floor on the stopping test froze a member of norm
+    # 2e-14 at once and returned its unrotated diagonal
+    a = 1e-14 * np.array([[1.0, 1.0], [1.0, 1.0]])
+    w, v = linalg.jacobi_eigh(a)
+    assert np.allclose(w, [0.0, 2e-14], rtol=0.0, atol=1e-29)
+    assert np.allclose(v @ np.diag(w) @ v.T, a, rtol=0.0, atol=1e-29)
+    assert abs(opt.min_eigenvalue(a)) <= 1e-29
+
+
+def test_orthonormalize_accepts_small_full_rank_input():
+    # the rank test compared against max(1, max|a|) and refused 1e-14 G
+    g = np.random.default_rng(6).normal(size=(6, 6))
+    q = linalg.orthonormalize_columns(1e-14 * g)
+    assert np.allclose(q.T @ q, np.eye(6), atol=1e-13)
+    with pytest.raises(ValueError, match="rank deficient"):
+        linalg.orthonormalize_columns(1e-14 * np.outer(g[:, 0], [1.0, 2.0]))
 
 
 def test_eigh_of_non_finite_member_is_nan():

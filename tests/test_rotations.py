@@ -389,6 +389,14 @@ def test_unitary_flattening_at_huge_entries():
         assert np.max(np.abs(rot.lagrangian_transform(a, g))) < 1e-12
 
 
+def test_unitary_flattening_at_tiny_entries():
+    # the eigensolve's max(1, ||a||) floor froze a of norm 3e-14 at its
+    # diagonal, and the flattening left the differential unchanged
+    a = 1e-14 * np.array([[1.0, 2.0], [2.0, -1.0]])
+    g = rot._unitary_flattening(a)
+    assert np.max(np.abs(rot.lagrangian_transform(a, g))) <= 1e-15 * 2e-14
+
+
 def test_uncertified_search_runs_its_whole_budget():
     target = rot.SearchTarget("OptimalB", epsilon=1e-3, traceless=False)
     out = rot.search_rotation([[0.7]], target, budget=120, seed=4)
