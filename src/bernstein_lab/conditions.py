@@ -91,12 +91,13 @@ def check_theorem_a(lambdas, delta, k_min) -> ConditionReport:
     prod = np.zeros(len(lam))       # one singular value has no pair
     if lam.shape[-1] > 1:
         prod = top[:, -1] * top[:, -2]
-    first, second = 1.0 - delta - prod, star_omega(lam) - k_min
+    omega = star_omega(lam)
+    first, second = 1.0 - delta - prod, omega - k_min
     # Python's min(first, second): NaN and signed zeros keep their bits
     margin = np.where(second < first, second, first)
     return ConditionReport.from_arrays(
         "TheoremA", lambdas, margin, margin >= 0.0, max_product=prod,
-        star_omega=star_omega(lam), delta=float(delta), k_min=float(k_min))
+        star_omega=omega, delta=float(delta), k_min=float(k_min))
 
 
 def jost_xin_delta(lambdas):

@@ -186,32 +186,24 @@ def jet(spec: MapSpec, x) -> Jet2:
 # singular data and frames
 
 
-def _group_indices(lams, gtol):
-    groups = []
-    start = 0
-    n = len(lams)
-    for i in range(1, n + 1):
-        if i == n or lams[i - 1] - lams[i] > gtol:
-            groups.append(tuple(range(start, i)))
-            start = i
-    return tuple(groups)
+def tie_groups(tied):
+    """The groups of consecutive indices that one node's tie row (n-1,)
+    joins, as a tuple of index tuples."""
+    cuts = [0, *(i + 1 for i, t in enumerate(tied) if not t), len(tied) + 1]
+    return tuple(tuple(range(a, b)) for a, b in zip(cuts, cuts[1:]))
 
 
-def _canonicalize_ties(amat, lams):
-    """Group each node's (near-)equal singular values and replace the basis
-    of every tie group by the canonical basis of its projector, in place;
-    returns the per-node group tuples."""
-    groups = []
-    for b in range(len(amat)):
-        grps = _group_indices(lams[b], GROUP_TOL * max(1.0, float(lams[b, 0])))
-        for grp in grps:
+def _canonicalize_ties(amat, tied):
+    """Replace the basis of every tie group by the canonical basis of its
+    projector, in place; only the nodes with a tie are visited."""
+    nodes = np.flatnonzero(tied.any(axis=-1))
+    for b, row in zip(nodes.tolist(), tied[nodes].tolist()):
+        for grp in tie_groups(row):
             if len(grp) > 1:
                 cols = amat[b, :, grp[0]: grp[-1] + 1]
                 amat[b, :, grp[0]: grp[-1] + 1] = linalg._canonical_basis(
                     cols @ cols.T, len(grp)
                 )
-        groups.append(grps)
-    return groups
 
 
 def _orient(amat):
@@ -226,20 +218,20 @@ def _orient(amat):
 
 def _target_bases(jacs, lams, amat):
     """Per node: the normalized images jac.T @ a_j of the columns with
-    lambda_j above the rank tolerance, completed canonically to a basis."""
+    lambda_j above the rank tolerance, completed canonically to a basis
+    where they do not fill R^m."""
     nb, n, m = jacs.shape
+    p = min(n, m)
+    # lambdas descend, so the columns above the rank tolerance lead
+    kept = np.count_nonzero(
+        lams[:, :p] > RANK_TOL * np.maximum(1.0, lams[:, :1]), axis=-1)
     target = np.zeros((nb, m, m))
-    for b in range(nb):
+    for b, count in enumerate(kept.tolist()):
         jac_t = jacs[b].T
-        rank_tol = RANK_TOL * max(1.0, float(lams[b, 0]))
-        bcols = []
-        for j in range(min(n, m)):
-            if lams[b, j] > rank_tol:
-                w = jac_t @ amat[b, :, j]
-                bcols.append(w / np.sqrt(w @ w))
-        base = np.array(bcols).T if bcols else np.zeros((m, 0))
-        target[b] = np.hstack([base, linalg.complete_orthonormal(base)])
-    return target
+        for j in range(count):
+            w = jac_t @ amat[b, :, j]
+            target[b, :, j] = w / np.sqrt(w @ w)
+    return linalg.complete_bases(target, kept)
 
 
 def _assemble_frames(lams, amat, bmat):
@@ -293,26 +285,34 @@ def singular_data(jac) -> SingularData:
     first n rows of the tangent frame.  This is ``singular_data_batch`` on a
     batch of one.
     """
-    batch = singular_data_batch(np.asarray(jac, dtype=float)[None])
-    return SingularData(*(part[0] for part in batch))
+    *arrays, tied = singular_data_batch(np.asarray(jac, dtype=float)[None])
+    return SingularData(*(part[0] for part in arrays),
+                        degenerate_groups=tie_groups(tied[0]))
 
 
 def singular_data_batch(jacs):
     """Singular values and adapted frames of a batch of jacobians (B, n, m).
 
-    Returns (lambdas, tangent, normal, domain, target, groups) with the batch
-    in the leading axis; ``groups`` is a list of per-node group tuples.  The
-    tie groups and the target bases are built node by node; the signs, the
-    orientation and the frames in one pass over the batch.
+    Returns (lambdas, tangent, normal, domain, target, tied) with the batch
+    in the leading axis.  ``tied`` (B, n-1) marks each pair of consecutive
+    singular values treated as equal, lambda_i - lambda_{i+1} <=
+    ``GROUP_TOL`` * max(1, lambda_1); ``tie_groups`` turns a row of it into
+    the node's group tuples.  The ties, the signs, the orientation, the
+    completion test and the frames take one pass over the batch; only the
+    canonical bases of the nodes with a tie, the image columns of the
+    target bases and the completion of the nodes where those do not fill
+    R^m are built node by node.
     """
     jacs = np.asarray(jacs, dtype=float)
     lams, vt = jacobian_svd(jacs)
     amat = np.swapaxes(vt, -1, -2).copy()
-    groups = _canonicalize_ties(amat, lams)
+    tied = (lams[:, :-1] - lams[:, 1:]
+            <= GROUP_TOL * np.maximum(1.0, lams[:, :1]))
+    _canonicalize_ties(amat, tied)
     amat = _orient(amat)
     target = _target_bases(jacs, lams, amat)
     tangent, normal = _assemble_frames(lams, amat, target)
-    return lams, tangent, normal, amat, target, groups
+    return lams, tangent, normal, amat, target, tied
 
 
 # ---------------------------------------------------------------------------

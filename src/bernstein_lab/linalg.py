@@ -204,10 +204,10 @@ def jacobi_svd(a, compute_u=True):
 
     The sweep rotates one buffer (nb, r + c, c) holding [a; I], so each
     plane rotation updates w (its top r rows) and v (its bottom c rows) in
-    one step.  u is w with normalized columns wherever the r leading
-    columns pass the rank test; only a member with a rank drop, or with
-    r > c, has its u completed by ``complete_orthonormal``.  The scale rule
-    of the module makes s of 2^k a 2^k times a's, with a's u and vt.
+    one step.  u holds the normalized columns of w that pass the rank test;
+    ``complete_bases`` fills the rest of u only for the members whose
+    columns do not span R^r (a rank drop, or r > c).  The scale rule of
+    the module makes s of 2^k a 2^k times a's, with a's u and vt.
     """
     a = np.asarray(a, dtype=float)
     r, c = a.shape[-2], a.shape[-1]
@@ -273,17 +273,12 @@ def jacobi_svd(a, compute_u=True):
             vt.reshape(batch_shape + (c, c)),
         )
 
-    rank_tol = 1e-13 * norms[:, 0]
-    full = (norms[:, :k] > rank_tol[:, None]).all(axis=-1) & (k == r)
+    # norms descend, so the columns that pass the rank test lead
+    keep = norms[:, :k] > 1e-13 * norms[:, :1]
     u = np.zeros((nb, r, r))
-    if k == r:
-        np.divide(w[:, :, :r], norms[:, None, :r], out=u,
-                  where=full[:, None, None])
-    for b in np.flatnonzero(~full):
-        cols = [w[b, :, j] / norms[b, j]
-                for j in range(k) if norms[b, j] > rank_tol[b]]
-        base = np.array(cols).T if cols else np.zeros((r, 0))
-        u[b] = np.hstack([base, complete_orthonormal(base)])
+    np.divide(w[:, :, :k], norms[:, None, :k], out=u[:, :, :k],
+              where=keep[:, None, :])
+    complete_bases(u, np.count_nonzero(keep, axis=-1))
     return (
         u.reshape(batch_shape + (r, r)),
         s.reshape(batch_shape + (k,)),
@@ -333,16 +328,19 @@ def orthonormalize_columns(a):
 
     Requires full column rank: a residual norm at most 1e-13 max|a| is
     refused.  The normalization constants are positive, so for a Gaussian
-    random input the result is Haar-distributed.
+    random input the result is Haar-distributed.  ``a`` is first scaled by
+    2^-e to max|a| in [0.5, 1) (``_pow2_exponents``), so no square under-
+    or overflows, and 2^k a gives a's bits wherever nothing is subnormal.
     """
     a = np.asarray(a, dtype=float)
-    q = a.copy()
+    q = np.ldexp(a, -_pow2_exponents(a[None])[0], order="C")
+    top = float(np.max(np.abs(q)))
     d, k = q.shape
     for j in range(k):
         for i in range(j):
             q[:, j] -= (q[:, i] @ q[:, j]) * q[:, i]
         norm = np.sqrt(q[:, j] @ q[:, j])
-        if norm <= 1e-13 * float(np.max(np.abs(a))):
+        if norm <= 1e-13 * top:
             raise ValueError("columns are numerically rank deficient")
         q[:, j] /= norm
     return q
@@ -401,3 +399,16 @@ def complete_orthonormal(base):
     base = np.asarray(base, dtype=float)
     d, k = base.shape
     return _canonical_basis(np.eye(d), d - k, list(base.T))
+
+
+def complete_bases(u, kept):
+    """Complete each member of u (nb, d, d) in place to an orthonormal basis
+    of R^d: member b keeps its kept[b] leading (orthonormal) columns, and
+    ``complete_orthonormal`` fills the others.  Members whose kept columns
+    fill the space are not visited."""
+    d = u.shape[-1]
+    for b in np.flatnonzero(kept < d):
+        # contiguous rows: the dot products of a strided copy round apart
+        rows = np.ascontiguousarray(u[b, :, :kept[b]].T)
+        u[b, :, kept[b]:] = complete_orthonormal(rows.T)
+    return u

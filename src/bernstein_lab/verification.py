@@ -73,18 +73,11 @@ class SurfaceSample:
         return tuple(slice(layers, size - layers) for size in self.grid_shape)
 
 
-def _near_tie_flags(lams, groups_list, shape):
-    flags = np.zeros(lams.shape[0], dtype=bool)
-    for b in range(lams.shape[0]):
-        groups = groups_list[b]
-        boundary_pairs = [
-            (grp[-1], grp[-1] + 1) for grp in groups[:-1]
-        ]
-        for i, j in boundary_pairs:
-            if lams[b, i] - lams[b, j] < NEAR_TIE_GAP:
-                flags[b] = True
-                break
-    return flags.reshape(shape)
+def _near_tie_flags(lams, tied):
+    """Nodes with two consecutive singular values that are not treated as
+    tied yet lie closer than ``NEAR_TIE_GAP``."""
+    return np.any(~tied & (lams[:, :-1] - lams[:, 1:] < NEAR_TIE_GAP),
+                  axis=-1)
 
 
 def sample_surface(spec: MapSpec, grid, domain=None) -> SurfaceSample:
@@ -116,13 +109,12 @@ def sample_surface(spec: MapSpec, grid, domain=None) -> SurfaceSample:
     points = np.stack([mm.reshape(-1) for mm in mesh], axis=-1)
     j = jet(spec, points)
 
-    lams, tangent, normal, domain_b, target_b, groups = (
+    lams, tangent, normal, domain_b, target_b, tied = (
         singular_data_batch(j.jac)
     )
     sff = _sff_from_arrays(j.hess, lams, domain_b, target_b)
     omega = star_omega(lams)
     mean_c = np.einsum("bjkk->bj", sff)
-    flagged = _near_tie_flags(lams, groups, shape)
 
     return SurfaceSample(
         spec=spec,
@@ -139,7 +131,7 @@ def sample_surface(spec: MapSpec, grid, domain=None) -> SurfaceSample:
         sff=sff.reshape(shape + (m, n, n)),
         star_omega=np.asarray(omega).reshape(shape),
         mean_curvature=mean_c.reshape(shape + (m,)),
-        flagged=flagged,
+        flagged=_near_tie_flags(lams, tied).reshape(shape),
     )
 
 

@@ -337,6 +337,27 @@ def test_orthonormalize_accepts_small_full_rank_input():
         linalg.orthonormalize_columns(1e-14 * np.outer(g[:, 0], [1.0, 2.0]))
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 10**6), st.integers(-1000, 1000))
+def test_orthonormalize_of_power_of_two_multiple_keeps_bits(k, seed, e):
+    # the whole matrix is prescaled by 2^-e: 2^e a gives a's bits wherever
+    # 2^e a holds no subnormal value, and no column norm squares out of range
+    a = np.random.default_rng(seed).normal(size=(6, k))
+    assume(_scales_exactly(a, e))
+    q = linalg.orthonormalize_columns(a)
+    scaled = linalg.orthonormalize_columns(np.ldexp(a, e))
+    assert scaled.tobytes() == q.tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e160, 1e300])
+def test_orthonormalize_answers_at_extreme_scales(scale):
+    # unscaled squares left the Gram matrix 1.2e-4 off the identity at
+    # 1e-160 and 1.0 off at 1e160, and refused the full-rank input at 1e-170
+    a = np.random.default_rng(6).normal(size=(4, 4))
+    q = linalg.orthonormalize_columns(scale * a)
+    assert np.max(np.abs(q.T @ q - np.eye(4))) < 1e-13
+
+
 def test_eigh_of_non_finite_member_is_nan():
     # inf or NaN entries were never rotated and came back as the diagonal
     a = random_symmetric(np.random.default_rng(3), 3)

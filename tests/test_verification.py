@@ -220,6 +220,60 @@ def test_sample_surface_makes_one_det_call(monkeypatch):
     assert calls == [(17 * 17, 2, 2)]
 
 
+def test_sample_surface_completes_only_where_the_rank_drops(monkeypatch):
+    # holo_z2's image columns fill R^2 at every node but the origin, where
+    # lambda = 0 and the whole target basis comes from the completion
+    calls = []
+    complete = linalg.complete_orthonormal
+
+    def counting_complete(base):
+        calls.append(np.shape(base))
+        return complete(base)
+
+    monkeypatch.setattr(linalg, "complete_orthonormal", counting_complete)
+    ver.sample_surface(builtin_surface("holo_z2"), 17)
+    assert calls == [(2, 0)]
+    calls.clear()
+    ver.sample_surface(builtin_surface("holo_z2"), 17,
+                       domain=[[0.1, 1.0], [-1.0, 1.0]])
+    assert calls == []
+
+
+def _group_starts(row):
+    """Where one node's groups of tied values start after the first: at
+    each i whose value is more than GROUP_TOL max(1, lambda_1) below the
+    one before."""
+    gtol = geo.GROUP_TOL * max(1.0, float(row[0]))
+    return [i for i in range(1, len(row)) if row[i - 1] - row[i] > gtol]
+
+
+def _near_tie_flags_loop(lams):
+    """The per-node rule: flag a node if two neighbouring groups lie closer
+    than NEAR_TIE_GAP."""
+    return np.array([any(row[i - 1] - row[i] < ver.NEAR_TIE_GAP
+                         for i in _group_starts(row)) for row in lams])
+
+
+def test_near_tie_flags_match_the_per_node_rule():
+    # gaps on both sides of GROUP_TOL (at lambda_1 below and above 1, where
+    # the tolerance is relative) and of NEAR_TIE_GAP
+    rng = np.random.default_rng(17)
+    gaps = [0.0, 0.4e-12, 2.5e-12, 7e-12, 0.5e-6, 2e-6, 0.15]
+    rows = []
+    for top in (0.6, 3.0):
+        for _ in range(150):
+            rows.append(top - np.cumsum([0.0, *rng.choice(gaps, 3)]))
+    lams, *_, tied = geo.singular_data_batch(
+        np.array([np.diag(row) for row in rows]))
+    assert np.any(tied) and not np.all(tied)
+    want = _near_tie_flags_loop(lams)
+    assert np.any(want) and not np.all(want)
+    assert np.array_equal(ver._near_tie_flags(lams, tied), want)
+    for row, tie_row in zip(lams, tied):
+        starts = [grp[0] for grp in geo.tie_groups(tie_row)]
+        assert starts == [0, *_group_starts(row)]
+
+
 @pytest.mark.parametrize("identity, grids, minimum", [
     ("gradient", [2], 3),
     ("gradient", [2, 3], 3),
