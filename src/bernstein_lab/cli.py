@@ -34,22 +34,6 @@ SCHEMA = "bernstein-lab/1"
 MAX_NODES = 2**19
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
-
-
 def _write(text, out_path):
     """The one output writer: ``text`` to ``out_path``, or to stdout."""
     if out_path:
@@ -60,10 +44,12 @@ def _write(text, out_path):
 
 
 def _json_text(payload):
-    """Strict JSON: a NaN or an infinity in the payload is an error."""
+    """Strict JSON: a NaN or an infinity in the payload is an error.  Numpy
+    arrays and scalars are written as their ``tolist()``; a float64 is a
+    ``float`` and is written by ``float.__repr__``."""
     try:
-        text = json.dumps(_jsonable(payload), sort_keys=True, indent=2,
-                          allow_nan=False)
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False,
+                          default=lambda obj: obj.tolist())
     except ValueError:
         raise ValueError("result is not finite (numerical overflow); no "
                          "JSON written") from None
@@ -79,10 +65,11 @@ def _csv_text(config, header, rows):
     return "\n".join(lines) + "\n"
 
 
-def _config_echo(args, keys):
-    cfg = {"subcommand": args.command}
-    for key in keys:
-        cfg[key] = _jsonable(getattr(args, key))
+def _config_echo(args):
+    """Every parsed option of the subcommand but ``--out``, and its name."""
+    cfg = {k: v for k, v in vars(args).items()
+           if k not in ("command", "func", "out")}
+    cfg["subcommand"] = args.command
     return cfg
 
 
@@ -174,9 +161,7 @@ def cmd_check(args):
         entry["point"] = point
     payload = {
         "schema": SCHEMA,
-        "config": _config_echo(
-            args, ("input", "conditions", "delta", "kmin", "epsilon",
-                   "traceless")),
+        "config": _config_echo(args),
         "results": entries,
     }
     _write(_json_text(payload), args.out)
@@ -214,8 +199,7 @@ def cmd_region(args):
     _cap_nodes(steps for _, _, steps in axes)
     result = region_scan(args.n, args.m, args.traceless, axes,
                          epsilon=args.epsilon)
-    config = _config_echo(
-        args, ("n", "m", "traceless", "grid", "epsilon", "format"))
+    config = _config_echo(args)
     if args.format == "json":
         payload = {
             "schema": SCHEMA,
@@ -259,9 +243,7 @@ def cmd_rotate(args):
     g = outcome.best_g
     payload = {
         "schema": SCHEMA,
-        "config": _config_echo(
-            args, ("input", "target", "budget", "seed", "group", "delta",
-                   "kmin", "epsilon", "traceless")),
+        "config": _config_echo(args),
         "results": {
             "g": g.matrix,
             "blocks": {k: getattr(g, k) for k in outcome.group.block_names},
@@ -314,8 +296,7 @@ def cmd_verify(args):
                          f"sides, not {args.identity}")
     grids = [int(g) for g in str(args.grid).split(",")]
     _cap_nodes([max(grids)] * spec.n)
-    config = _config_echo(
-        args, ("surface", "input", "identity", "grid", "nodes_csv"))
+    config = _config_echo(args)
 
     ladder, finest = verification.run_identity(spec, grids, args.identity)
     if args.identity == "minimality":

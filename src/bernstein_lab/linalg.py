@@ -132,7 +132,7 @@ def _permute_columns(x, order):
     return np.ascontiguousarray(np.swapaxes(cols, 1, 2))
 
 
-def jacobi_eigh(a, max_sweeps=MAX_SWEEPS, compute_v=True):
+def jacobi_eigh(a, compute_v=True):
     """Eigendecomposition of symmetric matrices by cyclic Jacobi rotations.
 
     Parameters
@@ -150,7 +150,7 @@ def jacobi_eigh(a, max_sweeps=MAX_SWEEPS, compute_v=True):
     scaled by 2^-e to a', is frozen once its off-diagonal mass is at most
     ``OFF_DIAG_TOL * ||a'||_F``: a batched run performs the rotations of a
     matrix-at-a-time run, and none depends on the member's scale.  Raises
-    ``ConvergenceError`` if that is not reached within ``max_sweeps``
+    ``ConvergenceError`` if that is not reached within ``MAX_SWEEPS``
     sweeps.  A member with an inf or NaN entry gets NaN w and v.
     """
     a = np.asarray(a, dtype=float)
@@ -167,12 +167,12 @@ def jacobi_eigh(a, max_sweeps=MAX_SWEEPS, compute_v=True):
     scale = np.sqrt(np.add.reduce(g * g, axis=(-2, -1)))
     # Rotations smaller than this cannot affect the convergence target.
     skip = (OFF_DIAG_TOL / (10.0 * max(d, 2))) * scale
-    for sweep in range(max_sweeps + 1):
+    for sweep in range(MAX_SWEEPS + 1):
         off = _offdiag_mass(g)
         live = off > OFF_DIAG_TOL * scale
         if not np.count_nonzero(live):
             break
-        if sweep == max_sweeps:
+        if sweep == MAX_SWEEPS:
             raise ConvergenceError("jacobi_eigh did not converge",
                                    np.max(off[live] / scale[live]))
         for p in range(d - 1):
@@ -284,12 +284,6 @@ def jacobi_svd(a, compute_u=True):
         s.reshape(batch_shape + (k,)),
         vt.reshape(batch_shape + (c, c)),
     )
-
-
-def singular_values(a):
-    """Descending singular values of a matrix (no vectors)."""
-    s, _ = jacobi_svd(a, compute_u=False)
-    return s
 
 
 def det(a):

@@ -259,7 +259,7 @@ class SearchTarget:
     def report(self, transformed) -> ConditionReport:
         """Report on one (n, m) differential, or on a batch (B, n, m)."""
         a = np.asarray(transformed, dtype=float)
-        lams = linalg.singular_values(a)
+        lams, _ = linalg.jacobi_svd(a, compute_u=False)
         lam_full = np.zeros(a.shape[:-1])
         lam_full[..., : lams.shape[-1]] = lams
         return evaluate_condition(self.kind, a, lam_full, delta=self.delta,

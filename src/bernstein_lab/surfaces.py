@@ -184,20 +184,17 @@ def _harmonic_potential_table(degree):
     return table
 
 
-def _lagrangian_harmonic(domain, degree=3):
-    """Gradient graph of the harmonic potential Re((x+iy)^degree).
+def _lagrangian_harmonic(domain):
+    """Gradient graph of the harmonic potential Re((x+iy)^3).
 
     The potential solves Laplace's equation, so the Hessian of the potential
     is trace-free and the graph of its gradient is special Lagrangian, hence
     minimal.
     """
-    if degree < 2:
-        raise ValueError("degree must be at least 2")
     dom = _as_domain(domain, [[-1.0, 1.0], [-1.0, 1.0]])
-    f_table = _harmonic_potential_table(int(degree))
+    f_table = _harmonic_potential_table(3)
     coeffs = [_diff_table(f_table, 0), _diff_table(f_table, 1)]
-    spec = polynomial_spec(2, 2, coeffs, dom, name="lagrangian_harmonic")
-    return spec
+    return polynomial_spec(2, 2, coeffs, dom, name="lagrangian_harmonic")
 
 
 _BUILTINS = {
@@ -214,7 +211,7 @@ def builtin_names():
     return tuple(sorted(_BUILTINS))
 
 
-def builtin_surface(name, domain=None, **params) -> MapSpec:
+def builtin_surface(name, domain=None) -> MapSpec:
     """Construct a named built-in surface, optionally on a custom domain.
 
     Domains are validated against each surface's region of smoothness
@@ -227,4 +224,4 @@ def builtin_surface(name, domain=None, **params) -> MapSpec:
         raise ValueError(
             f"unknown surface {name!r}; choices: {', '.join(builtin_names())}"
         ) from None
-    return factory(domain, **params)
+    return factory(domain)

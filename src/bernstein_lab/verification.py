@@ -80,12 +80,13 @@ def _near_tie_flags(lams, tied):
                   axis=-1)
 
 
-def sample_surface(spec: MapSpec, grid, domain=None) -> SurfaceSample:
+def sample_surface(spec: MapSpec, grid) -> SurfaceSample:
     """Evaluate all pointwise graph data on a rectangular lattice.
 
-    ``grid`` is the node count per axis (an int applies to every axis);
-    ``domain`` optionally restricts sampling to a sub-rectangle of the
-    spec's domain.
+    ``grid`` is the node count per axis (an int applies to every axis); the
+    lattice spans the spec's domain, so a sub-domain comes with the spec
+    (``builtin_surface(name, domain=...)``, or the domain of
+    ``polynomial_spec`` and ``linear_spec``).
     """
     n, m = spec.n, spec.m
     if np.isscalar(grid):
@@ -93,13 +94,9 @@ def sample_surface(spec: MapSpec, grid, domain=None) -> SurfaceSample:
     grid = tuple(int(g) for g in grid)
     if len(grid) != n or any(g < 2 for g in grid):
         raise ValueError("grid needs at least 2 nodes per domain axis")
-    dom = np.asarray(domain, dtype=float) if domain is not None else spec.domain
-    dom = dom.reshape(n, 2)
+    dom = spec.domain
     if not np.all(dom[:, 0] < dom[:, 1]):
         raise ValueError("sampling domain needs lo < hi on every axis")
-    if (np.any(dom[:, 0] < spec.domain[:, 0] - 1e-12)
-            or np.any(dom[:, 1] > spec.domain[:, 1] + 1e-12)):
-        raise ValueError("sampling domain exceeds the spec domain")
     axes = tuple(np.linspace(dom[i, 0], dom[i, 1], grid[i]) for i in range(n))
     spacing = tuple(
         float((dom[i, 1] - dom[i, 0]) / (grid[i] - 1)) for i in range(n)
@@ -373,7 +370,7 @@ def _observed_order(prev, stats):
             / math.log(prev.spacing / stats.spacing))
 
 
-def run_identity(spec: MapSpec, grids, identity, domain=None):
+def run_identity(spec: MapSpec, grids, identity):
     """Run one identity on one grid or a ladder of nested grids.
 
     Each grid is sampled once and its identity evaluated once.  Returns the
@@ -394,7 +391,7 @@ def run_identity(spec: MapSpec, grids, identity, domain=None):
                          f"{MIN_GRID[identity]} nodes per axis")
     out = []
     for g in grids:
-        sample = sample_surface(spec, g, domain=domain)
+        sample = sample_surface(spec, g)
         stats = IDENTITY_RUNNERS[identity](sample)
         if out:
             stats = replace(stats,
@@ -403,8 +400,7 @@ def run_identity(spec: MapSpec, grids, identity, domain=None):
     return out, sample
 
 
-def convergence_study(spec: MapSpec, grids, identity,
-                      domain=None) -> list:
+def convergence_study(spec: MapSpec, grids, identity) -> list:
     """Run one identity on a ladder of nested grids and report orders.
 
     Grids must be nested: each successive node count N' satisfies
@@ -418,4 +414,4 @@ def convergence_study(spec: MapSpec, grids, identity,
     """
     if len(grids) < 2:
         raise ValueError("need at least two grids")
-    return run_identity(spec, grids, identity, domain=domain)[0]
+    return run_identity(spec, grids, identity)[0]

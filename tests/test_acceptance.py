@@ -137,9 +137,8 @@ def test_criterion_5_identity_verification():
         ("catenoid_graph", None, "laplacian-log"),
     ]
     for name, dom, ident in cases:
-        spec = builtin_surface(name)
-        coarse, fine = ver.convergence_study(spec, [33, 65], ident,
-                                             domain=dom)
+        spec = builtin_surface(name, domain=dom)
+        coarse, fine = ver.convergence_study(spec, [33, 65], ident)
         assert fine.max_abs_error < coarse.max_abs_error, (name, ident)
         assert 1.5 <= fine.observed_order <= 2.5, (name, ident,
                                                    fine.observed_order)

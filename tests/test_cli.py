@@ -1,11 +1,13 @@
 """CLI contract: inputs, exit codes, and machine-readable output."""
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -820,3 +822,75 @@ def test_cli_fuzz_exit_codes_and_strict_json(tmp_path_factory, doc, command):
 
 def _reject_constant(name):
     raise AssertionError(f"{name} in JSON output")
+
+
+def _big_square():
+    return {"m.json": {"matrix": np.random.default_rng(3).normal(
+        size=(40, 40)).tolist()}}
+
+
+def test_check_above_the_basis_cap_answers_without_optimal_b(
+        tmp_path, monkeypatch, capsys):
+    # F's trace-free h-space at 40 x 40 has dimension 32,760: building it
+    # ran for minutes or ended in a MemoryError traceback with exit 1
+    start = time.perf_counter()
+    code, out, err = _main_in(tmp_path, monkeypatch, capsys, _big_square(),
+                              ["check", "--input", "m.json"])
+    assert time.perf_counter() - start < 1.0
+    assert code in (0, 1) and err == ""
+    reports = json.loads(out)["results"][0]["reports"]
+    assert [r["condition"] for r in reports] == ["TheoremA", "JostXin",
+                                                 "FC_HJW"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--input", "m.json", "--conditions", "OptimalB"],
+    ["rotate", "--input", "m.json", "--seed", "1"],
+    ["region", "--n", "40", "--m", "40", "--grid", ",".join(["0:1:1"] * 40)],
+])
+def test_optimal_b_above_the_basis_cap_exits_2(tmp_path, monkeypatch, capsys,
+                                               argv):
+    start = time.perf_counter()
+    code, out, err = _main_in(tmp_path, monkeypatch, capsys, _big_square(),
+                              argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == ("error: h-space of dimension 32760 at n = 40, m = 40 "
+                   "exceeds the cap of 1000\n")
+
+
+def _subcommand_options(command):
+    """The dests of a subcommand's options, --out and --help left out."""
+    sub = next(action for action in cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return {action.dest for action in sub.choices[command]._actions
+            if action.option_strings} - {"help", "out"}
+
+
+def _echoed_config(text):
+    """The config echo of a JSON output or of a CSV's second line."""
+    if text.startswith("# schema: "):
+        return json.loads(text.splitlines()[1].removeprefix("# config: "))
+    return json.loads(text)["config"]
+
+
+@pytest.mark.parametrize("argv, csv_name", [
+    (["check", "--input", "in.json"], None),
+    (["region", "--n", "2", "--m", "2", "--grid", "0:1:2,0:1:2"], None),
+    (["region", "--n", "2", "--m", "2", "--grid", "0:1:2,0:1:2",
+      "--format", "json"], None),
+    (["rotate", "--input", "in.json", "--seed", "1", "--budget", "3"], None),
+    (["verify", "--surface", "holo_z2", "--identity", "gradient",
+      "--grid", "9", "--nodes-csv", "nodes.csv"], "nodes.csv"),
+])
+def test_config_echo_lists_every_option(tmp_path, monkeypatch, capsys, argv,
+                                        csv_name):
+    inputs = {"in.json": {"matrix": [[0.5, 0.2], [0.1, 0.3]]}}
+    code, out, err = _main_in(tmp_path, monkeypatch, capsys, inputs, argv)
+    assert code in (0, 1), err
+    texts = [out] + ([(tmp_path / csv_name).read_text()] if csv_name else [])
+    want = _subcommand_options(argv[0]) | {"subcommand"}
+    for text in texts:
+        config = _echoed_config(text)
+        assert set(config) == want
+        assert config["subcommand"] == argv[0]

@@ -48,10 +48,11 @@ def test_eigh_batch_is_bitwise_equal_to_single():
         assert np.array_equal(vb[i], v1)
 
 
-def test_eigh_nonconvergence_reports_residual():
+def test_eigh_nonconvergence_reports_residual(monkeypatch):
     a = random_symmetric(np.random.default_rng(2), 6)
+    monkeypatch.setattr(linalg, "MAX_SWEEPS", 0)
     with pytest.raises(linalg.ConvergenceError) as err:
-        linalg.jacobi_eigh(a, max_sweeps=0)
+        linalg.jacobi_eigh(a)
     assert err.value.residual > 0
 
 
@@ -420,12 +421,12 @@ def test_svd_converges_on_rank_one_cancellation_input():
                        rtol=1e-12, atol=1e-16 * s[0])
     assert np.allclose(u @ np.diag(s) @ vt, a, atol=1e-16 * s[0])
     assert np.allclose(vt @ vt.T, np.eye(3), atol=1e-13)
-    assert np.array_equal(linalg.singular_values(a), s)
+    assert np.array_equal(linalg.jacobi_svd(a, compute_u=False)[0], s)
 
 
 def test_singular_values_helper():
     a = np.array([[1.0, 1.0], [0.0, 1.0]])
-    s = linalg.singular_values(a)
+    s, _ = linalg.jacobi_svd(a, compute_u=False)
     gold = (np.sqrt(5) + 1) / 2
     assert np.allclose(s, [gold, gold - 1])
 

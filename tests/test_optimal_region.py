@@ -1,8 +1,11 @@
 """The quadratic form F: basis, Gram assembly, spectra and region scans."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from bernstein_lab import conditions as cond
 from bernstein_lab import geometry as geo
 from bernstein_lab import linalg
 from bernstein_lab import optimal_region as opt
@@ -34,6 +37,52 @@ def test_basis_dimensions():
 def test_basis_requires_n2_for_traceless():
     with pytest.raises(ValueError):
         opt.h_space_basis(1, 2, True)
+
+
+@pytest.mark.parametrize("n, m, traceless, dim", [
+    (12, 12, True, 924), (12, 12, False, 936), (44, 1, True, 989),
+    (12, 13, True, 1001), (45, 1, True, 1034), (40, 40, True, 32760),
+])
+def test_basis_dimension_cap(n, m, traceless, dim):
+    # refused from (n, m) alone, before any array exists
+    refusal = opt.basis_refusal(n, m, traceless)
+    if dim <= 1000:
+        assert refusal is None
+        return
+    assert refusal == (f"h-space of dimension {dim} at n = {n}, m = {m} "
+                       f"exceeds the cap of 1000")
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        opt.h_space_basis(n, m, traceless)
+    assert "OptimalB" not in cond.condition_names(n, m, traceless)
+
+
+# sha256 prefix of h_space_basis(n, m, traceless).tensors for m = 1..4 in
+# turn, recorded with the inline Gram-Schmidt of the trace-free diagonals
+GOLDEN_BASIS = {
+    (1, False): "32605edca4bd1868",
+    (2, False): "002df4c2a93a7d8d",
+    (3, False): "d69ce0aa5e29a583",
+    (4, False): "20e7d118eaa057f8",
+    (5, False): "a1ef70334e78ee52",
+    (6, False): "6de5550c31f7a577",
+    (7, False): "4f36adb49cf4ac34",
+    (8, False): "d1d83a08e8a17571",
+    (2, True): "612bdfd9ffbc8791",
+    (3, True): "51bdf43772e0e5e7",
+    (4, True): "482e35a83c18050b",
+    (5, True): "a5834ba6d28ec65c",
+    (6, True): "66c07b22b7efaccd",
+    (7, True): "2c85be132bfb2dce",
+    (8, True): "29cdadba6e7c8179",
+}
+
+
+@pytest.mark.parametrize("n, traceless", sorted(GOLDEN_BASIS))
+def test_basis_golden(n, traceless):
+    digest = hashlib.sha256()
+    for m in range(1, 5):
+        digest.update(opt.h_space_basis(n, m, traceless).tensors.tobytes())
+    assert digest.hexdigest()[:16] == GOLDEN_BASIS[(n, traceless)]
 
 
 def test_basis_orthonormal_symmetric_tracefree():

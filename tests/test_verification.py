@@ -10,7 +10,8 @@ from bernstein_lab import geometry as geo
 from bernstein_lab import linalg
 from bernstein_lab import verification as ver
 from bernstein_lab.conditions import check_theorem_a
-from bernstein_lab.surfaces import builtin_names, builtin_surface
+from bernstein_lab.surfaces import (_harmonic_potential_table, builtin_names,
+                                    builtin_surface)
 
 NON_MINIMAL_GUARD = geo.polynomial_spec(
     2, 2,
@@ -156,7 +157,10 @@ def test_scherk_origin():
 
 
 def test_lagrangian_harmonic_is_gradient_graph():
-    spec = builtin_surface("lagrangian_harmonic", degree=4)
+    potential = _harmonic_potential_table(4)
+    spec = geo.polynomial_spec(
+        2, 2, [geo._diff_table(potential, 0), geo._diff_table(potential, 1)],
+        [[-1.0, 1.0], [-1.0, 1.0]])
     # the differential of a gradient map is the symmetric second derivative
     # of the potential; harmonic potential makes it trace-free
     rng = np.random.default_rng(1)
@@ -191,11 +195,14 @@ def test_sample_surface_shapes_and_linear():
 
 
 def test_sample_surface_domain_override_validation():
-    spec = builtin_surface("holo_z2")
-    s = ver.sample_surface(spec, 9, domain=[[-0.5, 0.5], [-0.5, 0.5]])
-    assert s.axes[0][0] == -0.5
-    with pytest.raises(ValueError):
-        ver.sample_surface(spec, 9, domain=[[-5, 5], [-5, 5]])
+    spec = builtin_surface("holo_z2", domain=[[-0.5, 0.5], [-0.5, 0.5]])
+    s = ver.sample_surface(spec, 9)
+    assert s.axes[0][0] == -0.5 and s.axes[1][-1] == 0.5
+    # the sub-domain's nodes are nodes of the full grid, with their bits
+    full = ver.sample_surface(builtin_surface("holo_z2"), 17)
+    inner = (slice(4, 13),) * 2
+    assert np.array_equal(s.lambdas, full.lambdas[inner])
+    assert np.array_equal(s.sff, full.sff[inner])
 
 
 def test_sample_surface_refuses_degenerate_domain():
@@ -203,8 +210,8 @@ def test_sample_surface_refuses_degenerate_domain():
     with pytest.raises(ValueError, match="lo < hi on every axis"):
         ver.sample_surface(spec, 9)
     with pytest.raises(ValueError, match="lo < hi on every axis"):
-        ver.sample_surface(builtin_surface("holo_z2"), 9,
-                           domain=[[0.5, 0.5], [-1.0, 1.0]])
+        ver.sample_surface(
+            builtin_surface("holo_z2", domain=[[0.5, 0.5], [-1.0, 1.0]]), 9)
 
 
 def test_sample_surface_makes_one_det_call(monkeypatch):
@@ -234,8 +241,8 @@ def test_sample_surface_completes_only_where_the_rank_drops(monkeypatch):
     ver.sample_surface(builtin_surface("holo_z2"), 17)
     assert calls == [(2, 0)]
     calls.clear()
-    ver.sample_surface(builtin_surface("holo_z2"), 17,
-                       domain=[[0.1, 1.0], [-1.0, 1.0]])
+    ver.sample_surface(
+        builtin_surface("holo_z2", domain=[[0.1, 1.0], [-1.0, 1.0]]), 17)
     assert calls == []
 
 
@@ -333,9 +340,8 @@ def test_gradient_identity_converges_holo():
 
 
 def test_gradient_identity_scherk_subgrid():
-    spec = builtin_surface("scherk")
-    ladder = ver.convergence_study(spec, [33, 65], "gradient",
-                                   domain=[[-1, 1], [-1, 1]])
+    spec = builtin_surface("scherk", domain=[[-1, 1], [-1, 1]])
+    ladder = ver.convergence_study(spec, [33, 65], "gradient")
     assert 1.5 <= ladder[1].observed_order <= 2.5
     assert ladder[1].max_abs_error < 5e-3
 
@@ -385,8 +391,8 @@ def test_convergence_study_orders_in_band():
         ("scherk", [[-1, 1], [-1, 1]], "laplacian-log"),
         ("catenoid_graph", None, "laplacian-raw"),
     ]:
-        ladder = ver.convergence_study(builtin_surface(name), [17, 33],
-                                       ident, domain=dom)
+        ladder = ver.convergence_study(builtin_surface(name, domain=dom),
+                                       [17, 33], ident)
         assert 1.2 <= ladder[1].observed_order <= 2.8, (name, ident)
 
 
@@ -417,8 +423,8 @@ def test_identity_error_decreases_under_refinement():
                         ("holo_z3", "laplacian-log"),
                         ("lagrangian_harmonic", "laplacian-log")]:
         dom = [[-1, 1], [-1, 1]] if name == "scherk" else None
-        ladder = ver.convergence_study(builtin_surface(name), [17, 33],
-                                       ident, domain=dom)
+        ladder = ver.convergence_study(builtin_surface(name, domain=dom),
+                                       [17, 33], ident)
         assert ladder[1].max_abs_error < ladder[0].max_abs_error
         assert ladder[1].rms_error < ladder[0].rms_error
 
