@@ -217,20 +217,22 @@ def _orient(amat):
 
 
 def _target_bases(jacs, lams, amat):
-    """Per node: the normalized images jac.T @ a_j of the columns with
-    lambda_j above the rank tolerance, completed canonically to a basis
-    where they do not fill R^m."""
+    """The normalized images jac.T @ a_j of the columns with lambda_j above
+    the rank tolerance, completed canonically to a basis where they do not
+    fill R^m.  One product per column slot j over the unmasked transposed
+    view gives each column the bits of the per-node ``jac.T @ a_j``; a
+    masked copy or a stacked matmul rounds apart."""
     nb, n, m = jacs.shape
     p = min(n, m)
     # lambdas descend, so the columns above the rank tolerance lead
     kept = np.count_nonzero(
         lams[:, :p] > RANK_TOL * np.maximum(1.0, lams[:, :1]), axis=-1)
     target = np.zeros((nb, m, m))
-    for b, count in enumerate(kept.tolist()):
-        jac_t = jacs[b].T
-        for j in range(count):
-            w = jac_t @ amat[b, :, j]
-            target[b, :, j] = w / np.sqrt(w @ w)
+    jac_t = np.swapaxes(jacs, -1, -2)
+    for j in range(p):
+        w = np.matvec(jac_t, amat[:, :, j])
+        np.divide(w, linalg.row_norms(w)[:, None], out=target[:, :, j],
+                  where=(kept > j)[:, None])
     return linalg.complete_bases(target, kept)
 
 
@@ -298,10 +300,10 @@ def singular_data_batch(jacs):
     singular values treated as equal, lambda_i - lambda_{i+1} <=
     ``GROUP_TOL`` * max(1, lambda_1); ``tie_groups`` turns a row of it into
     the node's group tuples.  The ties, the signs, the orientation, the
-    completion test and the frames take one pass over the batch; only the
-    canonical bases of the nodes with a tie, the image columns of the
-    target bases and the completion of the nodes where those do not fill
-    R^m are built node by node.
+    completion test and the frames take one pass over the batch, and the
+    image columns of the target bases one pass per column slot; only the
+    canonical bases of the nodes with a tie and the completion of the nodes
+    where the image columns do not fill R^m are built node by node.
     """
     jacs = np.asarray(jacs, dtype=float)
     lams, vt = jacobian_svd(jacs)

@@ -48,6 +48,12 @@ def _pow2_exponents(a):
     return np.frexp(big)[1]
 
 
+def row_norms(x):
+    """|x| per row of a C-contiguous (B, n) array, with the bits of the
+    per-row sqrt(x @ x)."""
+    return np.sqrt(np.vecdot(x, x))
+
+
 def _offdiag_mass(g):
     """Frobenius norm of the off-diagonal part, per batch member.
 

@@ -19,6 +19,7 @@ import math
 
 import numpy as np
 
+from . import linalg
 from .geometry import MapSpec, _diff_table, _powers, polynomial_spec
 
 SQRT5_HALF = math.sqrt(5.0) / 2.0
@@ -78,21 +79,16 @@ def _min_radius(dom):
     return math.sqrt(float(np.sum(corners_min**2)))
 
 
-def _norms(x):
-    """|x| per row of a contiguous (B, n) array, with the bits of x @ x."""
-    return np.sqrt(np.vecdot(x, x))
-
-
 def _radial_spec(phi, dphi, d2phi, n, dom, name, r_min):
     """Radial graph f(x) = phi(|x|) with analytic derivatives."""
     if _min_radius(dom) < r_min:
         raise ValueError(f"{name} domain must keep |x| >= {r_min}")
 
     def value(x):
-        return np.array([[phi(r)] for r in _norms(x).tolist()])
+        return np.array([[phi(r)] for r in linalg.row_norms(x).tolist()])
 
     def derivs(x):
-        r = _norms(x)
+        r = linalg.row_norms(x)
         d1, d2 = (np.array([f(v) for v in r.tolist()]) for f in (dphi, d2phi))
         r2, r3 = _powers(r, 2), _powers(r, 3)
         outer = x[:, :, None] * x[:, None, :]
@@ -152,10 +148,10 @@ def _lawson_osserman(domain):
     q_hess[2, 0, 3] = q_hess[2, 3, 0] = -2.0
 
     def value(x):
-        return SQRT5_HALF * q_val(x) / _norms(x)[:, None]
+        return SQRT5_HALF * q_val(x) / linalg.row_norms(x)[:, None]
 
     def derivs(x):
-        norms = _norms(x)
+        norms = linalg.row_norms(x)
         # (B, 1, 1, 1): one radius power per node against (B, 3, 4, 4)
         r, r3, r5 = (v[:, None, None, None] for v in
                      (norms, _powers(norms, 3), _powers(norms, 5)))

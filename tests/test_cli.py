@@ -421,6 +421,21 @@ def test_verify_nodes_csv(tmp_path):
     assert len(lines) == 3 + 25  # 5x5 interior of a 9x9 grid
 
 
+# sha256 of the nodes CSV, recorded with the per-node image columns of the
+# frame build; the benchmark's surface-verify workload writes this file
+NODES_CSV_GOLDEN = (
+    "20cbe971c8604dbb72220a4bee63011a1675ba29c29dc9eaa64a3c824c6c9d72")
+
+
+def test_verify_nodes_csv_bytes_golden(tmp_path, monkeypatch, capsys):
+    code, _, err = _main_in(tmp_path, monkeypatch, capsys, {}, [
+        "verify", "--surface", "lawson_osserman", "--identity", "gradient",
+        "--grid", "5", "--nodes-csv", "nodes.csv"])
+    assert code == 0, err
+    digest = hashlib.sha256((tmp_path / "nodes.csv").read_bytes())
+    assert digest.hexdigest() == NODES_CSV_GOLDEN
+
+
 def test_verify_needs_surface_or_input():
     proc = run_cli(["verify", "--identity", "minimality", "--grid", "9"])
     assert proc.returncode == 2

@@ -377,6 +377,16 @@ GOLDEN_FRAMES = {
              "4d15ab037438d942", "e274a77e1f2ce6b5", "72ab5470470e71d7"),
     (4, 3): ("cde59378cadf7c84", "a4f28963a9d34d8b", "0bc302ca37000267",
              "cbaf61d925a88bbb", "f810b87586083fb3", "54af0b45ac52e3ac"),
+    # recorded with the per-node image columns: the shapes where a masked
+    # copy or a stacked matmul of the batched columns rounds apart
+    (2, 1): ("89d36e8aff9385b0", "5352899537810af8", "d43dacaf5f9b859e",
+             "a373a792cfb88733", "b41e6c432263c4c7", "f8e6d3632ea1553f"),
+    (4, 4): ("c00f6afa7a46a944", "164ae870634ac05e", "b7e89d2661477cca",
+             "93935eedf166de56", "a5188b52fc25072b", "8036261d9be4e547"),
+    (5, 2): ("b6000e79123efc8d", "18cffdb36224124c", "55e6df0853a1b28c",
+             "e7f449d043a2cc69", "6c947251714a2b3d", "58feb350c5aeade0"),
+    (6, 4): ("1bd941f5d5fa2352", "de7dc37caf8f6203", "67d57776b20e0b92",
+             "163a8ee260801467", "be634f556ddc84af", "dd1190d9c42763eb"),
 }
 
 
@@ -389,12 +399,32 @@ def test_singular_data_batch_golden_on_hard_batches(n, m):
     got += (hashlib.sha256(repr(groups).encode()).hexdigest()[:16],)
     assert got == GOLDEN_FRAMES[(n, m)]
     if n >= 2:
-        # the batch still reaches the branches it was built for
+        # the batch still reaches the branches it was built for; the
+        # 45-degree plane needs two singular values
         vmat = np.swapaxes(geo.jacobian_svd(jacs)[1], -1, -2)
         top = np.sort(np.abs(vmat), axis=-2)
         assert np.any(linalg.det(vmat) < 0)
-        assert np.any(top[..., -1, :] == top[..., -2, :])
+        if min(n, m) >= 2:
+            assert np.any(top[..., -1, :] == top[..., -2, :])
         assert any(len(grp) > 1 for node in groups for grp in node)
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (1, 3), (2, 2), (3, 2),
+                                  (2, 3), (4, 3), (4, 4), (5, 2), (6, 4)])
+def test_target_columns_match_per_node_oracle_bitwise(n, m):
+    # zero and rank-one members keep fewer than p columns; members scaled
+    # by 1e8 and 1e-8 keep all of them
+    jacs = _hard_frame_batch(n, m)
+    jacs = np.concatenate([jacs, 1e8 * jacs[:6], 1e-8 * jacs[:6]])
+    lams, _, _, domain, target, _ = geo.singular_data_batch(jacs)
+    p = min(n, m)
+    kept = np.count_nonzero(
+        lams[:, :p] > geo.RANK_TOL * np.maximum(1.0, lams[:, :1]), axis=-1)
+    assert {0, 1, p} <= set(kept.tolist())
+    for b in range(len(jacs)):
+        for j in range(kept[b]):
+            w = jacs[b].T @ domain[b, :, j]
+            assert np.array_equal(target[b, :, j], w / np.sqrt(w @ w))
 
 
 def test_jacobian_svd_pads_and_rejects_bad_input():
