@@ -25,12 +25,9 @@ from .geometry import (
     MapSpec,
     SffTensor,
     SingularData,
-    induced_metric,
     jet,
     linear_spec,
     mapspec_from_json,
-    mapspec_to_json,
-    mean_curvature,
     polynomial_spec,
     second_fundamental_form,
     singular_data,
@@ -38,18 +35,14 @@ from .geometry import (
 )
 from .linalg import ConvergenceError, jacobi_eigh, jacobi_svd
 from .optimal_region import (
-    GramForm,
     HBasis,
     RegionScanResult,
-    assemble_gram,
     evaluate_F_direct,
     h_space_basis,
-    min_eigenvalue,
     optimal_condition,
     region_scan,
     rhs_delta_star_omega,
     rhs_gradient_star_omega,
-    two_d_completed_square,
 )
 from .rotations import (
     NonGraphicError,
@@ -67,9 +60,9 @@ from .surfaces import builtin_names, builtin_surface
 from .verification import (
     SurfaceSample,
     VerificationStats,
-    convergence_study,
     discrete_laplace_beltrami,
     minimality_residual,
+    run_identity,
     sample_surface,
     verify_gradient_identity,
     verify_laplacian_identity,

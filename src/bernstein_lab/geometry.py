@@ -66,9 +66,7 @@ class MapSpec:
     domain: np.ndarray  # (n, 2) rows (lo, hi)
     value_fn: Callable[[np.ndarray], np.ndarray]
     deriv_fn: Callable[[np.ndarray], tuple]
-    kind: str = "custom"
     name: Optional[str] = None
-    coeffs: Optional[tuple] = None  # polynomial kind only
 
     def __post_init__(self):
         dom = np.asarray(self.domain, dtype=float).reshape(self.n, 2)
@@ -331,13 +329,6 @@ def star_omega(lambdas):
     return 1.0 / np.sqrt(np.prod(1.0 + lam * lam, axis=-1))
 
 
-def induced_metric(jac):
-    """Induced metric of the graph in domain coordinates: I + jac @ jac.T."""
-    jac = np.asarray(jac, dtype=float)
-    n = jac.shape[0]
-    return np.eye(n) + jac @ jac.T
-
-
 # ---------------------------------------------------------------------------
 # second fundamental form
 
@@ -371,11 +362,6 @@ def second_fundamental_form(jet2: Jet2) -> SffTensor:
     h = _sff_from_arrays(jet2.hess, sd.lambdas, sd.domain_basis,
                          sd.target_basis)
     return SffTensor(h=h, lambdas=sd.lambdas)
-
-
-def mean_curvature(sff: SffTensor):
-    """Mean curvature vector in the adapted normal frame: H_j = sum_k h[j,k,k]."""
-    return np.einsum("...jkk->...j", sff.h)
 
 
 # ---------------------------------------------------------------------------
@@ -455,9 +441,7 @@ def polynomial_spec(n, m, coeffs, domain, name=None) -> MapSpec:
         domain=np.asarray(domain, dtype=float),
         value_fn=lambda x: _eval_tables(frozen, x),
         deriv_fn=derivs,
-        kind="polynomial",
         name=name,
-        coeffs=frozen,
     )
 
 
@@ -551,16 +535,3 @@ def mapspec_from_json(obj) -> MapSpec:
     return surfaces.builtin_surface(name,
                                     domain=_json_domain(obj["domain"], n))
 
-
-def mapspec_to_json(spec: MapSpec):
-    """Serialize a polynomial or builtin MapSpec to its JSON object form."""
-    if spec.kind not in ("polynomial", "builtin"):
-        raise ValueError("only polynomial and builtin specs are serializable")
-    obj = {"n": spec.n, "m": spec.m, "kind": spec.kind,
-           "domain": [list(row) for row in spec.domain.tolist()]}
-    if spec.kind == "builtin":
-        obj["name"] = spec.name
-    else:
-        obj["coeffs"] = [[{"powers": list(powers), "c": c}
-                          for powers, c in table] for table in spec.coeffs]
-    return obj

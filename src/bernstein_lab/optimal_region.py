@@ -37,9 +37,6 @@ from .geometry import star_omega
 
 DEFAULT_EPSILON = 1e-3
 BOUNDARY_BAND = 1e-6
-# Largest per-direction trace, relative to 1 + max|h|, that
-# ``two_d_completed_square`` accepts as trace-free.
-TRACE_TOL = 1e-9
 # Slack of the OptimalB pass test: pass/fail at an exact spectral boundary
 # is decided within this tolerance.  The minimum eigenvalue is accurate to
 # about 1e-13 * ||B||_F, B the Gram block that holds it, so the slack covers
@@ -51,6 +48,8 @@ EIG_TOL = 1e-10
 # cap, 12 x 12 trace-free (dimension 924), takes about 3.5 s and 170 MB in
 # ``check`` on a 2-vCPU Xeon; 16 x 16 (dimension 2,160) took 44 s and 760 MB.
 MAX_BASIS_DIM = 1000
+# Rows of lambdas whose Gram blocks are assembled and solved at once.
+EIGH_CHUNK = 4096
 
 
 def _tensor_of(h):
@@ -96,8 +95,8 @@ def h_space_basis(n, m, traceless) -> HBasis:
     """Build the orthonormal basis described on ``HBasis``.
 
     Dimension m*n(n+1)/2, minus one per normal direction when trace-free
-    (which requires n >= 2), at most ``MAX_BASIS_DIM``.  One basis per (n, m, traceless) is built and
-    shared; its ``tensors`` are read-only.
+    (which requires n >= 2), at most ``MAX_BASIS_DIM``.  One basis per
+    (n, m, traceless) is built and shared; its ``tensors`` are read-only.
     """
     if refusal := basis_refusal(n, m, traceless):
         raise ValueError(refusal)
@@ -165,8 +164,9 @@ def peaks_at_zero(n, m, traceless) -> bool:
     Such a b exists when m > n (a normal direction beyond the first p) or when
     some basis tensor of a direction a < p has a zero row a: (2, 2) and
     (1, 2) full, (3, 3) and (2, 3) trace-free.  For n = 2 trace-free with
-    m >= 2 the certificate is the completed square
-    (``two_d_completed_square``): F(h) - |h|^2 is a sum of two squares of
+    m >= 2 the certificate is criterion 1's completed square
+    (``completed_square`` in ``tests/test_optimal_region.py``, pinned there
+    against ``evaluate_F_direct``): F(h) - |h|^2 is a sum of two squares of
     linear forms in h, and some nonzero h of the 2m >= 4 dimensional space
     zeroes both, so again the minimum is at most 1.  There is none for
     (1, 1) full, nor for (2, 1) trace-free, where the minimum eigenvalue
@@ -200,30 +200,14 @@ def evaluate_F_direct(lambdas, h):
     return float(out) if np.ndim(out) == 0 else out
 
 
-@dataclass(frozen=True)
-class GramForm:
-    """Gram matrix of F over an HBasis at fixed singular values."""
-
-    lambdas: np.ndarray
-    basis: HBasis
-    gram: np.ndarray
-
-
-def _pair_tensors(basis):
-    t = basis.tensors
-    return t[:, None] + t[None, :], t[:, None] - t[None, :]
-
-
-def _gram_matrix(lams, basis, pair=None):
+def _gram_matrix(lams, pair):
     """Gram matrices by polarization, batched over leading axes of lams.
 
-    ``pair`` holds the sums and differences b_p +- b_q of shape
-    (..., k, k, m, n, n), all pairs of the basis by default, or their
-    ``FTerms``; the result has shape lams.shape[:-1] + (..., k, k).
+    ``pair`` holds the ``FTerms`` (..., k, k) of the sums and differences
+    b_p +- b_q of the basis tensors to polarize; the result has shape
+    lams.shape[:-1] + (..., k, k).
     """
-    sums, diffs = (x if isinstance(x, FTerms) else f_terms(x)
-                   for x in (pair if pair is not None
-                             else _pair_tensors(basis)))
+    sums, diffs = pair
     lam = np.asarray(lams, dtype=float)
     lamb = lam.reshape(lam.shape[:-1] + (1,) * sums.norm2.ndim
                        + lam.shape[-1:])
@@ -278,26 +262,11 @@ def block_plan(n, m, traceless) -> BlockPlan:
     return BlockPlan(index=tuple(index), terms=tuple(terms))
 
 
-def assemble_gram(lambdas, basis: HBasis) -> GramForm:
-    """Polarize F over the basis: gram[p,q] = (F(b_p+b_q) - F(b_p-b_q)) / 4."""
-    lam = np.asarray(lambdas, dtype=float)
-    if lam.shape != (basis.n,):
-        raise ValueError("lambdas must be a length-n vector")
-    return GramForm(lambdas=lam, basis=basis, gram=_gram_matrix(lam, basis))
-
-
-def min_eigenvalue(gram) -> float:
-    """Smallest eigenvalue of a symmetric matrix (or GramForm)."""
-    mat = gram.gram if isinstance(gram, GramForm) else np.asarray(gram, float)
-    w = linalg.jacobi_eigh(mat, compute_v=False)
-    return float(w[..., 0]) if mat.ndim == 2 else w[..., 0]
-
-
-def _min_eigenvalues(lams, basis, chunk=4096):
+def _min_eigenvalues(lams, basis):
     """Minimum eigenvalue of F's Gram matrix at each row of ``lams`` (N, n).
 
-    Only the blocks of ``block_plan`` are assembled, ``chunk`` rows at a
-    time, and each stack of equal-size blocks (rows, nk, k, k) goes to one
+    Only the blocks of ``block_plan`` are assembled, ``EIGH_CHUNK`` rows at
+    a time, and each stack of equal-size blocks (rows, nk, k, k) goes to one
     ``jacobi_eigh`` call; a row's value is the least of its blocks' minimum
     eigenvalues.  Each block converges against its own Frobenius norm, so
     the value is accurate to about 1e-13 times the norm of the block that
@@ -307,12 +276,12 @@ def _min_eigenvalues(lams, basis, chunk=4096):
     """
     plan = block_plan(basis.n, basis.m, basis.traceless)
     values = np.empty(lams.shape[0])
-    for start in range(0, lams.shape[0], chunk):
-        rows = lams[start: start + chunk]
-        lows = [linalg.jacobi_eigh(_gram_matrix(rows, basis, pair=terms),
+    for start in range(0, lams.shape[0], EIGH_CHUNK):
+        rows = lams[start: start + EIGH_CHUNK]
+        lows = [linalg.jacobi_eigh(_gram_matrix(rows, terms),
                                    compute_v=False)[..., 0].min(axis=-1)
                 for terms in plan.terms]
-        values[start: start + chunk] = np.min(lows, axis=0)
+        values[start: start + EIGH_CHUNK] = np.min(lows, axis=0)
     return values
 
 
@@ -409,39 +378,6 @@ def region_scan(n, m, traceless, grid,
         epsilon=float(epsilon), values=values,
         classification=classify_margin(values, epsilon),
     )
-
-
-def two_d_completed_square(lambdas, h):
-    """Completed-square form of F for n = 2 on trace-free tensors.
-
-    Returns |h|^2 + (l1 h_{n+1,2,2} + l2 h_{n+2,1,2})^2
-                  + (l1 h_{n+1,1,2} + l2 h_{n+2,1,1})^2,
-    which agrees with ``evaluate_F_direct`` identically on trace-free input
-    (the second square's partner terms vanish when m = 1).  Rejects tensors
-    whose per-direction trace exceeds ``TRACE_TOL`` (relative to 1 + max|h|).
-    """
-    hv = _tensor_of(h)
-    lam = np.asarray(lambdas, dtype=float)
-    if hv.shape[-2:] != (2, 2) or lam.shape != (2,):
-        raise ValueError("completed square applies to n = 2 only")
-    traces = np.einsum("...akk->...a", hv)
-    scale = 1.0 + np.max(np.abs(hv))
-    if np.max(np.abs(traces)) > TRACE_TOL * scale:
-        raise ValueError("tensor is not trace-free per normal direction")
-    m = hv.shape[-3]
-    h122 = hv[..., 0, 1, 1]
-    h112 = hv[..., 0, 0, 1]
-    if m >= 2:
-        h212 = hv[..., 1, 0, 1]
-        h211 = hv[..., 1, 0, 0]
-    else:
-        h212 = np.zeros_like(h122)
-        h211 = np.zeros_like(h122)
-    norm2 = np.sum(hv * hv, axis=(-3, -2, -1))
-    out = (norm2
-           + (lam[0] * h122 + lam[1] * h212) ** 2
-           + (lam[0] * h112 + lam[1] * h211) ** 2)
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def _diag_slot(hv, p):

@@ -66,7 +66,7 @@ def _scherk(domain):
         return np.stack([-tx, ty], axis=-1)[:, :, None], hess
 
     return MapSpec(n=2, m=1, domain=dom, value_fn=value, deriv_fn=derivs,
-                   kind="builtin", name="scherk")
+                   name="scherk")
 
 
 def _min_radius(dom):
@@ -99,7 +99,7 @@ def _radial_spec(phi, dphi, d2phi, n, dom, name, r_min):
         return jac, hess[:, None]
 
     return MapSpec(n=n, m=1, domain=dom, value_fn=value, deriv_fn=derivs,
-                   kind="builtin", name=name)
+                   name=name)
 
 
 def _catenoid(domain):
@@ -168,7 +168,7 @@ def _lawson_osserman(domain):
         return np.swapaxes(jac[..., 0], 1, 2), hess
 
     return MapSpec(n=4, m=3, domain=dom, value_fn=value, deriv_fn=derivs,
-                   kind="builtin", name="lawson_osserman")
+                   name="lawson_osserman")
 
 
 def _harmonic_potential_table(degree):

@@ -373,10 +373,16 @@ def _observed_order(prev, stats):
 def run_identity(spec: MapSpec, grids, identity):
     """Run one identity on one grid or a ladder of nested grids.
 
-    Each grid is sampled once and its identity evaluated once.  Returns the
-    per-grid statistics, with the observed order from the second grid on
-    (see ``convergence_study``) and the per-node sides they reduce, and the
-    sample of the finest grid.
+    Each grid is sampled once and its identity evaluated once.  Grids must
+    be nested: each successive node count N' satisfies (N' - 1) = k (N - 1)
+    for an integer k >= 2, so spacings divide evenly.  Returns the per-grid
+    statistics with the per-node sides they reduce, and the sample of the
+    finest grid.  From the second grid on, the statistics carry the observed
+    order log(err_coarse / err_fine) / log(h_coarse / h_fine), computed from
+    the RMS error (the max sits at whichever node is currently closest to
+    the domain boundary and makes a noisy order estimate); it is left as
+    None (not applicable) when both errors are at rounding level, and a
+    coarse error of exactly 0 against a larger fine one is a ``ValueError``.
     """
     if identity not in IDENTITY_RUNNERS:
         raise ValueError(f"unknown identity {identity!r}")
@@ -399,19 +405,3 @@ def run_identity(spec: MapSpec, grids, identity):
         out.append(stats)
     return out, sample
 
-
-def convergence_study(spec: MapSpec, grids, identity) -> list:
-    """Run one identity on a ladder of nested grids and report orders.
-
-    Grids must be nested: each successive node count N' satisfies
-    (N' - 1) = k (N - 1) for an integer k >= 2, so spacings divide evenly.
-    The observed order between consecutive grids is
-    log(err_coarse / err_fine) / log(h_coarse / h_fine), computed from the
-    RMS error (the max sits at whichever node is currently closest to the
-    domain boundary and makes a noisy order estimate); it is left as None
-    (not applicable) when both errors are at rounding level, and a coarse
-    error of exactly 0 against a larger fine one is a ``ValueError``.
-    """
-    if len(grids) < 2:
-        raise ValueError("need at least two grids")
-    return run_identity(spec, grids, identity)[0]

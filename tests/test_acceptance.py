@@ -26,6 +26,14 @@ def report(num, text):
     print(f"ACCEPTANCE {num} PASS: {text}")
 
 
+def all_pair_terms(basis):
+    """``FTerms`` of the sums and differences of every pair of the basis,
+    for F's whole Gram matrix."""
+    t = basis.tensors
+    return [opt.f_terms(t[:, None] + t[None, :]),
+            opt.f_terms(t[:, None] - t[None, :])]
+
+
 def test_criterion_1_completed_square_floor():
     # trace-free minimum eigenvalue >= 1 - 1e-9 for n = 2, m in {2, 3, 4},
     # 41 x 41 grid over [0, 10]^2, in under ten seconds
@@ -52,10 +60,10 @@ def test_criterion_2_gram_direct_equivalence():
         for m in range(1, 5):
             for traceless in ((False, True) if n >= 2 else (False,)):
                 basis = opt.h_space_basis(n, m, traceless)
-                pair = opt._pair_tensors(basis)
+                pair = all_pair_terms(basis)
                 for _ in range(10):
                     lam = rng.uniform(0, 2, size=n)
-                    gram = opt._gram_matrix(lam, basis, pair=pair)
+                    gram = opt._gram_matrix(lam, pair)
                     coef = rng.uniform(-1, 1, size=(100, basis.dim))
                     h = np.einsum("ca,aijk->cijk", coef, basis.tensors)
                     direct = opt.evaluate_F_direct(lam, h)
@@ -75,7 +83,6 @@ def test_criterion_3_product_region_spectral_floor():
     for (n, m) in [(2, 2), (2, 3), (3, 3)]:
         p = min(n, m)
         basis = opt.h_space_basis(n, m, False)
-        pair = opt._pair_tensors(basis)
         pts = [np.linspace(0, 3, 21)] * p
         mesh = np.meshgrid(*pts, indexing="ij")
         lam = np.zeros((mesh[0].size, n))
@@ -84,7 +91,7 @@ def test_criterion_3_product_region_spectral_floor():
         lam_sorted = np.sort(lam, axis=1)
         sel = lam[lam_sorted[:, -1] * lam_sorted[:, -2] <= 0.9]
         assert sel.shape[0] > 0
-        grams = opt._gram_matrix(sel, basis, pair=pair)
+        grams = opt._gram_matrix(sel, all_pair_terms(basis))
         w, _ = linalg.jacobi_eigh(grams)
         low = float(w[:, 0].min())
         floors[(n, m)] = low
@@ -138,7 +145,7 @@ def test_criterion_5_identity_verification():
     ]
     for name, dom, ident in cases:
         spec = builtin_surface(name, domain=dom)
-        coarse, fine = ver.convergence_study(spec, [33, 65], ident)
+        coarse, fine = ver.run_identity(spec, [33, 65], ident)[0]
         assert fine.max_abs_error < coarse.max_abs_error, (name, ident)
         assert 1.5 <= fine.observed_order <= 2.5, (name, ident,
                                                    fine.observed_order)

@@ -160,12 +160,17 @@ def test_star_omega_values_and_inverse_det():
 
 
 def test_induced_metric():
-    assert np.allclose(geo.induced_metric(np.zeros((3, 2))), np.eye(3))
-    assert np.allclose(geo.induced_metric(np.diag([2.0, 2.0])), np.diag([5.0, 5.0]))
-    jac = np.array([[1.0, 1.0], [0.0, 1.0]])
-    g = geo.induced_metric(jac)
-    assert np.allclose(g, [[3, 1], [1, 2]])
-    assert np.isclose(np.linalg.det(g), 5.0)
+    # the metric in domain coordinates is I + jac @ jac.T, with eigenvalues
+    # 1 + lambda^2 and determinant 1 / star_omega^2
+    cases = [(np.zeros((3, 2)), np.eye(3)),
+             (np.diag([2.0, 2.0]), np.diag([5.0, 5.0])),
+             (np.array([[1.0, 1.0], [0.0, 1.0]]), [[3, 1], [1, 2]])]
+    for jac, metric in cases:
+        g = np.eye(jac.shape[0]) + jac @ jac.T
+        assert np.allclose(g, metric)
+        lam = geo.singular_data(jac).lambdas
+        assert np.allclose(np.linalg.eigvalsh(g), np.sort(1.0 + lam**2))
+        assert np.isclose(np.linalg.det(g), geo.star_omega(lam) ** -2)
 
 
 def test_metric_eigenvalues_are_one_plus_lambda_squared():
@@ -175,7 +180,7 @@ def test_metric_eigenvalues_are_one_plus_lambda_squared():
         m = int(rng.integers(1, 5))
         jac = rng.uniform(-4, 4, size=(n, m))
         sd = geo.singular_data(jac)
-        w, _ = linalg.jacobi_eigh(geo.induced_metric(jac))
+        w, _ = linalg.jacobi_eigh(np.eye(n) + jac @ jac.T)
         expect = np.sort(1.0 + sd.lambdas**2)
         assert np.allclose(w, expect, atol=1e-9)
 
@@ -184,13 +189,13 @@ def test_second_fundamental_form_frozen_examples():
     sff = geo.second_fundamental_form(geo.jet(HOLO_Z2, [0.0, 0.0]))
     assert np.allclose(sff.h[0], [[2, 0], [0, -2]])
     assert np.allclose(sff.h[1], [[0, 2], [2, 0]])
-    assert np.allclose(geo.mean_curvature(sff), [0, 0])
+    assert np.allclose(np.einsum("jkk->j", sff.h), [0, 0])
 
     bowl = geo.polynomial_spec(2, 1, [[((2, 0), 1.0), ((0, 2), 1.0)]],
                                [[-1, 1], [-1, 1]])
     sff = geo.second_fundamental_form(geo.jet(bowl, [0.0, 0.0]))
     assert np.allclose(sff.h[0], [[2, 0], [0, 2]])
-    assert np.allclose(geo.mean_curvature(sff), [4.0])
+    assert np.allclose(np.einsum("jkk->j", sff.h), [4.0])
 
 
 def test_linear_maps_have_zero_sff():
@@ -208,7 +213,7 @@ def test_holomorphic_graph_is_minimal():
     for _ in range(100):
         x = rng.uniform(-1, 1, size=2)
         sff = geo.second_fundamental_form(geo.jet(HOLO_Z2, x))
-        worst = max(worst, np.max(np.abs(geo.mean_curvature(sff))))
+        worst = max(worst, np.max(np.abs(np.einsum("jkk->j", sff.h))))
     assert worst < 1e-8
 
 
@@ -254,7 +259,7 @@ def test_sff_norms_match_coordinate_projector_oracle():
         sff = geo.second_fundamental_form(j)
         assert np.isclose(np.sum(sff.h**2), norm_a2, rtol=1e-9)
         assert np.isclose(
-            np.sqrt(np.sum(geo.mean_curvature(sff) ** 2)),
+            np.sqrt(np.sum(np.einsum("jkk->j", sff.h) ** 2)),
             np.sqrt(h_vec @ h_vec), atol=1e-10,
         )
 
@@ -272,13 +277,19 @@ def test_batch_matches_single():
 
 
 def test_mapspec_json_round_trip():
-    obj = geo.mapspec_to_json(HOLO_Z2)
-    text = json.dumps(obj)
+    text = """{"n": 2, "m": 2, "kind": "polynomial",
+               "coeffs": [[{"powers": [2, 0], "c": 1.0},
+                           {"powers": [0, 2], "c": -1.0}],
+                          [{"powers": [1, 1], "c": 2.0}]],
+               "domain": [[-1, 1], [-1, 1]]}"""
     spec = geo.mapspec_from_json(json.loads(text))
-    j1 = geo.jet(spec, [0.7, -0.4])
-    j2 = geo.jet(HOLO_Z2, [0.7, -0.4])
-    assert np.array_equal(j1.jac, j2.jac)
-    assert np.array_equal(j1.hess, j2.hess)
+    builtin = builtin_surface("holo_z2")
+    assert np.array_equal(spec.domain, builtin.domain)
+    points = [[0.7, -0.4], [0.0, 0.0], [-1.0, 1.0]]
+    j1 = geo.jet(spec, points)
+    j2 = geo.jet(builtin, points)
+    for field in ("value", "jac", "hess"):
+        assert np.array_equal(getattr(j1, field), getattr(j2, field)), field
 
 
 def test_mapspec_json_builtin():

@@ -86,7 +86,10 @@ GOLDEN_EIGH = {
 @pytest.mark.parametrize("shape", sorted(GOLDEN_EIGH))
 def test_eigh_golden_on_region_grams(shape):
     lams, lows, highs, w_sum, v_sum = GOLDEN_EIGH[shape]
-    grams = opt._gram_matrix(np.array(lams), opt.h_space_basis(*shape))
+    t = opt.h_space_basis(*shape).tensors
+    pair = [opt.f_terms(t[:, None] + t[None, :]),
+            opt.f_terms(t[:, None] - t[None, :])]
+    grams = opt._gram_matrix(np.array(lams), pair)
     w, v = linalg.jacobi_eigh(grams)
     assert [float(x).hex() for x in w[:, 0]] == lows
     assert [float(x).hex() for x in w[:, -1]] == highs
@@ -326,7 +329,7 @@ def test_eigh_rotates_members_of_small_norm():
     w, v = linalg.jacobi_eigh(a)
     assert np.allclose(w, [0.0, 2e-14], rtol=0.0, atol=1e-29)
     assert np.allclose(v @ np.diag(w) @ v.T, a, rtol=0.0, atol=1e-29)
-    assert abs(opt.min_eigenvalue(a)) <= 1e-29
+    assert abs(linalg.jacobi_eigh(a, compute_v=False)[0]) <= 1e-29
 
 
 def test_orthonormalize_accepts_small_full_rank_input():

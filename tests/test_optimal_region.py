@@ -21,6 +21,57 @@ def random_h(rng, n, m, traceless=False):
     return h
 
 
+def pair_tensors(basis):
+    """The sums and differences b_p +- b_q over all pairs of the basis."""
+    t = basis.tensors
+    return t[:, None] + t[None, :], t[:, None] - t[None, :]
+
+
+def full_gram(lams, basis):
+    """F's whole Gram matrix at each row of lams: the block plan's oracle."""
+    return opt._gram_matrix(lams, [opt.f_terms(x)
+                                   for x in pair_tensors(basis)])
+
+
+# Largest per-direction trace, relative to 1 + max|h|, that
+# ``completed_square`` accepts as trace-free.
+TRACE_TOL = 1e-9
+
+
+def completed_square(lambdas, h):
+    """Completed-square form of F for n = 2 on trace-free tensors.
+
+    Returns |h|^2 + (l1 h_{n+1,2,2} + l2 h_{n+2,1,2})^2
+                  + (l1 h_{n+1,1,2} + l2 h_{n+2,1,1})^2,
+    which agrees with ``evaluate_F_direct`` identically on trace-free input
+    (the second square's partner terms vanish when m = 1): criterion 1's
+    certificate that the trace-free minimum eigenvalue is 1 at n = 2.
+    Rejects tensors whose per-direction trace exceeds ``TRACE_TOL``.
+    """
+    hv = np.asarray(h, dtype=float)
+    lam = np.asarray(lambdas, dtype=float)
+    if hv.shape[-2:] != (2, 2) or lam.shape != (2,):
+        raise ValueError("completed square applies to n = 2 only")
+    traces = np.einsum("...akk->...a", hv)
+    scale = 1.0 + np.max(np.abs(hv))
+    if np.max(np.abs(traces)) > TRACE_TOL * scale:
+        raise ValueError("tensor is not trace-free per normal direction")
+    m = hv.shape[-3]
+    h122 = hv[..., 0, 1, 1]
+    h112 = hv[..., 0, 0, 1]
+    if m >= 2:
+        h212 = hv[..., 1, 0, 1]
+        h211 = hv[..., 1, 0, 0]
+    else:
+        h212 = np.zeros_like(h122)
+        h211 = np.zeros_like(h122)
+    norm2 = np.sum(hv * hv, axis=(-3, -2, -1))
+    out = (norm2
+           + (lam[0] * h122 + lam[1] * h212) ** 2
+           + (lam[0] * h112 + lam[1] * h211) ** 2)
+    return float(out) if np.ndim(out) == 0 else out
+
+
 def test_basis_dimensions():
     assert opt.h_space_basis(2, 2, False).dim == 6
     assert opt.h_space_basis(2, 2, True).dim == 4
@@ -116,8 +167,8 @@ def test_F_frozen_examples():
 def test_gram_identity_at_zero():
     for (n, m, tl) in [(2, 2, False), (2, 2, True), (3, 2, True)]:
         basis = opt.h_space_basis(n, m, tl)
-        gf = opt.assemble_gram(np.zeros(n), basis)
-        assert np.allclose(gf.gram, np.eye(basis.dim), atol=1e-12)
+        gram = full_gram(np.zeros(n), basis)
+        assert np.allclose(gram, np.eye(basis.dim), atol=1e-12)
 
 
 def test_gram_direct_agreement():
@@ -127,7 +178,7 @@ def test_gram_direct_agreement():
             basis = opt.h_space_basis(n, m, tl)
             for _ in range(30):
                 lam = rng.uniform(0, 2, size=n)
-                gm = opt._gram_matrix(lam, basis)
+                gm = full_gram(lam, basis)
                 c = rng.uniform(-1, 1, size=basis.dim)
                 h = np.einsum("a,aijk->ijk", c, basis.tensors)
                 direct = opt.evaluate_F_direct(lam, h)
@@ -138,16 +189,18 @@ def test_gram_direct_agreement():
 def test_traceless_11_gram_dominates_identity():
     # completed square: the form exceeds the plain norm on trace-free input
     basis = opt.h_space_basis(2, 2, True)
-    gf = opt.assemble_gram(np.array([1.0, 1.0]), basis)
-    w, _ = linalg.jacobi_eigh(gf.gram - np.eye(4))
+    gram = full_gram(np.array([1.0, 1.0]), basis)
+    w, _ = linalg.jacobi_eigh(gram - np.eye(4))
     assert w[0] > -1e-12
 
 
 def test_min_eigenvalue_examples():
-    assert np.isclose(opt.min_eigenvalue(np.eye(3)), 1.0)
-    assert np.isclose(opt.min_eigenvalue(np.array([[3.0, 1.0], [1.0, 1.0]])),
-                      2.0 - np.sqrt(2.0))
-    assert np.isclose(opt.min_eigenvalue(np.diag([5.0, 1.0, 0.3])), 0.3)
+    def low(a):
+        return linalg.jacobi_eigh(np.array(a), compute_v=False)[0]
+
+    assert np.isclose(low(np.eye(3)), 1.0)
+    assert np.isclose(low([[3.0, 1.0], [1.0, 1.0]]), 2.0 - np.sqrt(2.0))
+    assert np.isclose(low(np.diag([5.0, 1.0, 0.3])), 0.3)
 
 
 def test_optimal_condition_examples():
@@ -244,7 +297,7 @@ def test_completed_square_matches_direct():
         m = int(rng.integers(1, 5))
         lam = rng.uniform(-3, 3, size=2)
         h = random_h(rng, 2, m, traceless=True)
-        v1 = opt.two_d_completed_square(lam, h)
+        v1 = completed_square(lam, h)
         v2 = opt.evaluate_F_direct(lam, h)
         assert abs(v1 - v2) <= 1e-12 * max(1.0, abs(v2))
 
@@ -253,16 +306,16 @@ def test_completed_square_frozen_example():
     h = np.zeros((2, 2, 2))
     h[0, 0, 0] = 1.0
     h[0, 1, 1] = -1.0
-    assert opt.two_d_completed_square([1.0, 1.0], h) == 3.0
+    assert completed_square([1.0, 1.0], h) == 3.0
     assert opt.evaluate_F_direct([1.0, 1.0], h) == 3.0
-    assert opt.two_d_completed_square([1.0, 1.0], np.zeros((2, 2, 2))) == 0.0
+    assert completed_square([1.0, 1.0], np.zeros((2, 2, 2))) == 0.0
 
 
 def test_completed_square_rejects_trace():
     h = np.zeros((1, 2, 2))
     h[0, 0, 0] = 1.0
     with pytest.raises(ValueError):
-        opt.two_d_completed_square([1.0, 1.0], h)
+        completed_square([1.0, 1.0], h)
 
 
 def test_evaluators_accept_sff_objects():
@@ -283,7 +336,7 @@ def test_completed_square_codimension_one():
     for _ in range(200):
         lam = rng.uniform(0, 3, size=2)
         h = random_h(rng, 2, 1, traceless=True)
-        assert np.isclose(opt.two_d_completed_square(lam, h),
+        assert np.isclose(completed_square(lam, h),
                           opt.evaluate_F_direct(lam, h), atol=1e-13)
 
 
@@ -329,8 +382,8 @@ def test_sign_flip_invariance():
         basis = opt.h_space_basis(n, m, bool(rng.integers(0, 2)))
         lam = rng.uniform(0, 3, size=n)
         signs = rng.choice([-1.0, 1.0], size=n)
-        w1, _ = linalg.jacobi_eigh(opt._gram_matrix(lam, basis))
-        w2, _ = linalg.jacobi_eigh(opt._gram_matrix(lam * signs, basis))
+        w1, _ = linalg.jacobi_eigh(full_gram(lam, basis))
+        w2, _ = linalg.jacobi_eigh(full_gram(lam * signs, basis))
         assert np.allclose(w1, w2, atol=1e-10)
 
 
@@ -343,8 +396,8 @@ def test_ray_monotonicity_and_subspace_inclusion():
         for _ in range(20):
             lam = rng.uniform(0.1, 2.0, size=n)
             lams = lam[None, :] * ts[:, None]
-            wn, _ = linalg.jacobi_eigh(opt._gram_matrix(lams, bn))
-            wt, _ = linalg.jacobi_eigh(opt._gram_matrix(lams, bt))
+            wn, _ = linalg.jacobi_eigh(full_gram(lams, bn))
+            wt, _ = linalg.jacobi_eigh(full_gram(lams, bt))
             assert np.all(np.diff(wn[:, 0]) <= 1e-10)
             assert np.all(np.diff(wt[:, 0]) <= 1e-10)
             # restriction to the trace-free subspace cannot lower the minimum
@@ -357,7 +410,6 @@ def test_theorem_a_product_region_floor():
     for (n, m) in [(2, 2), (3, 3)]:
         p = min(n, m)
         basis = opt.h_space_basis(n, m, False)
-        pair = opt._pair_tensors(basis)
         pts = [np.linspace(0, 3, 11)] * p
         mesh = np.meshgrid(*pts, indexing="ij")
         lam = np.zeros((mesh[0].size, n))
@@ -365,8 +417,7 @@ def test_theorem_a_product_region_floor():
             lam[:, a] = mesh[a].ravel()
         lam_sorted = np.sort(lam, axis=1)
         sel = lam[lam_sorted[:, -1] * lam_sorted[:, -2] <= 0.9]
-        grams = opt._gram_matrix(sel, basis, pair=pair)
-        w, _ = linalg.jacobi_eigh(grams)
+        w, _ = linalg.jacobi_eigh(full_gram(sel, basis))
         assert w[:, 0].min() >= 0.05
 
 
@@ -386,11 +437,14 @@ def test_cone_reduction_embedding():
         assert abs(a - b) <= 1e-15 * max(1.0, abs(a))
 
 
-def test_min_eigenvalues_chunks_and_batches_of_one_agree_bitwise():
+def test_min_eigenvalues_chunks_and_batches_of_one_agree_bitwise(
+        monkeypatch):
     basis = opt.h_space_basis(4, 3, True)
     lam = np.random.default_rng(8).uniform(0.0, 2.0, (10, 4))
     whole = opt._min_eigenvalues(lam, basis)
-    assert np.array_equal(opt._min_eigenvalues(lam, basis, chunk=3), whole)
+    with monkeypatch.context() as patch:
+        patch.setattr(opt, "EIGH_CHUNK", 3)
+        assert np.array_equal(opt._min_eigenvalues(lam, basis), whole)
     batch = opt.optimal_condition(lam, 3, epsilon=1e-3)
     assert np.array_equal(batch.details["min_eigenvalue"], whole)
     singles = [opt.optimal_condition(row, 3, epsilon=1e-3) for row in lam]
@@ -405,7 +459,7 @@ def test_min_eigenvalues_at_huge_lambda():
     lam = np.array([[1e200, 1e200], [0.5, 0.3], [1e100, 1e100]])
     with np.errstate(over="ignore", invalid="ignore"):
         values = opt._min_eigenvalues(lam, basis)
-        gram = opt.assemble_gram(lam[2], basis).gram
+        gram = full_gram(lam[2], basis)
     assert np.isnan(values[0])
     assert values[1] == opt._min_eigenvalues(lam[1:2], basis)[0]
     assert values[2] == pytest.approx(np.linalg.eigvalsh(gram)[0], rel=1e-12)
@@ -441,7 +495,7 @@ def test_block_plan_partitions_and_gram_vanishes_outside(shape):
     flat = np.concatenate([idx.reshape(-1) for idx in plan.index])
     assert sorted(flat.tolist()) == list(range(basis.dim))
     inside = np.zeros((basis.dim, basis.dim), dtype=bool)
-    full_pair = opt._pair_tensors(basis)
+    full_pair = pair_tensors(basis)
     for idx, terms in zip(plan.index, plan.terms):
         assert np.all(np.diff(idx, axis=1) > 0)
         cut = (idx[:, :, None], idx[:, None, :])
@@ -454,14 +508,14 @@ def test_block_plan_partitions_and_gram_vanishes_outside(shape):
                 with pytest.raises(ValueError):
                     arr[(0,) * arr.ndim] = 1.0
     rng = np.random.default_rng(20)
-    grams = opt._gram_matrix(rng.uniform(-3.0, 3.0, (40, shape[0])), basis)
+    grams = full_gram(rng.uniform(-3.0, 3.0, (40, shape[0])), basis)
     assert np.all(grams[:, ~inside] == 0.0)
 
 
 @pytest.mark.parametrize("shape", BLOCK_SHAPES)
 def test_F_from_cached_terms_is_bitwise_F_of_h(shape):
     plan = opt.block_plan(*shape)
-    full_pair = opt._pair_tensors(opt.h_space_basis(*shape))
+    full_pair = pair_tensors(opt.h_space_basis(*shape))
     lam = _random_lambdas(np.random.default_rng(23), 12, shape[0])
     lamb = lam.reshape(lam.shape[:1] + (1, 1, 1) + lam.shape[1:])
     for idx, terms in zip(plan.index, plan.terms):
@@ -490,23 +544,24 @@ def test_min_eigenvalues_make_one_eigh_call_per_block_size(monkeypatch,
     basis = opt.h_space_basis(*shape)
     plan = opt.block_plan(*shape)
     lam = _random_lambdas(np.random.default_rng(22), 10, shape[0])
-    opt._min_eigenvalues(lam, basis, chunk=4)
+    monkeypatch.setattr(opt, "EIGH_CHUNK", 4)
+    opt._min_eigenvalues(lam, basis)
     assert calls == [(rows,) + idx.shape + idx.shape[-1:]
                      for rows in (4, 4, 2) for idx in plan.index]
 
 
 @pytest.mark.parametrize("shape", BLOCK_SHAPES)
-def test_block_path_is_bitwise_the_full_solve(shape):
+def test_block_path_is_bitwise_the_full_solve(monkeypatch, shape):
     n = shape[0]
     basis = opt.h_space_basis(*shape)
     lam = _random_lambdas(np.random.default_rng(21), 60, n)
-    w = linalg.jacobi_eigh(opt._gram_matrix(lam, basis), compute_v=False)
+    w = linalg.jacobi_eigh(full_gram(lam, basis), compute_v=False)
     full = w[:, 0]
     blocks = opt._min_eigenvalues(lam, basis)
     assert np.array_equal(blocks.view(np.int64), full.view(np.int64))
     for chunk in (1, 7, 60):
-        assert np.array_equal(opt._min_eigenvalues(lam, basis, chunk=chunk),
-                              blocks)
+        monkeypatch.setattr(opt, "EIGH_CHUNK", chunk)
+        assert np.array_equal(opt._min_eigenvalues(lam, basis), blocks)
     for row, value in zip(lam[:10], blocks):
         assert opt._min_eigenvalues(row[None], basis)[0] == value
 
