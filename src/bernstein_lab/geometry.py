@@ -23,7 +23,6 @@ Layout conventions, fixed once for the whole package:
 from __future__ import annotations
 
 import functools
-import math
 import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -193,8 +192,35 @@ def tie_groups(tied):
 
 def _canonicalize_ties(amat, tied):
     """Replace the basis of every tie group by the canonical basis of its
-    projector, in place; only the nodes with a tie are visited."""
+    projector, in place; only the nodes with a tie are visited.
+
+    Where a node's basis is a signed permutation (every entry exactly 0 or
+    +-1, one nonzero per row and per column), each group's projector is
+    diagonal and its canonical basis is e_i for i ascending over the group's
+    support.  Those nodes take one batched pass, which writes the bits of
+    ``_canonical_basis``; the others are built group by group.
+    """
     nodes = np.flatnonzero(tied.any(axis=-1))
+    sub = amat[nodes]
+    perm = (np.all((sub == 0) | (np.abs(sub) == 1), axis=(1, 2))
+            & np.all(np.count_nonzero(sub, axis=1) == 1, axis=-1)
+            & np.all(np.count_nonzero(sub, axis=2) == 1, axis=-1))
+    sub, rows = sub[perm], tied[nodes[perm]]
+    n = amat.shape[-1]
+    # each column's group id times n: one sort of support + offset along
+    # the row orders the support inside every group, in the group's columns
+    offset = np.zeros((len(rows), n), dtype=np.intp)
+    np.cumsum(~rows, axis=-1, out=offset[:, 1:])
+    offset *= n
+    support = np.sort(np.argmax(np.abs(sub), axis=-2) + offset,
+                      axis=-1) - offset
+    canon = np.zeros_like(sub)
+    np.put_along_axis(canon, support[:, None, :], 1.0, axis=-2)
+    in_tie = np.zeros((len(rows), n), dtype=bool)
+    in_tie[:, :-1] = rows
+    in_tie[:, 1:] |= rows
+    amat[nodes[perm]] = np.where(in_tie[:, None, :], canon, sub)
+    nodes = nodes[~perm]
     for b, row in zip(nodes.tolist(), tied[nodes].tolist()):
         for grp in tie_groups(row):
             if len(grp) > 1:
@@ -299,9 +325,11 @@ def singular_data_batch(jacs):
     ``GROUP_TOL`` * max(1, lambda_1); ``tie_groups`` turns a row of it into
     the node's group tuples.  The ties, the signs, the orientation, the
     completion test and the frames take one pass over the batch, and the
-    image columns of the target bases one pass per column slot; only the
-    canonical bases of the nodes with a tie and the completion of the nodes
-    where the image columns do not fill R^m are built node by node.
+    image columns of the target bases one pass per column slot.  The
+    canonical bases of the tie groups take one pass where a node's domain
+    basis is a signed permutation; only the other nodes with a tie and the
+    completion of the nodes where the image columns do not fill R^m are
+    built node by node.
     """
     jacs = np.asarray(jacs, dtype=float)
     lams, vt = jacobian_svd(jacs)

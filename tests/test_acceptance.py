@@ -11,7 +11,6 @@ import time
 
 import numpy as np
 
-from bernstein_lab import geometry as geo
 from bernstein_lab import linalg
 from bernstein_lab import optimal_region as opt
 from bernstein_lab import rotations as rot

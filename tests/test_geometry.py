@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from bernstein_lab import geometry as geo
 from bernstein_lab import linalg
 from bernstein_lab.surfaces import builtin_names, builtin_surface
+from bernstein_lab.verification import sample_surface
 
 HOLO_Z2 = geo.polynomial_spec(
     2, 2,
@@ -436,6 +438,93 @@ def test_target_columns_match_per_node_oracle_bitwise(n, m):
         for j in range(kept[b]):
             w = jacs[b].T @ domain[b, :, j]
             assert np.array_equal(target[b, :, j], w / np.sqrt(w @ w))
+
+
+def _canonical_ties_per_node(amat, tied):
+    """The tie canonicalization one group at a time through
+    ``_canonical_basis``: the oracle of the batched signed-permutation
+    pass."""
+    out = amat.copy()
+    for b in range(len(out)):
+        for grp in geo.tie_groups(tied[b]):
+            if len(grp) > 1:
+                cols = out[b, :, grp[0]: grp[-1] + 1]
+                out[b, :, grp[0]: grp[-1] + 1] = linalg._canonical_basis(
+                    cols @ cols.T, len(grp))
+    return out
+
+
+def _is_signed_permutation(amat):
+    return (np.all((amat == 0) | (np.abs(amat) == 1), axis=(-2, -1))
+            & np.all(np.count_nonzero(amat, axis=-2) == 1, axis=-1)
+            & np.all(np.count_nonzero(amat, axis=-1) == 1, axis=-1))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_signed_permutation_ties_match_per_node_bitwise(n):
+    # every entry carries a random sign, zeros included, so -0.0 reaches
+    # both paths; every fifth member is a general orthogonal basis
+    rng = np.random.default_rng(400 + n)
+    nb = 2000
+    amat = np.array([np.eye(n)[rng.permutation(n)] for _ in range(nb)])
+    amat *= rng.choice([-1.0, 1.0], size=(nb, n, n))
+    amat[::5] = [_orthogonal(rng, n) for _ in range(len(amat[::5]))]
+    tied = rng.random((nb, n - 1)) < 0.5
+    want = _canonical_ties_per_node(amat, tied)
+    got = amat.copy()
+    geo._canonicalize_ties(got, tied)
+    for stage in (lambda a: a, geo._orient):
+        w, g = stage(want.copy()), stage(got.copy())
+        assert all(g[b].tobytes() == w[b].tobytes() for b in range(nb))
+
+
+def test_mixed_tie_batch_is_a_batch_of_ones_bitwise():
+    # Lawson-Osserman jacobians, whose tie nodes take the per-node path,
+    # interleaved with tied partial signed permutations, whose domain bases
+    # come out as signed permutations and take the batched pass
+    rng = np.random.default_rng(23)
+    spec = builtin_surface("lawson_osserman")
+    general = geo.jet(spec, rng.uniform(0.5, 1.5, (12, 4))).jac
+    unit = np.zeros((12, 4, 3))
+    for b in range(12):
+        values = rng.choice([-1.0, 1.0], 3) * ([0.7] * 3 if b % 2
+                                                else [1.5, 1.5, 0.5])
+        unit[b, rng.permutation(4)[:3], np.arange(3)] = values
+    jacs = np.stack([general, unit], axis=1).reshape(24, 4, 3)
+    batch = geo.singular_data_batch(jacs)
+    perm = _is_signed_permutation(batch[3])
+    tie = batch[5].any(axis=-1)
+    assert np.array_equal(perm & tie, np.arange(24) % 2 == 1)
+    assert np.all(tie)
+    for b in range(24):
+        one = geo.singular_data_batch(jacs[b: b + 1])
+        for want, got in zip(one, batch):
+            assert want[0].tobytes() == got[b].tobytes()
+
+
+def test_tie_path_runs_per_node_only_off_signed_permutations(monkeypatch):
+    # a fast path that is never taken leaves every output unchanged, so
+    # count the per-node calls: none on holo_z2, whose tie nodes all have
+    # signed-permutation bases, and one per tie group on Lawson-Osserman
+    calls = []
+    inner = linalg._canonical_basis
+
+    def counting(*args):
+        if sys._getframe(1).f_code.co_name == "_canonicalize_ties":
+            calls.append(args[1])
+        return inner(*args)
+
+    monkeypatch.setattr(linalg, "_canonical_basis", counting)
+    sample = sample_surface(builtin_surface("holo_z2"), 9)
+    assert calls == []
+    assert np.all(sample.lambdas[..., 0] == sample.lambdas[..., 1])
+    sample = sample_surface(builtin_surface("lawson_osserman"), 5)
+    per_node = list(calls)
+    tied = geo.singular_data_batch(sample.jacs.reshape(-1, 4, 3))[5]
+    groups = [len(grp) for row in tied for grp in geo.tie_groups(row)
+              if len(grp) > 1]
+    assert len(per_node) == 625
+    assert per_node == groups
 
 
 def test_jacobian_svd_pads_and_rejects_bad_input():
