@@ -41,14 +41,15 @@ class ConditionReport:
         return report.rows()[0] if np.ndim(lambdas) == 1 else report
 
     def rows(self):
-        """One report per differential, with float margins and details."""
+        """One report per differential, with a float margin and details
+        that keep their type (a count stays an int, a flag a bool)."""
         margin = np.atleast_1d(self.margin)
         pass_ = np.broadcast_to(self.pass_, margin.shape)
         details = {k: np.broadcast_to(v, margin.shape)
                    for k, v in self.details.items()}
         return [ConditionReport(self.condition_name, bool(pass_[b]),
                                 float(margin[b]),
-                                {k: float(v[b]) for k, v in details.items()})
+                                {k: v[b].item() for k, v in details.items()})
                 for b in range(margin.shape[0])]
 
     def to_json(self):
@@ -56,7 +57,7 @@ class ConditionReport:
             "condition": self.condition_name,
             "pass": bool(self.pass_),
             "margin": float(self.margin),
-            "details": {k: float(v) for k, v in self.details.items()},
+            "details": dict(self.details),
         }
 
 

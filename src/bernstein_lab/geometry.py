@@ -31,10 +31,6 @@ import numpy as np
 
 from . import linalg
 
-# Near-equal singular values are grouped and their subspace basis re-derived
-# canonically (Gram-Schmidt of standard-basis projections, index order) so
-# that degenerate inputs produce deterministic, smoothly varying frames.
-GROUP_TOL = 1e-12
 RANK_TOL = 1e-12
 # Relative slack of the domain test: a point may sit this far (times
 # 1 + |x|) outside the domain, so grid nodes rounded past an edge still count.
@@ -107,8 +103,6 @@ class SingularData:
     ``tangent_frame`` is (n+m, n) and ``normal_frame`` is (n+m, m), vectors
     in columns; together they form an orthonormal basis of R^{n+m}.
     ``domain_basis``/``target_basis`` hold the a_i / a_{n+j} in columns.
-    ``degenerate_groups`` records which consecutive singular values were
-    treated as equal when the frame was canonicalized.
     """
 
     lambdas: np.ndarray
@@ -116,7 +110,6 @@ class SingularData:
     normal_frame: np.ndarray
     domain_basis: np.ndarray
     target_basis: np.ndarray
-    degenerate_groups: tuple = ()
 
     def __post_init__(self):
         for name in ("lambdas", "tangent_frame", "normal_frame",
@@ -181,53 +174,6 @@ def jet(spec: MapSpec, x) -> Jet2:
 
 # ---------------------------------------------------------------------------
 # singular data and frames
-
-
-def tie_groups(tied):
-    """The groups of consecutive indices that one node's tie row (n-1,)
-    joins, as a tuple of index tuples."""
-    cuts = [0, *(i + 1 for i, t in enumerate(tied) if not t), len(tied) + 1]
-    return tuple(tuple(range(a, b)) for a, b in zip(cuts, cuts[1:]))
-
-
-def _canonicalize_ties(amat, tied):
-    """Replace the basis of every tie group by the canonical basis of its
-    projector, in place; only the nodes with a tie are visited.
-
-    Where a node's basis is a signed permutation (every entry exactly 0 or
-    +-1, one nonzero per row and per column), each group's projector is
-    diagonal and its canonical basis is e_i for i ascending over the group's
-    support.  Those nodes take one batched pass, which writes the bits of
-    ``_canonical_basis``; the others are built group by group.
-    """
-    nodes = np.flatnonzero(tied.any(axis=-1))
-    sub = amat[nodes]
-    perm = (np.all((sub == 0) | (np.abs(sub) == 1), axis=(1, 2))
-            & np.all(np.count_nonzero(sub, axis=1) == 1, axis=-1)
-            & np.all(np.count_nonzero(sub, axis=2) == 1, axis=-1))
-    sub, rows = sub[perm], tied[nodes[perm]]
-    n = amat.shape[-1]
-    # each column's group id times n: one sort of support + offset along
-    # the row orders the support inside every group, in the group's columns
-    offset = np.zeros((len(rows), n), dtype=np.intp)
-    np.cumsum(~rows, axis=-1, out=offset[:, 1:])
-    offset *= n
-    support = np.sort(np.argmax(np.abs(sub), axis=-2) + offset,
-                      axis=-1) - offset
-    canon = np.zeros_like(sub)
-    np.put_along_axis(canon, support[:, None, :], 1.0, axis=-2)
-    in_tie = np.zeros((len(rows), n), dtype=bool)
-    in_tie[:, :-1] = rows
-    in_tie[:, 1:] |= rows
-    amat[nodes[perm]] = np.where(in_tie[:, None, :], canon, sub)
-    nodes = nodes[~perm]
-    for b, row in zip(nodes.tolist(), tied[nodes].tolist()):
-        for grp in tie_groups(row):
-            if len(grp) > 1:
-                cols = amat[b, :, grp[0]: grp[-1] + 1]
-                amat[b, :, grp[0]: grp[-1] + 1] = linalg._canonical_basis(
-                    cols @ cols.T, len(grp)
-                )
 
 
 def _orient(amat):
@@ -304,43 +250,34 @@ def jacobian_svd(jacs):
 def singular_data(jac) -> SingularData:
     """Singular values of ``jac`` and the adapted orthonormal frames.
 
-    Output is deterministic: within (near-)equal singular values the basis is
-    re-derived from the standard basis in index order, each vector's largest
-    component is made positive, and the domain basis is fixed to positive
-    orientation so that the projection factor equals the determinant of the
-    first n rows of the tangent frame.  This is ``singular_data_batch`` on a
-    batch of one.
+    Output is deterministic: each vector's largest component is made
+    positive, and the domain basis is fixed to positive orientation so that
+    the projection factor equals the determinant of the first n rows of the
+    tangent frame.  Within equal singular values the basis is the Jacobi
+    SVD's own.  This is ``singular_data_batch`` on a batch of one.
     """
-    *arrays, tied = singular_data_batch(np.asarray(jac, dtype=float)[None])
-    return SingularData(*(part[0] for part in arrays),
-                        degenerate_groups=tie_groups(tied[0]))
+    arrays = singular_data_batch(np.asarray(jac, dtype=float)[None])
+    return SingularData(*(part[0] for part in arrays))
 
 
 def singular_data_batch(jacs):
     """Singular values and adapted frames of a batch of jacobians (B, n, m).
 
-    Returns (lambdas, tangent, normal, domain, target, tied) with the batch
-    in the leading axis.  ``tied`` (B, n-1) marks each pair of consecutive
-    singular values treated as equal, lambda_i - lambda_{i+1} <=
-    ``GROUP_TOL`` * max(1, lambda_1); ``tie_groups`` turns a row of it into
-    the node's group tuples.  The ties, the signs, the orientation, the
-    completion test and the frames take one pass over the batch, and the
-    image columns of the target bases one pass per column slot.  The
-    canonical bases of the tie groups take one pass where a node's domain
-    basis is a signed permutation; only the other nodes with a tie and the
-    completion of the nodes where the image columns do not fill R^m are
-    built node by node.
+    Returns (lambdas, tangent, normal, domain, target) with the batch in the
+    leading axis.  The domain basis is the Jacobi SVD's, also inside a group
+    of equal singular values: the identities the frames feed hold in any
+    frame that turns inside such a group.  The signs, the orientation,
+    the completion test and the frames take one pass over the batch, and the
+    image columns of the target bases one pass per column slot; only the
+    completion of the nodes where the image columns do not fill R^m is built
+    node by node.  Every member gets the bits of a batch of one.
     """
     jacs = np.asarray(jacs, dtype=float)
     lams, vt = jacobian_svd(jacs)
-    amat = np.swapaxes(vt, -1, -2).copy()
-    tied = (lams[:, :-1] - lams[:, 1:]
-            <= GROUP_TOL * np.maximum(1.0, lams[:, :1]))
-    _canonicalize_ties(amat, tied)
-    amat = _orient(amat)
+    amat = _orient(np.swapaxes(vt, -1, -2))
     target = _target_bases(jacs, lams, amat)
     tangent, normal = _assemble_frames(lams, amat, target)
-    return lams, tangent, normal, amat, target, tied
+    return lams, tangent, normal, amat, target
 
 
 # ---------------------------------------------------------------------------

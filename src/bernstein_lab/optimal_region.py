@@ -306,7 +306,7 @@ def optimal_condition(lambdas, m, epsilon=DEFAULT_EPSILON,
     margin = low - epsilon
     return ConditionReport.from_arrays(
         "OptimalB", lambdas, margin, margin >= -EIG_TOL, min_eigenvalue=low,
-        epsilon=float(epsilon), dim=basis.dim, traceless=float(traceless))
+        epsilon=float(epsilon), dim=basis.dim, traceless=bool(traceless))
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,10 @@ graph (frames, second fundamental form, projection factor omega) and compare
 where the Laplace operator of the induced metric is discretized in flux form
 with centered differences.  Both sides are evaluated per node in that node's
 own adapted frame (the identities are frame-covariant, so no global frame
-smoothing is attempted); nodes where distinct singular values come closer
-than 1e-6 without being canonicalized as exact ties are excluded from the
-statistics and counted, since their frames are numerically ill-conditioned.
+smoothing is attempted); nodes where two consecutive singular values come
+closer than 1e-6 without being equal (to ``GROUP_TOL``) are excluded from
+the statistics and counted, since their frames are numerically
+ill-conditioned.
 
 Trimming: one boundary layer per derivative order (gradient comparisons trim
 one layer, Laplacian comparisons two).
@@ -33,6 +34,9 @@ from .geometry import (MapSpec, jet, singular_data_batch, star_omega,
 from .optimal_region import (evaluate_F_direct, rhs_delta_star_omega,
                              rhs_gradient_star_omega)
 
+# Consecutive singular values within GROUP_TOL * max(1, lambda_1) count as
+# equal: the identities hold in any frame that turns inside such a group.
+GROUP_TOL = 1e-12
 NEAR_TIE_GAP = 1e-6
 MINIMAL_GATE = 1e-5
 
@@ -73,11 +77,12 @@ class SurfaceSample:
         return tuple(slice(layers, size - layers) for size in self.grid_shape)
 
 
-def _near_tie_flags(lams, tied):
-    """Nodes with two consecutive singular values that are not treated as
-    tied yet lie closer than ``NEAR_TIE_GAP``."""
-    return np.any(~tied & (lams[:, :-1] - lams[:, 1:] < NEAR_TIE_GAP),
-                  axis=-1)
+def _near_tie_flags(lams):
+    """Nodes with two consecutive singular values that are not equal (to
+    ``GROUP_TOL``) yet lie closer than ``NEAR_TIE_GAP``."""
+    gaps = lams[:, :-1] - lams[:, 1:]
+    return np.any((gaps > GROUP_TOL * np.maximum(1.0, lams[:, :1]))
+                  & (gaps < NEAR_TIE_GAP), axis=-1)
 
 
 def sample_surface(spec: MapSpec, grid) -> SurfaceSample:
@@ -106,9 +111,7 @@ def sample_surface(spec: MapSpec, grid) -> SurfaceSample:
     points = np.stack([mm.reshape(-1) for mm in mesh], axis=-1)
     j = jet(spec, points)
 
-    lams, tangent, normal, domain_b, target_b, tied = (
-        singular_data_batch(j.jac)
-    )
+    lams, tangent, normal, domain_b, target_b = singular_data_batch(j.jac)
     sff = _sff_from_arrays(j.hess, lams, domain_b, target_b)
     omega = star_omega(lams)
     mean_c = np.einsum("bjkk->bj", sff)
@@ -128,7 +131,7 @@ def sample_surface(spec: MapSpec, grid) -> SurfaceSample:
         sff=sff.reshape(shape + (m, n, n)),
         star_omega=np.asarray(omega).reshape(shape),
         mean_curvature=mean_c.reshape(shape + (m,)),
-        flagged=_near_tie_flags(lams, tied).reshape(shape),
+        flagged=_near_tie_flags(lams).reshape(shape),
     )
 
 

@@ -101,17 +101,18 @@ def _main_in(tmp_path, monkeypatch, capsys, inputs, argv):
     return code, captured.out, captured.err
 
 
-# sha256 of check's stdout, recorded with the per-point implementation
+# sha256 of check's stdout, recorded with the per-point implementation;
+# OptimalB's `dim` and `traceless` details are a JSON integer and boolean
 CHECK_GOLDEN = {
     "lawson-osserman-6-points": (
         {"spec": {"n": 4, "m": 3, "kind": "builtin",
                   "name": "lawson_osserman"},
          "points": np.random.default_rng(11).uniform(
              0.55, 1.45, (6, 4)).tolist()},
-        1, "7f53fb376e12262fd4e79a24e1b63619c0c706dfe6adca7c5b2643020328bdf3"),
+        1, "8c392f1cb032a0718d7aeee130286c6ff052449bd3a6efc1c34d82fb2606dcb4"),
     "negative-det-2x2": (
         {"matrix": [[0.4, 0.7], [0.9, -0.2]]},
-        1, "aa6c4c6aeec2161ee108e6d67ea4cda7e8ba64379ba583a31c51e3dc56743d69"),
+        1, "eeeca60d1ecd944b2c3a4fb704740a6dc658eb77ee9097fcaa4399ea7c9529d4"),
 }
 
 
@@ -131,13 +132,14 @@ def _symmetric(seed):
 
 # sha256 of rotate's stdout, recorded with the one-candidate-at-a-time
 # search; the budgets of the first three end on a move cut to its +step
-# member, and the 1e11-scaled 3 x 2 input meets non-graphic candidates
+# member, and the 1e11-scaled 3 x 2 input meets non-graphic candidates;
+# the OptimalB digests hold `dim` and `traceless` as an integer and boolean
 ROTATE_GOLDEN = {
     "orthogonal-optimalb-3x3": (
         np.random.default_rng(21).uniform(-1.5, 1.5, (3, 3)).tolist(),
         ["--target", "OptimalB", "--budget", "160", "--seed", "4"],
-        "e6ec218fa10352dbe7b74144fb63ca6b"
-        "be44a002085d04cfeb48d734af909189"),
+        "10b9b0b88786a4c17f69598b984eebe4"
+        "10d148959f5685aeda89e9be4b9417b5"),
     "orthogonal-theorema-2x3-budget-107": (
         [[1.2, -0.4, 0.9], [0.3, 1.7, -1.1]],
         ["--target", "TheoremA", "--budget", "107", "--seed", "5"],
@@ -173,8 +175,8 @@ ROTATE_GOLDEN = {
         [[float(np.tan(np.pi / 8)), 0.2, 0.0], [0.0, 0.3, 0.0],
          [0.0, 0.0, 0.0]],
         ["--target", "OptimalB", "--budget", "800", "--seed", "5"],
-        "ecb0aa45bf10525074df3c553c666ae2"
-        "478f35b48534d732805d065e60ca954b"),
+        "b39b2739879715a42e70ea08528b3320"
+        "6d4743d04d523bbf5c8df7a96607596e"),
     "unitary-theorema-3x3-phase-moves": (
         _symmetric(53),
         ["--target", "TheoremA", "--group", "unitary", "--budget", "150",
@@ -192,6 +194,29 @@ def test_rotate_output_golden(tmp_path, monkeypatch, capsys, case):
                              ["rotate", "--input", "in.json", *argv])
     assert (got, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, dim, traceless", [
+    (["check", "--conditions", "OptimalB", "--traceless", "false"], 6, False),
+    (["rotate", "--target", "OptimalB", "--budget", "3", "--seed", "1"], 4,
+     True),
+], ids=["check", "rotate"])
+def test_optimal_b_details_are_typed(tmp_path, monkeypatch, capsys, argv, dim,
+                                     traceless):
+    # a count is a JSON integer and a flag a JSON boolean, not 4.0 and 1.0
+    matrix = [[0.3, 0.1], [0.0, 0.2]]
+    code, out, err = _main_in(tmp_path, monkeypatch, capsys,
+                              {"in.json": {"matrix": matrix}},
+                              [argv[0], "--input", "in.json", *argv[1:]])
+    assert (code, err) == (0, "")
+    results = json.loads(out)["results"]
+    report = (results["report"] if argv[0] == "rotate"
+              else results[0]["reports"][0])
+    details = report["details"]
+    assert type(details["dim"]) is int and details["dim"] == dim
+    assert details["traceless"] is traceless
+    assert all(type(details[k]) is float
+               for k in ("epsilon", "min_eigenvalue"))
 
 
 BAD_THRESHOLDS = [
@@ -421,10 +446,10 @@ def test_verify_nodes_csv(tmp_path):
     assert len(lines) == 3 + 25  # 5x5 interior of a 9x9 grid
 
 
-# sha256 of the nodes CSV, recorded with the per-node image columns of the
-# frame build; the benchmark's surface-verify workload writes this file
+# sha256 of the nodes CSV, recorded with the Jacobi SVD's own bases at the
+# cone's tie nodes; the benchmark's surface-verify workload writes this file
 NODES_CSV_GOLDEN = (
-    "20cbe971c8604dbb72220a4bee63011a1675ba29c29dc9eaa64a3c824c6c9d72")
+    "a2334ec424628ab2e1ccbd2345d062600719fcd98fdc76da863e7134031cadfd")
 
 
 def test_verify_nodes_csv_bytes_golden(tmp_path, monkeypatch, capsys):

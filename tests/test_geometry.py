@@ -3,7 +3,6 @@
 import copy
 import hashlib
 import json
-import sys
 
 import numpy as np
 import pytest
@@ -12,6 +11,8 @@ from hypothesis import strategies as st
 
 from bernstein_lab import geometry as geo
 from bernstein_lab import linalg
+from bernstein_lab import optimal_region as opt
+from bernstein_lab import verification as ver
 from bernstein_lab.surfaces import builtin_names, builtin_surface
 from bernstein_lab.verification import sample_surface
 
@@ -143,7 +144,7 @@ def test_singular_data_deterministic_and_degenerate():
     sd1 = geo.singular_data(jac)
     sd2 = geo.singular_data(jac.copy())
     assert np.array_equal(sd1.tangent_frame, sd2.tangent_frame)
-    assert sd1.degenerate_groups == ((0, 1),)
+    assert sd1.lambdas[0] == sd1.lambdas[1]
     assert np.allclose(sd1.domain_basis, np.eye(2))
 
 
@@ -269,13 +270,12 @@ def test_sff_norms_match_coordinate_projector_oracle():
 def test_batch_matches_single():
     rng = np.random.default_rng(12)
     jacs = rng.uniform(-3, 3, size=(50, 3, 2))
-    lams, tangent, normal, domain, target, tied = geo.singular_data_batch(jacs)
+    lams, tangent, normal, domain, target = geo.singular_data_batch(jacs)
     for i in range(50):
         sd = geo.singular_data(jacs[i])
         assert np.allclose(lams[i], sd.lambdas, atol=1e-14)
         assert np.allclose(tangent[i], sd.tangent_frame, atol=1e-13)
         assert np.allclose(normal[i], sd.normal_frame, atol=1e-13)
-        assert geo.tie_groups(tied[i]) == sd.degenerate_groups
 
 
 def test_mapspec_json_round_trip():
@@ -338,9 +338,8 @@ def test_singular_data_is_a_batch_of_one_bitwise(n, m):
     for b in range(8):
         sd = geo.singular_data(jacs[b])
         for got, want in zip((sd.lambdas, sd.tangent_frame, sd.normal_frame,
-                              sd.domain_basis, sd.target_basis), batch[:5]):
+                              sd.domain_basis, sd.target_basis), batch):
             assert np.array_equal(got, want[b])
-        assert sd.degenerate_groups == geo.tie_groups(batch[5][b])
 
 
 def _orthogonal(rng, d):
@@ -376,40 +375,48 @@ def _hard_frame_batch(n, m):
     return np.array(members)
 
 
-# sha256 prefixes of (lambdas, tangent, normal, domain, target, repr(groups))
+def _tie_groups(lams):
+    """One node's groups of consecutive indices whose singular values lie
+    within ``GROUP_TOL`` max(1, lambda_1) of each other."""
+    tol = ver.GROUP_TOL * max(1.0, float(lams[0]))
+    starts = [i for i in range(1, len(lams)) if lams[i - 1] - lams[i] > tol]
+    cuts = [0, *starts, len(lams)]
+    return [tuple(range(a, b)) for a, b in zip(cuts, cuts[1:])]
+
+
+# sha256 prefixes of (lambdas, tangent, normal, domain, target), recorded
+# with the Jacobi SVD's own bases at ties
 GOLDEN_FRAMES = {
     (1, 1): ("14682af43a5b5d13", "41782aa1b1735310", "46c238b0dc2bff28",
-             "cf966f1001f07510", "8670db0d3ec554e0", "2fb19c6a0e61cbb3"),
-    (2, 2): ("34fac3b99740ab51", "806aa5b38a06a69d", "72e5ec7e37da0502",
-             "17df7d0d1ee58881", "f1c232e45a6fe3a3", "34b8830520b4c576"),
-    (3, 2): ("94ff3056b9a0ce6d", "11d0b46856a3972f", "a164a337eb85b666",
-             "3a5090eb011c1e6f", "dac660d34a2c3dab", "a6531b5ba910ea29"),
+             "cf966f1001f07510", "8670db0d3ec554e0"),
+    (2, 2): ("34fac3b99740ab51", "3219776ca6ef20b1", "8d8b87a7ade2c543",
+             "d20f6a5266048c9b", "48a2071b698477f7"),
+    (3, 2): ("94ff3056b9a0ce6d", "6d53453e0f6052c4", "28270158534cc8b1",
+             "fa267dbf9d11c062", "059f3a0e1a5e4031"),
     (2, 3): ("6385cca4f10fa283", "0fb0e33af043691e", "fc39310b6f74fe55",
-             "de7e9afc71cd2904", "fe1e3f09e1fc1586", "34b8830520b4c576"),
-    (3, 3): ("1da1e74908056a3a", "bb6f412613d0adf1", "e335c1be725db7cc",
-             "4d15ab037438d942", "e274a77e1f2ce6b5", "72ab5470470e71d7"),
-    (4, 3): ("cde59378cadf7c84", "a4f28963a9d34d8b", "0bc302ca37000267",
-             "cbaf61d925a88bbb", "f810b87586083fb3", "54af0b45ac52e3ac"),
-    # recorded with the per-node image columns: the shapes where a masked
-    # copy or a stacked matmul of the batched columns rounds apart
+             "de7e9afc71cd2904", "fe1e3f09e1fc1586"),
+    (3, 3): ("1da1e74908056a3a", "bcaa37bfde7decb4", "2955aa8e40e27da1",
+             "fc5d2ed0cd3e0f47", "143ef80dee81e1d6"),
+    (4, 3): ("cde59378cadf7c84", "67a15be0882c0184", "41b9d0b86e9f4b0a",
+             "a641f7cdf0dc0a18", "c2be85939e51afc5"),
+    # the shapes where a masked copy or a stacked matmul of the batched
+    # image columns rounds apart from the per-node products
     (2, 1): ("89d36e8aff9385b0", "5352899537810af8", "d43dacaf5f9b859e",
-             "a373a792cfb88733", "b41e6c432263c4c7", "f8e6d3632ea1553f"),
-    (4, 4): ("c00f6afa7a46a944", "164ae870634ac05e", "b7e89d2661477cca",
-             "93935eedf166de56", "a5188b52fc25072b", "8036261d9be4e547"),
-    (5, 2): ("b6000e79123efc8d", "18cffdb36224124c", "55e6df0853a1b28c",
-             "e7f449d043a2cc69", "6c947251714a2b3d", "58feb350c5aeade0"),
-    (6, 4): ("1bd941f5d5fa2352", "de7dc37caf8f6203", "67d57776b20e0b92",
-             "163a8ee260801467", "be634f556ddc84af", "dd1190d9c42763eb"),
+             "a373a792cfb88733", "b41e6c432263c4c7"),
+    (4, 4): ("c00f6afa7a46a944", "6ae56a7ba1c1275f", "545bfb22db4c865d",
+             "a140bd9fcf791e3b", "7ad999a08655d359"),
+    (5, 2): ("b6000e79123efc8d", "a6aec70977b52c24", "e1acf7fa8b6ff57a",
+             "ff7d30dedf9c10b7", "489aa52cc7cb1550"),
+    (6, 4): ("1bd941f5d5fa2352", "5de3e0deb010585c", "0f5be05e78d0ef3d",
+             "3a940144938c95fe", "6475e1c65f611e27"),
 }
 
 
 @pytest.mark.parametrize("n, m", sorted(GOLDEN_FRAMES))
 def test_singular_data_batch_golden_on_hard_batches(n, m):
     jacs = _hard_frame_batch(n, m)
-    *arrays, tied = geo.singular_data_batch(jacs)
-    groups = [geo.tie_groups(row) for row in tied]
+    arrays = geo.singular_data_batch(jacs)
     got = tuple(hashlib.sha256(a.tobytes()).hexdigest()[:16] for a in arrays)
-    got += (hashlib.sha256(repr(groups).encode()).hexdigest()[:16],)
     assert got == GOLDEN_FRAMES[(n, m)]
     if n >= 2:
         # the batch still reaches the branches it was built for; the
@@ -419,7 +426,7 @@ def test_singular_data_batch_golden_on_hard_batches(n, m):
         assert np.any(linalg.det(vmat) < 0)
         if min(n, m) >= 2:
             assert np.any(top[..., -1, :] == top[..., -2, :])
-        assert any(len(grp) > 1 for node in groups for grp in node)
+        assert any(len(_tie_groups(row)) < n for row in arrays[0])
 
 
 @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (1, 3), (2, 2), (3, 2),
@@ -429,7 +436,7 @@ def test_target_columns_match_per_node_oracle_bitwise(n, m):
     # by 1e8 and 1e-8 keep all of them
     jacs = _hard_frame_batch(n, m)
     jacs = np.concatenate([jacs, 1e8 * jacs[:6], 1e-8 * jacs[:6]])
-    lams, _, _, domain, target, _ = geo.singular_data_batch(jacs)
+    lams, _, _, domain, target = geo.singular_data_batch(jacs)
     p = min(n, m)
     kept = np.count_nonzero(
         lams[:, :p] > geo.RANK_TOL * np.maximum(1.0, lams[:, :1]), axis=-1)
@@ -440,13 +447,14 @@ def test_target_columns_match_per_node_oracle_bitwise(n, m):
             assert np.array_equal(target[b, :, j], w / np.sqrt(w @ w))
 
 
-def _canonical_ties_per_node(amat, tied):
-    """The tie canonicalization one group at a time through
-    ``_canonical_basis``: the oracle of the batched signed-permutation
-    pass."""
+def _canonical_ties_per_node(amat, lams):
+    """Every tie group's basis replaced, one group at a time, by
+    ``_canonical_basis`` of its projector (Gram-Schmidt of the standard
+    basis vectors' projections, in index order): an independent choice of
+    frame at ties, against which the Jacobi SVD's own is checked."""
     out = amat.copy()
     for b in range(len(out)):
-        for grp in geo.tie_groups(tied[b]):
+        for grp in _tie_groups(lams[b]):
             if len(grp) > 1:
                 cols = out[b, :, grp[0]: grp[-1] + 1]
                 out[b, :, grp[0]: grp[-1] + 1] = linalg._canonical_basis(
@@ -454,34 +462,82 @@ def _canonical_ties_per_node(amat, tied):
     return out
 
 
-def _is_signed_permutation(amat):
-    return (np.all((amat == 0) | (np.abs(amat) == 1), axis=(-2, -1))
-            & np.all(np.count_nonzero(amat, axis=-2) == 1, axis=-1)
-            & np.all(np.count_nonzero(amat, axis=-1) == 1, axis=-1))
+def _oracle_frames(jacs):
+    """(lambdas, tangent, normal, domain, target) with canonical tie bases,
+    signed and oriented as ``singular_data_batch`` signs and orients."""
+    lams, vt = geo.jacobian_svd(jacs)
+    amat = geo._orient(_canonical_ties_per_node(np.swapaxes(vt, -1, -2),
+                                                lams))
+    target = geo._target_bases(jacs, lams, amat)
+    return (lams, *geo._assemble_frames(lams, amat, target), amat, target)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_signed_permutation_ties_match_per_node_bitwise(n):
-    # every entry carries a random sign, zeros included, so -0.0 reaches
-    # both paths; every fifth member is a general orthogonal basis
-    rng = np.random.default_rng(400 + n)
-    nb = 2000
-    amat = np.array([np.eye(n)[rng.permutation(n)] for _ in range(nb)])
-    amat *= rng.choice([-1.0, 1.0], size=(nb, n, n))
-    amat[::5] = [_orthogonal(rng, n) for _ in range(len(amat[::5]))]
-    tied = rng.random((nb, n - 1)) < 0.5
-    want = _canonical_ties_per_node(amat, tied)
-    got = amat.copy()
-    geo._canonicalize_ties(got, tied)
-    for stage in (lambda a: a, geo._orient):
-        w, g = stage(want.copy()), stage(got.copy())
-        assert all(g[b].tobytes() == w[b].tobytes() for b in range(nb))
+def _identity_sides(frames, hess, nodes):
+    """F(h), the raw Laplacian's right side, the gradient's 2-norm and
+    |h|^2: frame-invariant, so equal in any frame up to rounding."""
+    lams, _, _, domain, target = frames
+    h = geo._sff_from_arrays(hess[nodes], lams[nodes], domain[nodes],
+                             target[nodes])
+    lam = lams[nodes]
+    return (opt.evaluate_F_direct(lam, h), opt.rhs_delta_star_omega(lam, h),
+            np.linalg.norm(opt.rhs_gradient_star_omega(lam, h), axis=-1),
+            np.sum(h * h, axis=(-3, -2, -1)))
+
+
+def _assert_tie_frames_match_oracle(jacs, hess):
+    """At every node with a tie: each group spans the oracle's space, the
+    frame is an adapted frame of df, and the identities' frame-invariant
+    right sides agree with the oracle frame's."""
+    nb, n, m = jacs.shape
+    p = min(n, m)
+    got, want = geo.singular_data_batch(jacs), _oracle_frames(jacs)
+    lams, tangent, normal, domain, target = got
+    assert np.array_equal(lams, want[0])
+    ties = [b for b in range(nb) if len(_tie_groups(lams[b])) < n]
+    for b in ties:
+        for grp in _tie_groups(lams[b]):
+            cols = slice(grp[0], grp[-1] + 1)
+            own, canon = domain[b][:, cols], want[3][b][:, cols]
+            assert np.max(np.abs(own @ own.T - canon @ canon.T)) <= 1e-13
+        frame = np.hstack([tangent[b], normal[b]])
+        assert np.max(np.abs(frame.T @ frame - np.eye(n + m))) <= 1e-13
+        image = np.zeros((m, n))
+        image[:, :p] = target[b][:, :p] * lams[b, :p]
+        assert (np.max(np.abs(jacs[b].T @ domain[b] - image))
+                <= 1e-13 * max(1.0, lams[b, 0]))
+        assert (abs(linalg.det(tangent[b][:n]) - geo.star_omega(lams[b]))
+                <= 1e-13)
+    # relative to the value or to |h|^2, the size of the terms it sums:
+    # F(h) itself cancels to rounding on Lawson-Osserman
+    mine, theirs = (_identity_sides(frames, hess, ties)
+                    for frames in (got, want))
+    scale = theirs[-1]
+    for a, b in zip(mine, theirs):
+        assert np.all(np.abs(a - b) <= 1e-13 * (np.abs(b) + scale))
+    return ties
+
+
+@pytest.mark.parametrize("n, m", sorted(GOLDEN_FRAMES))
+def test_tie_frames_match_the_canonical_oracle_on_hard_batches(n, m):
+    jacs = _hard_frame_batch(n, m)
+    rng = np.random.default_rng(200 + 10 * n + m)
+    hess = rng.normal(size=(len(jacs), m, n, n))
+    hess = hess + np.swapaxes(hess, -1, -2)
+    ties = _assert_tie_frames_match_oracle(jacs, hess)
+    assert bool(ties) == (n >= 2)
+
+
+def test_tie_frames_match_the_canonical_oracle_on_lawson_osserman():
+    # every node of the cone has a tie
+    sample = sample_surface(builtin_surface("lawson_osserman"), 5)
+    jacs = sample.jacs.reshape(-1, 4, 3)
+    hess = sample.hessians.reshape(-1, 3, 4, 4)
+    assert len(_assert_tie_frames_match_oracle(jacs, hess)) == 625
 
 
 def test_mixed_tie_batch_is_a_batch_of_ones_bitwise():
-    # Lawson-Osserman jacobians, whose tie nodes take the per-node path,
-    # interleaved with tied partial signed permutations, whose domain bases
-    # come out as signed permutations and take the batched pass
+    # Lawson-Osserman jacobians interleaved with tied partial signed
+    # permutations; every member has a tie
     rng = np.random.default_rng(23)
     spec = builtin_surface("lawson_osserman")
     general = geo.jet(spec, rng.uniform(0.5, 1.5, (12, 4))).jac
@@ -492,39 +548,11 @@ def test_mixed_tie_batch_is_a_batch_of_ones_bitwise():
         unit[b, rng.permutation(4)[:3], np.arange(3)] = values
     jacs = np.stack([general, unit], axis=1).reshape(24, 4, 3)
     batch = geo.singular_data_batch(jacs)
-    perm = _is_signed_permutation(batch[3])
-    tie = batch[5].any(axis=-1)
-    assert np.array_equal(perm & tie, np.arange(24) % 2 == 1)
-    assert np.all(tie)
+    assert all(len(_tie_groups(row)) < 4 for row in batch[0])
     for b in range(24):
         one = geo.singular_data_batch(jacs[b: b + 1])
         for want, got in zip(one, batch):
             assert want[0].tobytes() == got[b].tobytes()
-
-
-def test_tie_path_runs_per_node_only_off_signed_permutations(monkeypatch):
-    # a fast path that is never taken leaves every output unchanged, so
-    # count the per-node calls: none on holo_z2, whose tie nodes all have
-    # signed-permutation bases, and one per tie group on Lawson-Osserman
-    calls = []
-    inner = linalg._canonical_basis
-
-    def counting(*args):
-        if sys._getframe(1).f_code.co_name == "_canonicalize_ties":
-            calls.append(args[1])
-        return inner(*args)
-
-    monkeypatch.setattr(linalg, "_canonical_basis", counting)
-    sample = sample_surface(builtin_surface("holo_z2"), 9)
-    assert calls == []
-    assert np.all(sample.lambdas[..., 0] == sample.lambdas[..., 1])
-    sample = sample_surface(builtin_surface("lawson_osserman"), 5)
-    per_node = list(calls)
-    tied = geo.singular_data_batch(sample.jacs.reshape(-1, 4, 3))[5]
-    groups = [len(grp) for row in tied for grp in geo.tie_groups(row)
-              if len(grp) > 1]
-    assert len(per_node) == 625
-    assert per_node == groups
 
 
 def test_jacobian_svd_pads_and_rejects_bad_input():
