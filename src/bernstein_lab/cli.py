@@ -294,7 +294,11 @@ def cmd_verify(args):
     if args.nodes_csv and args.identity not in verification.SIDED_IDENTITIES:
         raise ValueError(f"--nodes-csv needs an identity with per-node "
                          f"sides, not {args.identity}")
-    grids = [int(g) for g in str(args.grid).split(",")]
+    try:
+        grids = [int(g) for g in args.grid.split(",")]
+    except ValueError:
+        raise ValueError(f"grid {args.grid!r} must be N or N1,N2,... of "
+                         "integers") from None
     _cap_nodes([max(grids)] * spec.n)
     config = _config_echo(args)
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -52,8 +52,9 @@ class MapSpec:
     """A map f: R^n -> R^m on a rectangular parameter domain.
 
     Both callables take a (B, n) array of points.  ``value_fn`` returns f
-    there as (B, m); ``deriv_fn`` returns the analytic ``(jac, hess)`` as
-    (B, n, m) and (B, m, n, n) in the layout of ``Jet2``.
+    there as (B, m); it defines f, and the suite certifies ``deriv_fn``
+    against it.  ``deriv_fn``, all that ``jet`` calls, returns the analytic
+    ``(jac, hess)`` as (B, n, m) and (B, m, n, n) in the layout of ``Jet2``.
     """
 
     n: int
@@ -61,7 +62,6 @@ class MapSpec:
     domain: np.ndarray  # (n, 2) rows (lo, hi)
     value_fn: Callable[[np.ndarray], np.ndarray]
     deriv_fn: Callable[[np.ndarray], tuple]
-    name: Optional[str] = None
 
     def __post_init__(self):
         dom = np.asarray(self.domain, dtype=float).reshape(self.n, 2)
@@ -81,17 +81,13 @@ class MapSpec:
 
 @dataclass(frozen=True)
 class Jet2:
-    """Value, first and second derivatives of f at a point of the graph;
-    a batch of points adds a leading axis to every field."""
+    """First and second derivatives of f at a point of the graph, all that
+    its geometry reads; a batch of points adds a leading axis to both."""
 
-    x: np.ndarray       # (n,)
-    value: np.ndarray   # (m,)
     jac: np.ndarray     # (n, m)
     hess: np.ndarray    # (m, n, n), symmetric in the last two slots
 
     def __post_init__(self):
-        object.__setattr__(self, "x", _readonly(self.x))
-        object.__setattr__(self, "value", _readonly(self.value))
         object.__setattr__(self, "jac", _readonly(self.jac))
         object.__setattr__(self, "hess", _readonly(self.hess))
 
@@ -115,14 +111,6 @@ class SingularData:
         for name in ("lambdas", "tangent_frame", "normal_frame",
                      "domain_basis", "target_basis"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
-
-    @property
-    def n(self):
-        return self.domain_basis.shape[0]
-
-    @property
-    def m(self):
-        return self.target_basis.shape[0]
 
 
 @dataclass(frozen=True)
@@ -159,7 +147,6 @@ def jet(spec: MapSpec, x) -> Jet2:
     if not np.all(inside):
         raise DomainError(f"point {pts[np.argmin(inside)].tolist()} "
                           f"outside domain")
-    value = np.array(spec.value_fn(pts), dtype=float, order="C")
     jac, hess = spec.deriv_fn(pts)
     jac = np.ascontiguousarray(jac, dtype=float).reshape(nb, n, m)
     hess = np.asarray(hess, dtype=float).reshape(nb, m, n, n)
@@ -167,8 +154,7 @@ def jet(spec: MapSpec, x) -> Jet2:
     asym = np.max(np.abs(hess - np.swapaxes(hess, -1, -2)), axis=(1, 2, 3))
     if np.any(asym > 1e-12 * scale):
         raise ValueError("analytic second derivatives are not symmetric")
-    parts = (pts, value.reshape(nb, m), jac,
-             0.5 * (hess + np.swapaxes(hess, -1, -2)))
+    parts = (jac, 0.5 * (hess + np.swapaxes(hess, -1, -2)))
     return Jet2(*((part[0] for part in parts) if x.ndim < 2 else parts))
 
 
@@ -254,30 +240,30 @@ def singular_data(jac) -> SingularData:
     positive, and the domain basis is fixed to positive orientation so that
     the projection factor equals the determinant of the first n rows of the
     tangent frame.  Within equal singular values the basis is the Jacobi
-    SVD's own.  This is ``singular_data_batch`` on a batch of one.
+    SVD's own.  It is ``singular_data_batch`` on a batch of one plus frames.
     """
-    arrays = singular_data_batch(np.asarray(jac, dtype=float)[None])
-    return SingularData(*(part[0] for part in arrays))
+    lams, amat, target = singular_data_batch(np.asarray(jac, float)[None])
+    tangent, normal = _assemble_frames(lams, amat, target)
+    return SingularData(lams[0], tangent[0], normal[0], amat[0], target[0])
 
 
 def singular_data_batch(jacs):
-    """Singular values and adapted frames of a batch of jacobians (B, n, m).
+    """Singular values and bases of a batch of jacobians (B, n, m).
 
-    Returns (lambdas, tangent, normal, domain, target) with the batch in the
-    leading axis.  The domain basis is the Jacobi SVD's, also inside a group
-    of equal singular values: the identities the frames feed hold in any
-    frame that turns inside such a group.  The signs, the orientation,
-    the completion test and the frames take one pass over the batch, and the
-    image columns of the target bases one pass per column slot; only the
-    completion of the nodes where the image columns do not fill R^m is built
-    node by node.  Every member gets the bits of a batch of one.
+    Returns (lambdas, domain, target) with the batch in the leading axis;
+    they fix the adapted frames, which only ``singular_data`` assembles.
+    The domain basis is the Jacobi SVD's, also inside a group of equal
+    singular values: the identities the frames feed hold in any frame that
+    turns inside such a group.  The signs, the orientation and the
+    completion test take one pass over the batch, and the image columns of
+    the target bases one pass per column slot; only the completion of the
+    nodes where the image columns do not fill R^m is built node by node.
+    Every member gets the bits of a batch of one.
     """
     jacs = np.asarray(jacs, dtype=float)
     lams, vt = jacobian_svd(jacs)
     amat = _orient(np.swapaxes(vt, -1, -2))
-    target = _target_bases(jacs, lams, amat)
-    tangent, normal = _assemble_frames(lams, amat, target)
-    return lams, tangent, normal, amat, target
+    return lams, amat, _target_bases(jacs, lams, amat)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +354,7 @@ def _eval_tables(tables, x):
     return out
 
 
-def polynomial_spec(n, m, coeffs, domain, name=None) -> MapSpec:
+def polynomial_spec(n, m, coeffs, domain) -> MapSpec:
     """MapSpec for a polynomial map given per-component monomial tables.
 
     ``coeffs[a]`` is an iterable of ``(powers, c)`` with ``powers`` a length-n
@@ -406,7 +392,6 @@ def polynomial_spec(n, m, coeffs, domain, name=None) -> MapSpec:
         domain=np.asarray(domain, dtype=float),
         value_fn=lambda x: _eval_tables(frozen, x),
         deriv_fn=derivs,
-        name=name,
     )
 
 
@@ -424,7 +409,7 @@ def linear_spec(a_matrix, domain=None) -> MapSpec:
                 powers = tuple(1 if t == i else 0 for t in range(n))
                 table.append((powers, a_matrix[i, a]))
         coeffs.append(table)
-    return polynomial_spec(n, m, coeffs, domain, name="linear")
+    return polynomial_spec(n, m, coeffs, domain)
 
 
 def _finite_float(v):

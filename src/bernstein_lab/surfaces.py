@@ -34,10 +34,7 @@ def _as_domain(domain, default):
 def _holo_z2(domain):
     dom = _as_domain(domain, [[-1.0, 1.0], [-1.0, 1.0]])
     return polynomial_spec(
-        2, 2,
-        [[((2, 0), 1.0), ((0, 2), -1.0)], [((1, 1), 2.0)]],
-        dom, name="holo_z2",
-    )
+        2, 2, [[((2, 0), 1.0), ((0, 2), -1.0)], [((1, 1), 2.0)]], dom)
 
 
 def _holo_z3(domain):
@@ -45,8 +42,7 @@ def _holo_z3(domain):
     return polynomial_spec(
         2, 2,
         [[((3, 0), 1.0), ((1, 2), -3.0)], [((2, 1), 3.0), ((0, 3), -1.0)]],
-        dom, name="holo_z3",
-    )
+        dom)
 
 
 def _scherk(domain):
@@ -65,8 +61,7 @@ def _scherk(domain):
         hess[:, 0, 0, 0], hess[:, 0, 1, 1] = -(1.0 + tx * tx), 1.0 + ty * ty
         return np.stack([-tx, ty], axis=-1)[:, :, None], hess
 
-    return MapSpec(n=2, m=1, domain=dom, value_fn=value, deriv_fn=derivs,
-                   name="scherk")
+    return MapSpec(n=2, m=1, domain=dom, value_fn=value, deriv_fn=derivs)
 
 
 def _min_radius(dom):
@@ -98,8 +93,7 @@ def _radial_spec(phi, dphi, d2phi, n, dom, name, r_min):
                                        - outer / r3[:, None, None]))
         return jac, hess[:, None]
 
-    return MapSpec(n=n, m=1, domain=dom, value_fn=value, deriv_fn=derivs,
-                   name=name)
+    return MapSpec(n=n, m=1, domain=dom, value_fn=value, deriv_fn=derivs)
 
 
 def _catenoid(domain):
@@ -167,8 +161,7 @@ def _lawson_osserman(domain):
         )
         return np.swapaxes(jac[..., 0], 1, 2), hess
 
-    return MapSpec(n=4, m=3, domain=dom, value_fn=value, deriv_fn=derivs,
-                   name="lawson_osserman")
+    return MapSpec(n=4, m=3, domain=dom, value_fn=value, deriv_fn=derivs)
 
 
 def _harmonic_potential_table(degree):
@@ -190,7 +183,7 @@ def _lagrangian_harmonic(domain):
     dom = _as_domain(domain, [[-1.0, 1.0], [-1.0, 1.0]])
     f_table = _harmonic_potential_table(3)
     coeffs = [_diff_table(f_table, 0), _diff_table(f_table, 1)]
-    return polynomial_spec(2, 2, coeffs, dom, name="lagrangian_harmonic")
+    return polynomial_spec(2, 2, coeffs, dom)
 
 
 _BUILTINS = {

@@ -1,7 +1,7 @@
 """Finite-difference verification of the projection-factor identities.
 
-On a rectangular parameter grid we compute the exact pointwise data of a
-graph (frames, second fundamental form, projection factor omega) and compare
+On a rectangular parameter grid we compute a graph's exact pointwise data
+(singular values, domain bases, second fundamental form, omega) and compare
 
 * the tangential gradient identity
       e_k(omega) = -omega * sum_i lambda_i h_{n+i,i,k},
@@ -43,19 +43,14 @@ MINIMAL_GATE = 1e-5
 
 @dataclass(frozen=True)
 class SurfaceSample:
-    """A graph sampled on a rectangular lattice with all pointwise data."""
+    """A graph sampled on a rectangular lattice with the pointwise data the
+    identities read (f's jets and the target bases go only into ``sff``)."""
 
     spec: MapSpec
     axes: tuple            # per-axis node coordinates
     spacing: tuple         # per-axis grid step
-    values: np.ndarray     # grid + (m,)
-    jacs: np.ndarray       # grid + (n, m)
-    hessians: np.ndarray   # grid + (m, n, n)
     lambdas: np.ndarray    # grid + (n,)
-    tangent_frames: np.ndarray   # grid + (n+m, n)
-    normal_frames: np.ndarray    # grid + (n+m, m)
     domain_bases: np.ndarray     # grid + (n, n)
-    target_bases: np.ndarray     # grid + (m, m)
     sff: np.ndarray        # grid + (m, n, n)
     star_omega: np.ndarray  # grid
     mean_curvature: np.ndarray   # grid + (m,)
@@ -68,10 +63,6 @@ class SurfaceSample:
     @property
     def n(self):
         return self.spec.n
-
-    @property
-    def m(self):
-        return self.spec.m
 
     def interior(self, layers):
         return tuple(slice(layers, size - layers) for size in self.grid_shape)
@@ -111,7 +102,7 @@ def sample_surface(spec: MapSpec, grid) -> SurfaceSample:
     points = np.stack([mm.reshape(-1) for mm in mesh], axis=-1)
     j = jet(spec, points)
 
-    lams, tangent, normal, domain_b, target_b = singular_data_batch(j.jac)
+    lams, domain_b, target_b = singular_data_batch(j.jac)
     sff = _sff_from_arrays(j.hess, lams, domain_b, target_b)
     omega = star_omega(lams)
     mean_c = np.einsum("bjkk->bj", sff)
@@ -120,14 +111,8 @@ def sample_surface(spec: MapSpec, grid) -> SurfaceSample:
         spec=spec,
         axes=axes,
         spacing=spacing,
-        values=j.value.reshape(shape + (m,)),
-        jacs=j.jac.reshape(shape + (n, m)),
-        hessians=j.hess.reshape(shape + (m, n, n)),
         lambdas=lams.reshape(shape + (n,)),
-        tangent_frames=tangent.reshape(shape + (n + m, n)),
-        normal_frames=normal.reshape(shape + (n + m, m)),
         domain_bases=domain_b.reshape(shape + (n, n)),
-        target_bases=target_b.reshape(shape + (m, m)),
         sff=sff.reshape(shape + (m, n, n)),
         star_omega=np.asarray(omega).reshape(shape),
         mean_curvature=mean_c.reshape(shape + (m,)),
@@ -266,7 +251,9 @@ def identity_sides(sample: SurfaceSample, identity) -> IdentitySides:
 
     "gradient": e_k(omega), the coordinate gradient of the omega field
     contracted with the tangent frame's coordinate components (its first n
-    rows), against -omega sum_i lambda_i h_{n+i,i,k}.  "laplacian-log" and
+    rows a_i / sqrt(1 + lambda_i^2), a reciprocal then a multiply, as
+    ``geometry._assemble_frames`` forms them), against
+    -omega sum_i lambda_i h_{n+i,i,k}.  "laplacian-log" and
     "laplacian-raw": the discrete Laplacian of log omega (of omega) against
     -F (``rhs_delta_star_omega``); these assume parallel mean curvature, so
     samples with minimality residual above 1e-5 are refused.
@@ -275,11 +262,11 @@ def identity_sides(sample: SurfaceSample, identity) -> IdentitySides:
         raise ValueError(f"identity {identity!r} has no per-node sides "
                          f"(those that do: {', '.join(SIDED_IDENTITIES)})")
     if identity == "gradient":
-        n = sample.n
         grads = np.stack(_coordinate_gradients(sample, sample.star_omega),
                          axis=-1)
-        lhs = np.einsum("...lk,...l->...k",
-                        sample.tangent_frames[..., :n, :], grads)
+        frame = sample.domain_bases * (
+            1.0 / np.sqrt(1.0 + sample.lambdas**2))[..., None, :]
+        lhs = np.einsum("...lk,...l->...k", frame, grads)
         rhs = rhs_gradient_star_omega(sample.lambdas, sample.sff)
         sl = sample.interior(1)
         return IdentitySides(identity, 1, lhs[sl], rhs[sl],

@@ -461,6 +461,48 @@ def test_verify_nodes_csv_bytes_golden(tmp_path, monkeypatch, capsys):
     assert digest.hexdigest() == NODES_CSV_GOLDEN
 
 
+# sha256 of verify's stdout, one case per identity, recorded when the
+# sample still held f's values, its jets and the assembled frames
+VERIFY_GOLDEN = {
+    "holo_z2-laplacian-log": (
+        ["holo_z2", "laplacian-log", "17,33"], 0,
+        "b1b8bda15a80788dff0873ed42ff8eaa55e599de3545f6265b578342527f3bdc"),
+    "catenoid_graph-laplacian-raw": (
+        ["catenoid_graph", "laplacian-raw", "17,33"], 0,
+        "a861e014098806a86e693dd83f2643eed06b75ca260a7fa778d3755c7ccc8722"),
+    "lawson_osserman-gradient": (
+        ["lawson_osserman", "gradient", "5"], 0,
+        "a615c1fc9b155f747aaa7e19a7f32633a4321418c374e2621a86ddeba0a20cd5"),
+    "lagrangian_harmonic-gradient": (
+        ["lagrangian_harmonic", "gradient", "9,17"], 1,
+        "6e8fffa13d68c6d8a54b9254f84f7d4d31620567486c7720f51ea46b50387267"),
+    "scherk-minimality": (
+        ["scherk", "minimality", "9"], 0,
+        "a6a99ecdb1bc2dcd2b54edd2aaf187c0e5053007080e0a4ab76c31f6d54e8f19"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VERIFY_GOLDEN))
+def test_verify_output_golden(tmp_path, monkeypatch, capsys, case):
+    (surface, identity, grid), code, digest = VERIFY_GOLDEN[case]
+    got, out, err = _main_in(tmp_path, monkeypatch, capsys, {}, [
+        "verify", "--surface", surface, "--identity", identity,
+        "--grid", grid])
+    assert (got, err) == (code, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("grid", ["9,", "9.5", "x", "", "9,,17", "5,9.0"])
+def test_verify_grid_error_names_the_value_and_the_rule(
+        tmp_path, monkeypatch, capsys, grid):
+    code, out, err = _main_in(tmp_path, monkeypatch, capsys, {}, [
+        "verify", "--surface", "holo_z2", "--identity", "minimality",
+        "--grid", grid])
+    assert (code, out) == (2, "")
+    assert err == (f"error: grid {grid!r} must be N or N1,N2,... of "
+                   "integers\n")
+
+
 def test_verify_needs_surface_or_input():
     proc = run_cli(["verify", "--identity", "minimality", "--grid", "9"])
     assert proc.returncode == 2
@@ -838,15 +880,78 @@ _DOCUMENTS = st.one_of(
 )
 
 
-@settings(max_examples=150, deadline=None)
-@given(doc=_DOCUMENTS, command=st.sampled_from(["check", "rotate"]))
-def test_cli_fuzz_exit_codes_and_strict_json(tmp_path_factory, doc, command):
-    """Any JSON document: exit 0, 1 or 2, nothing raised, strict JSON out."""
-    path = tmp_path_factory.mktemp("fuzz") / "in.json"
-    path.write_text(json.dumps(doc))
-    argv = [command, "--input", str(path)]
-    if command == "rotate":
-        argv += ["--seed", "1", "--budget", "3"]
+def _option(name, value):
+    """``--name=value``: argparse would take a value such as ``-1e+300``
+    standing alone for an option."""
+    return f"--{name}={value}"
+
+
+@st.composite
+def _region_argv(draw):
+    """region --format json on drawn shapes, epsilon and grid axes: half the
+    runs draw min(n, m) axes of ordered bounds in [0, 3], the other half
+    also draw out-of-range or non-numeric bounds, step counts and epsilon,
+    and a wrong axis count."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    wild = draw(st.booleans())
+    number = _NUMBERS if wild else st.floats(0.0, 3.0)
+    steps = (st.one_of(st.integers(-1, 4), st.sampled_from(["", "x", "2.5"]))
+             if wild else st.integers(1, 4))
+    count = draw(st.integers(1, 3)) if wild else min(n, m)
+    axes = [[*sorted(draw(st.lists(number, min_size=2, max_size=2))),
+             draw(steps)] for _ in range(count)]
+    epsilon = draw(_NUMBERS if wild else st.floats(1e-6, 1.0))
+    return ["region", _option("n", n), _option("m", m),
+            _option("traceless", draw(st.sampled_from(["true", "false"]))),
+            _option("epsilon", epsilon),
+            _option("grid", ",".join(":".join(map(str, axis))
+                                     for axis in axes)),
+            "--format", "json"]
+
+
+@st.composite
+def _polynomial_specs(draw):
+    """Polynomial MapSpec documents with drawn coefficients and domains;
+    a domain row is mostly an interval lo < hi."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    monomial = st.fixed_dictionaries({
+        "powers": st.lists(st.integers(0, 3), min_size=n, max_size=n),
+        "c": _NUMBERS})
+    row = st.one_of(st.tuples(st.floats(-2.0, 0.0), st.floats(0.1, 2.0)),
+                    st.tuples(_NUMBERS, _NUMBERS))
+    return {"n": n, "m": m, "kind": "polynomial",
+            "coeffs": draw(st.lists(st.lists(monomial, max_size=3),
+                                    min_size=m, max_size=m)),
+            "domain": draw(st.lists(row.map(list), min_size=n,
+                                    max_size=n))}
+
+
+# (argv after the program name, the --input document in a 1-tuple or ())
+_RUNS = st.one_of(
+    st.tuples(st.just(["check"]), st.tuples(_DOCUMENTS)),
+    st.tuples(st.just(["rotate", "--seed", "1", "--budget", "3"]),
+              st.tuples(_DOCUMENTS)),
+    st.tuples(_region_argv(), st.just(())),
+    st.tuples(st.builds(
+        lambda identity, grid: ["verify", "--identity", identity,
+                                "--grid", grid],
+        st.sampled_from(["gradient", "laplacian-log", "laplacian-raw",
+                         "minimality"]),
+        st.sampled_from(["3", "5,9", "9"])), st.tuples(_polynomial_specs())),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(run=_RUNS)
+def test_cli_fuzz_exit_codes_and_strict_json(tmp_path_factory, run):
+    """Any JSON document for check and rotate, drawn grids for region,
+    drawn polynomial specs for verify: exit 0, 1 or 2, nothing raised,
+    strict JSON out, and one stderr line on exit 2."""
+    argv, docs = run
+    for doc in docs:
+        path = tmp_path_factory.mktemp("fuzz") / "in.json"
+        path.write_text(json.dumps(doc))
+        argv = [*argv, "--input", str(path)]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             np.errstate(all="ignore"):

@@ -72,13 +72,15 @@ def _random_polynomial_spec(rng):
 
 def _assert_batch_is_rows(spec, points):
     batch = geo.jet(spec, points)
-    for field in ("x", "value", "jac", "hess"):
-        arr = getattr(batch, field)
+    value = np.array(spec.value_fn(points), dtype=float)
+    for field in ("value", "jac", "hess"):
+        arr = value if field == "value" else getattr(batch, field)
         assert arr.flags.c_contiguous, field
         for b, x in enumerate(points):
-            row = getattr(geo.jet(spec, x), field)
+            row = (spec.value_fn(np.atleast_2d(x))[0] if field == "value"
+                   else getattr(geo.jet(spec, x), field))
             assert arr[b].shape == row.shape and (
-                arr[b].tobytes() == row.tobytes()), (spec.name, field, b)
+                arr[b].tobytes() == row.tobytes()), (field, b)
 
 
 @pytest.mark.parametrize("name", builtin_names())
@@ -270,12 +272,12 @@ def test_sff_norms_match_coordinate_projector_oracle():
 def test_batch_matches_single():
     rng = np.random.default_rng(12)
     jacs = rng.uniform(-3, 3, size=(50, 3, 2))
-    lams, tangent, normal, domain, target = geo.singular_data_batch(jacs)
+    lams, domain, target = geo.singular_data_batch(jacs)
     for i in range(50):
         sd = geo.singular_data(jacs[i])
         assert np.allclose(lams[i], sd.lambdas, atol=1e-14)
-        assert np.allclose(tangent[i], sd.tangent_frame, atol=1e-13)
-        assert np.allclose(normal[i], sd.normal_frame, atol=1e-13)
+        assert np.allclose(domain[i], sd.domain_basis, atol=1e-13)
+        assert np.allclose(target[i], sd.target_basis, atol=1e-13)
 
 
 def test_mapspec_json_round_trip():
@@ -288,16 +290,22 @@ def test_mapspec_json_round_trip():
     builtin = builtin_surface("holo_z2")
     assert np.array_equal(spec.domain, builtin.domain)
     points = [[0.7, -0.4], [0.0, 0.0], [-1.0, 1.0]]
+    assert np.array_equal(spec.value_fn(np.array(points)),
+                          builtin.value_fn(np.array(points)))
     j1 = geo.jet(spec, points)
     j2 = geo.jet(builtin, points)
-    for field in ("value", "jac", "hess"):
+    for field in ("jac", "hess"):
         assert np.array_equal(getattr(j1, field), getattr(j2, field)), field
 
 
 def test_mapspec_json_builtin():
     spec = geo.mapspec_from_json({"n": 2, "m": 1, "kind": "builtin",
                                   "name": "scherk"})
-    assert spec.name == "scherk"
+    scherk = builtin_surface("scherk")
+    assert np.array_equal(spec.domain, scherk.domain)
+    point = [0.3, -0.7]
+    assert np.array_equal(geo.jet(spec, point).hess,
+                          geo.jet(scherk, point).hess)
     with pytest.raises(ValueError):
         geo.mapspec_from_json({"kind": "nope"})
 
@@ -337,8 +345,8 @@ def test_singular_data_is_a_batch_of_one_bitwise(n, m):
     batch = geo.singular_data_batch(jacs)
     for b in range(8):
         sd = geo.singular_data(jacs[b])
-        for got, want in zip((sd.lambdas, sd.tangent_frame, sd.normal_frame,
-                              sd.domain_basis, sd.target_basis), batch):
+        for got, want in zip((sd.lambdas, sd.domain_basis, sd.target_basis),
+                             batch):
             assert np.array_equal(got, want[b])
 
 
@@ -385,7 +393,8 @@ def _tie_groups(lams):
 
 
 # sha256 prefixes of (lambdas, tangent, normal, domain, target), recorded
-# with the Jacobi SVD's own bases at ties
+# with the Jacobi SVD's own bases at ties; the frames are checked stacked
+# from per-member ``singular_data``, which gives a batched build's bits
 GOLDEN_FRAMES = {
     (1, 1): ("14682af43a5b5d13", "41782aa1b1735310", "46c238b0dc2bff28",
              "cf966f1001f07510", "8670db0d3ec554e0"),
@@ -416,7 +425,11 @@ GOLDEN_FRAMES = {
 def test_singular_data_batch_golden_on_hard_batches(n, m):
     jacs = _hard_frame_batch(n, m)
     arrays = geo.singular_data_batch(jacs)
-    got = tuple(hashlib.sha256(a.tobytes()).hexdigest()[:16] for a in arrays)
+    members = [geo.singular_data(jac) for jac in jacs]
+    frames = [np.stack([getattr(sd, name) for sd in members])
+              for name in ("tangent_frame", "normal_frame")]
+    got = tuple(hashlib.sha256(a.tobytes()).hexdigest()[:16]
+                for a in (arrays[0], *frames, *arrays[1:]))
     assert got == GOLDEN_FRAMES[(n, m)]
     if n >= 2:
         # the batch still reaches the branches it was built for; the
@@ -429,6 +442,19 @@ def test_singular_data_batch_golden_on_hard_batches(n, m):
         assert any(len(_tie_groups(row)) < n for row in arrays[0])
 
 
+@pytest.mark.parametrize("n, m", sorted(GOLDEN_FRAMES))
+def test_gradient_frame_is_the_tangent_frames_rows_bitwise(n, m):
+    # the gradient identity reads the tangent frame's first n rows as the
+    # domain basis times a reciprocal, not from an assembled frame
+    jacs = _hard_frame_batch(n, m)
+    jacs = np.concatenate([jacs, 1e8 * jacs[:6], 1e-8 * jacs[:6]])
+    lams, domain, _ = geo.singular_data_batch(jacs)
+    rows = domain * (1.0 / np.sqrt(1.0 + lams**2))[..., None, :]
+    want = np.stack([geo.singular_data(jac).tangent_frame[:n]
+                     for jac in jacs])
+    assert rows.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (1, 3), (2, 2), (3, 2),
                                   (2, 3), (4, 3), (4, 4), (5, 2), (6, 4)])
 def test_target_columns_match_per_node_oracle_bitwise(n, m):
@@ -436,7 +462,7 @@ def test_target_columns_match_per_node_oracle_bitwise(n, m):
     # by 1e8 and 1e-8 keep all of them
     jacs = _hard_frame_batch(n, m)
     jacs = np.concatenate([jacs, 1e8 * jacs[:6], 1e-8 * jacs[:6]])
-    lams, _, _, domain, target = geo.singular_data_batch(jacs)
+    lams, domain, target = geo.singular_data_batch(jacs)
     p = min(n, m)
     kept = np.count_nonzero(
         lams[:, :p] > geo.RANK_TOL * np.maximum(1.0, lams[:, :1]), axis=-1)
@@ -462,20 +488,19 @@ def _canonical_ties_per_node(amat, lams):
     return out
 
 
-def _oracle_frames(jacs):
-    """(lambdas, tangent, normal, domain, target) with canonical tie bases,
-    signed and oriented as ``singular_data_batch`` signs and orients."""
+def _oracle_bases(jacs):
+    """(lambdas, domain, target) with canonical tie bases, signed and
+    oriented as ``singular_data_batch`` signs and orients."""
     lams, vt = geo.jacobian_svd(jacs)
     amat = geo._orient(_canonical_ties_per_node(np.swapaxes(vt, -1, -2),
                                                 lams))
-    target = geo._target_bases(jacs, lams, amat)
-    return (lams, *geo._assemble_frames(lams, amat, target), amat, target)
+    return lams, amat, geo._target_bases(jacs, lams, amat)
 
 
-def _identity_sides(frames, hess, nodes):
+def _identity_sides(bases, hess, nodes):
     """F(h), the raw Laplacian's right side, the gradient's 2-norm and
     |h|^2: frame-invariant, so equal in any frame up to rounding."""
-    lams, _, _, domain, target = frames
+    lams, domain, target = bases
     h = geo._sff_from_arrays(hess[nodes], lams[nodes], domain[nodes],
                              target[nodes])
     lam = lams[nodes]
@@ -490,27 +515,29 @@ def _assert_tie_frames_match_oracle(jacs, hess):
     right sides agree with the oracle frame's."""
     nb, n, m = jacs.shape
     p = min(n, m)
-    got, want = geo.singular_data_batch(jacs), _oracle_frames(jacs)
-    lams, tangent, normal, domain, target = got
+    got, want = geo.singular_data_batch(jacs), _oracle_bases(jacs)
+    lams, domain, target = got
     assert np.array_equal(lams, want[0])
     ties = [b for b in range(nb) if len(_tie_groups(lams[b])) < n]
     for b in ties:
         for grp in _tie_groups(lams[b]):
             cols = slice(grp[0], grp[-1] + 1)
-            own, canon = domain[b][:, cols], want[3][b][:, cols]
+            own, canon = domain[b][:, cols], want[1][b][:, cols]
             assert np.max(np.abs(own @ own.T - canon @ canon.T)) <= 1e-13
-        frame = np.hstack([tangent[b], normal[b]])
+        sd = geo.singular_data(jacs[b])
+        tangent = sd.tangent_frame
+        frame = np.hstack([tangent, sd.normal_frame])
         assert np.max(np.abs(frame.T @ frame - np.eye(n + m))) <= 1e-13
         image = np.zeros((m, n))
         image[:, :p] = target[b][:, :p] * lams[b, :p]
         assert (np.max(np.abs(jacs[b].T @ domain[b] - image))
                 <= 1e-13 * max(1.0, lams[b, 0]))
-        assert (abs(linalg.det(tangent[b][:n]) - geo.star_omega(lams[b]))
+        assert (abs(linalg.det(tangent[:n]) - geo.star_omega(lams[b]))
                 <= 1e-13)
     # relative to the value or to |h|^2, the size of the terms it sums:
     # F(h) itself cancels to rounding on Lawson-Osserman
-    mine, theirs = (_identity_sides(frames, hess, ties)
-                    for frames in (got, want))
+    mine, theirs = (_identity_sides(bases, hess, ties)
+                    for bases in (got, want))
     scale = theirs[-1]
     for a, b in zip(mine, theirs):
         assert np.all(np.abs(a - b) <= 1e-13 * (np.abs(b) + scale))
@@ -530,9 +557,9 @@ def test_tie_frames_match_the_canonical_oracle_on_hard_batches(n, m):
 def test_tie_frames_match_the_canonical_oracle_on_lawson_osserman():
     # every node of the cone has a tie
     sample = sample_surface(builtin_surface("lawson_osserman"), 5)
-    jacs = sample.jacs.reshape(-1, 4, 3)
-    hess = sample.hessians.reshape(-1, 3, 4, 4)
-    assert len(_assert_tie_frames_match_oracle(jacs, hess)) == 625
+    nodes = np.stack(np.meshgrid(*sample.axes, indexing="ij"), axis=-1)
+    j = geo.jet(sample.spec, nodes.reshape(-1, 4))
+    assert len(_assert_tie_frames_match_oracle(j.jac, j.hess)) == 625
 
 
 def test_mixed_tie_batch_is_a_batch_of_ones_bitwise():

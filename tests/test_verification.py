@@ -17,7 +17,6 @@ NON_MINIMAL_GUARD = geo.polynomial_spec(
     2, 2,
     [[((2, 0), 1.0), ((0, 2), 1.0)], []],
     [[-1, 1], [-1, 1]],
-    name="guard",
 )
 
 
@@ -75,8 +74,10 @@ def test_builtin_analytic_derivatives_match_finite_differences():
             assert np.max(np.abs(jan.hess - hess)) < 1e-4, name
 
 
-# sha256 (first 16 hex digits) of every SurfaceSample array, in
-# GOLDEN_FIELDS order, recorded with per-point jets
+# sha256 (first 16 hex digits) of a sampled surface's arrays, in
+# GOLDEN_FIELDS order, recorded with per-point jets; those SurfaceSample
+# does not keep (f's values, the jets, the frames and the target bases) are
+# computed at its nodes (``_golden_arrays``)
 GOLDEN_FIELDS = ("values", "jacs", "hessians", "lambdas",
                  "tangent_frames", "normal_frames", "domain_bases",
                  "target_bases", "sff", "star_omega",
@@ -122,14 +123,47 @@ GOLDEN_SAMPLES = {
 }
 
 
+def _lattice(sample):
+    """The sample's nodes as (B, n) points, in ``sample_surface``'s order."""
+    mesh = np.meshgrid(*sample.axes, indexing="ij")
+    return np.stack([mm.reshape(-1) for mm in mesh], axis=-1)
+
+
+def _golden_arrays(sample):
+    """The GOLDEN_FIELDS arrays by name: the sample's own, and f's values,
+    its jets and the per-node ``singular_data`` frames at the sample's
+    nodes (a member of a batch has the bits of a batch of one)."""
+    points = _lattice(sample)
+    j = geo.jet(sample.spec, points)
+    members = [geo.singular_data(jac) for jac in j.jac]
+    arrays = {field: getattr(sample, field) for field in GOLDEN_FIELDS
+              if hasattr(sample, field)}
+    arrays.update(values=sample.spec.value_fn(points), jacs=j.jac,
+                  hessians=j.hess)
+    for field, name in (("tangent_frames", "tangent_frame"),
+                        ("normal_frames", "normal_frame"),
+                        ("target_bases", "target_basis")):
+        arrays[field] = np.stack([getattr(sd, name) for sd in members])
+    return arrays
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_SAMPLES))
 def test_sample_surface_golden(name):
     grid, digests = GOLDEN_SAMPLES[name]
     sample = ver.sample_surface(builtin_surface(name), grid)
-    got = tuple(
-        hashlib.sha256(getattr(sample, field).tobytes()).hexdigest()[:16]
-        for field in GOLDEN_FIELDS)
+    arrays = _golden_arrays(sample)
+    got = tuple(hashlib.sha256(arrays[field].tobytes()).hexdigest()[:16]
+                for field in GOLDEN_FIELDS)
     assert got == digests
+    # the gradient's left side, built from the domain bases, has the bits
+    # of the assembled tangent frames' first n rows
+    n, m = sample.spec.n, sample.spec.m
+    tangent = arrays["tangent_frames"].reshape(sample.grid_shape + (n + m, n))
+    grads = np.stack(ver._coordinate_gradients(sample, sample.star_omega),
+                     axis=-1)
+    want = np.einsum("...lk,...l->...k", tangent[..., :n, :], grads)
+    assert (ver.identity_sides(sample, "gradient").lhs.tobytes()
+            == want[sample.interior(1)].tobytes())
 
 
 @pytest.mark.parametrize("name,grid", [
