@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -320,8 +321,31 @@ def cmd_verify(args):
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with the one-line exit-2 error of every other refusal."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
+def _option_values(argv):
+    """``--name -1:1:3`` as ``--name=-1:1:3``: argparse takes a token that
+    starts with ``-`` for an option unless it is a plain negative number,
+    so a value that starts with ``-`` and a digit or ``.`` is joined to its
+    option."""
+    out = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if (re.match(r"-[0-9.]", tok) and prev.startswith("--")
+                and "=" not in prev):
+            out[-1] = f"{prev}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bernstein-lab",
         description="Flatness conditions and identity checks for minimal "
                     "graphs in higher codimension.",
@@ -383,7 +407,8 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_option_values(
+        sys.argv[1:] if argv is None else argv))
     # An overflow ends as a non-finite result, which strict JSON and the
     # non-graphic check already turn into exit 2: numpy's warnings about it
     # would only print above that one-line error.

@@ -17,15 +17,18 @@ symmetry check of the result.  ``OrthBlock`` is the one element type, and
 
 Both transforms also take a sequence of blocks and solve it as one stack.
 ``search_rotation`` looks for a rotation whose transformed differential
-satisfies a chosen flatness condition, by seeded random restarts followed by
-coordinate descent on plane-rotation angles; the candidates of the rest of
-a descent pass go through one such stack.  A ``RotationGroup`` record holds
-what differs between the groups: the moves, each a list of real planes
-turned together, the identity, the restarts and the transform.  The search
-claims optimality only where the condition proves that no differential
-beats the zero one (``Condition.peaks_at_zero``: TheoremA always, OptimalB
-on certified shapes); there it stops as soon as it reaches that margin.
-Otherwise it runs until its budget or its restarts run out.
+satisfies a chosen flatness condition, by coordinate descent on
+plane-rotation angles from each start in turn: the flattening rotation
+(which sends the differential to A = 0), the identity, then seeded random
+elements.  The candidates of the rest of a descent pass go through one such
+stack.  A ``RotationGroup`` record holds what differs between the groups:
+the moves, each a list of real planes turned together, the identity, the
+restarts, the flattening and the transform.  The search claims optimality
+only where the condition proves that no differential beats the zero one
+(``Condition.peaks_at_zero``: TheoremA always, OptimalB on certified
+shapes); there it stops as soon as it reaches that margin, which a graphic
+flattening does at the first evaluation.  Otherwise it runs until its
+budget or its restarts run out.
 """
 
 from __future__ import annotations
@@ -372,14 +375,19 @@ def search_rotation(a_matrix, target: SearchTarget, budget, seed,
                     group="orthogonal") -> SearchOutcome:
     """Maximize the condition margin of the transformed differential over g.
 
-    Strategy: a deterministic schedule of restarts (identity, an exact
-    flattening rotation, then seeded random elements), each followed by
-    coordinate descent that perturbs one plane-rotation angle at a time and
-    accepts on improvement, with a shrinking step.  ``budget`` caps the total
-    number of condition evaluations.  The search also stops at the first
-    evaluation whose margin reaches ``target.ceiling(n, m)``, a certified
-    optimum: nothing after it could improve the outcome.  Fully
-    deterministic given (a_matrix, target, budget, seed).
+    Strategy: a deterministic schedule of starts -- the exact flattening
+    rotation (left out when building it raises ``ValueError``), the
+    identity, then seeded random elements -- each followed by coordinate
+    descent that perturbs one plane-rotation angle at a time and accepts on
+    improvement, with a shrinking step.  ``budget`` caps the total number of
+    condition evaluations.  The search also stops at the first evaluation
+    whose margin reaches ``target.ceiling(n, m)``, a certified optimum:
+    nothing after it could improve the outcome.  A graphic flattening sends
+    the differential to 0 up to rounding, so where the ceiling is certified
+    the search ends at evaluation 1; the identity and the restarts run when the
+    flattening is missing or not graphic (condition number above
+    ``COND_MAX``), or the ceiling is not certified.  Fully deterministic
+    given (a_matrix, target, budget, seed).
 
     The rest of each descent pass, the +step and -step candidates of every
     remaining move, is evaluated as one batch (one transform, SVD and
@@ -478,11 +486,12 @@ def search_rotation(a_matrix, target: SearchTarget, budget, seed,
             if not improved:
                 step /= 2.0
 
-    starts = [grp.identity]
+    starts = []
     try:
         starts.append(grp.flattening(a))
     except ValueError:
         pass
+    starts.append(grp.identity)
     starts += [grp.random(int(child.generate_state(1)[0]))
                for child in np.random.SeedSequence(seed).spawn(8)]
 

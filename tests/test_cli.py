@@ -131,69 +131,95 @@ def _symmetric(seed):
 
 
 # sha256 of rotate's stdout, recorded with the one-candidate-at-a-time
-# search; the budgets of the first three end on a move cut to its +step
-# member, and the 1e11-scaled 3 x 2 input meets non-graphic candidates;
-# the OptimalB digests hold `dim` and `traceless` as an integer and boolean
+# search: first as the command runs, then with building the flattening
+# start refused, so that the search descends from the identity.  The
+# certified searches stop at the flattening, evaluation 1, so the descent
+# digests are the ones that pin the search's edges: the budgets of the
+# first three end on a move cut to its +step member; the 1e11-scaled 3 x 2
+# input meets non-graphic candidates, and its flattening fails the
+# orthogonality check, so both of its digests are the descent's; the
+# OptimalB digests hold `dim` and `traceless` as an integer and boolean
 ROTATE_GOLDEN = {
     "orthogonal-optimalb-3x3": (
         np.random.default_rng(21).uniform(-1.5, 1.5, (3, 3)).tolist(),
         ["--target", "OptimalB", "--budget", "160", "--seed", "4"],
+        "a9f1b97b1bb8bb6033887bfc3f145837"
+        "80b34569e44c01d3a1d58970fbbfc689",
         "10b9b0b88786a4c17f69598b984eebe4"
         "10d148959f5685aeda89e9be4b9417b5"),
     "orthogonal-theorema-2x3-budget-107": (
         [[1.2, -0.4, 0.9], [0.3, 1.7, -1.1]],
         ["--target", "TheoremA", "--budget", "107", "--seed", "5"],
+        "af92bfdd9bb924528431e1f739c930b9"
+        "c1c1e05e64f1d9b3df4945e8da868db7",
         "c6d4d4c15ee96d056bdcaec60764b897"
         "facfb7738535afd70088b4f3506e0d16"),
     "unitary-theorema-3x3": (
         _symmetric(23),
         ["--target", "TheoremA", "--group", "unitary", "--budget", "150",
          "--seed", "8"],
+        "7cf5c8af9f4624b977bbe3f72c09cb2d"
+        "27697a49ec56c1088809850e8ccf72df",
         "96695e3f188465f7d6783b12d42b9bda"
         "6fd5401c71c3a6eb603bc1feae7c8ef6"),
     "orthogonal-theorema-3x2-non-graphic": (
         (np.array([[3.0, -1.0], [2.0, 4.0], [-1.0, 2.0]]) * 1e11).tolist(),
         ["--target", "TheoremA", "--budget", "120", "--seed", "2"],
         "05ef9910ae679c34741f1fc5e2a74a7f"
+        "7be368e39da691d4e936cd5da077d0cb",
+        "05ef9910ae679c34741f1fc5e2a74a7f"
         "7be368e39da691d4e936cd5da077d0cb"),
-    # recorded with one batch per move, at the edges of a whole-pass batch:
-    # an improvement on the last move of a pass (evaluation 18 of 19), a
-    # budget that ends on a +step member in the middle of a pass, the
-    # certified stop at the -step member of a pass's third move, and a
-    # unitary search that improves on phase moves and ends mid-pass
+    # the descent digests were recorded with one batch per move, at the
+    # edges of a whole-pass batch: an improvement on the last move of a
+    # pass (evaluation 18 of 19), a budget that ends on a +step member in
+    # the middle of a pass, the certified stop at the -step member of a
+    # pass's third move, and a unitary search that improves on phase moves
+    # and ends mid-pass
     "orthogonal-theorema-2x3-last-move-improvement": (
         np.random.default_rng(32).uniform(-1.5, 1.5, (2, 3)).tolist(),
         ["--target", "TheoremA", "--budget", "19", "--seed", "6"],
+        "433652a2dd0b698c3bcb365ef7ce6989"
+        "91b3f714609716ba3678ff5824ddc5fd",
         "2cc8d7eaf03e31dec3460e6aedb834db"
         "2cc6d01c08f9832ede95218ab1246629"),
     "orthogonal-theorema-2x3-mid-pass-mid-move": (
         np.random.default_rng(32).uniform(-1.5, 1.5, (2, 3)).tolist(),
         ["--target", "TheoremA", "--budget", "100", "--seed", "6"],
+        "50a03342b8c93a81235b70c0c1dc493e"
+        "5da4df7a8a958fcebc7d6d6d9c552909",
         "cc525208fdc393bd39aa426ee7d5f463"
         "7be2259f5fa1b71736e5ef51f2c82e70"),
     "orthogonal-optimalb-3x3-ceiling-in-batch": (
         [[float(np.tan(np.pi / 8)), 0.2, 0.0], [0.0, 0.3, 0.0],
          [0.0, 0.0, 0.0]],
         ["--target", "OptimalB", "--budget", "800", "--seed", "5"],
+        "4c489fd4ddb801f41cd2223133b22952"
+        "b1fa138749c2cb8f859e705b85326d45",
         "b39b2739879715a42e70ea08528b3320"
         "6d4743d04d523bbf5c8df7a96607596e"),
     "unitary-theorema-3x3-phase-moves": (
         _symmetric(53),
         ["--target", "TheoremA", "--group", "unitary", "--budget", "150",
          "--seed", "7"],
+        "e299b838acc4e8f3705b022b847caf34"
+        "1653ae87f7ebe98c4fd10df01a3bb518",
         "d1b64dc0698f75963a8fc1a99503017b"
         "69c531045365b924da743451cc4dff93"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ROTATE_GOLDEN))
-def test_rotate_output_golden(tmp_path, monkeypatch, capsys, case):
-    matrix, argv, digest = ROTATE_GOLDEN[case]
-    got, out, err = _main_in(tmp_path, monkeypatch, capsys,
-                             {"in.json": {"matrix": matrix}},
-                             ["rotate", "--input", "in.json", *argv])
+def test_rotate_output_golden(tmp_path, monkeypatch, capsys, request, case):
+    matrix, argv, digest, descent_digest = ROTATE_GOLDEN[case]
+    argv = ["rotate", "--input", "in.json", *argv]
+    inputs = {"in.json": {"matrix": matrix}}
+    got, out, err = _main_in(tmp_path, monkeypatch, capsys, inputs, argv)
     assert (got, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+    request.getfixturevalue("no_flattening")
+    got, out, err = _main_in(tmp_path, monkeypatch, capsys, inputs, argv)
+    assert (got, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == descent_digest
 
 
 @pytest.mark.parametrize("argv, dim, traceless", [
@@ -660,18 +686,23 @@ def test_non_finite_matrix_exits_2(tmp_path, monkeypatch, capsys, command,
     ({"matrix": [[1e200, 0.5], [0.3, 1e200]]},
      ["check", "--traceless", "false", "--conditions", "OptimalB"],
      "result is not finite (numerical overflow); no JSON written"),
+    # the flattening sends it to 0 without squaring an entry: an answer
     ({"matrix": [[1e200, 0.5], [0.3, 1e200]]},
-     ["rotate", "--seed", "1", "--budget", "5"],
-     "no graphic rotation in 5 evaluations (condition number above 1e+12 "
-     "or numerical overflow)"),
+     ["rotate", "--seed", "1", "--budget", "5"], None),
 ], ids=["points", "matrix", "check-overflow", "optimal-b-overflow",
         "rotate-overflow"])
 def test_non_finite_input_stderr_is_one_line(tmp_path, doc, argv, message):
     """Refused at the input boundary, or overflowing on the way to a
-    non-finite result: no numpy warning above the error."""
+    non-finite result: no numpy warning above the error.  Where the command
+    answers (``message`` None), no warning at all."""
     path = tmp_path / "in.json"
     write_json(path, doc)
     proc = run_cli([*argv, "--input", str(path)])
+    if message is None:
+        assert (proc.returncode, proc.stderr) == (0, "")
+        results = json.loads(proc.stdout, parse_constant=_reject_constant)
+        assert results["results"]["evaluations"] == 1
+        return
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == f"error: {message}\n"
 
@@ -752,10 +783,28 @@ def test_check_one_row_differential_leaves_trace_free_optimal_b_out(
 
 
 def test_rotate_leaves_a_non_graphic_identity_start(tmp_path, monkeypatch,
-                                                     capsys):
+                                                     capsys, no_flattening):
     # at entries near 1e160 no neighbour of the identity is graphic; its
-    # descent once spent the whole budget halving the step before the
-    # flattening start was tried
+    # descent once spent the whole budget halving the step before the next
+    # start was tried.  The flattening start would answer at evaluation 1,
+    # so it is refused here: the identity's descent ends after one pass of
+    # 20 non-graphic candidates, and evaluation 22 is the first restart's
+    matrix = (np.random.default_rng(100).uniform(-1.0, 1.0, (2, 3))
+              * 1e160).tolist()
+    code, out, err = _main_in(
+        tmp_path, monkeypatch, capsys, {"in.json": {"matrix": matrix}},
+        ["rotate", "--input", "in.json", "--target", "TheoremA", "--budget",
+         "150", "--seed", "14"])
+    assert (code, err) == (0, "")
+    results = json.loads(out)["results"]
+    assert results["objective_trace"][0][0] == 22
+    assert results["report"]["margin"] == 0.8883263615778236
+    assert results["evaluations"] == 150
+
+
+def test_rotate_answers_at_the_flattening(tmp_path, monkeypatch, capsys):
+    # the same input as the command runs it: the flattening start reaches
+    # the ceiling 0.9 at evaluation 1
     matrix = (np.random.default_rng(100).uniform(-1.0, 1.0, (2, 3))
               * 1e160).tolist()
     code, out, err = _main_in(
@@ -765,7 +814,7 @@ def test_rotate_leaves_a_non_graphic_identity_start(tmp_path, monkeypatch,
     assert (code, err) == (0, "")
     results = json.loads(out)["results"]
     assert results["report"]["margin"] == 0.9
-    assert results["evaluations"] == 22
+    assert results["evaluations"] == 1
 
 
 def test_check_answers_on_tiny_entries(tmp_path, monkeypatch, capsys):
@@ -810,6 +859,42 @@ def test_region_labels_widely_spread_node_outside():
         ("100000000000000.0", "1.0")] == "outside"
 
 
+def test_option_values_may_start_with_a_dash(tmp_path):
+    # argparse takes a token such as -1:1:3 or -1e-3 standing alone for an
+    # option, unless it is a plain negative number
+    head = ["region", "--n", "2", "--m", "2"]
+    alone = run_cli([*head, "--grid", "-1:1:3,0:1:3"])
+    joined = run_cli([*head, "--grid=-1:1:3,0:1:3"])
+    assert (alone.returncode, alone.stderr) == (0, "")
+    assert alone.stdout == joined.stdout
+    path = tmp_path / "in.json"
+    write_json(path, {"matrix": [[0.5, 0.1], [0.2, 0.3]]})
+    for flag, value, message in [("--delta", "-1e-3", "delta must lie in "
+                                  "(0, 1)"),
+                                 ("--epsilon", "-.5", "epsilon must be "
+                                  "finite and positive")]:
+        proc = run_cli(["check", "--input", str(path), flag, value])
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["check"], "the following arguments are required: --input"),
+    (["region", "--n", "2", "--m", "2", "--grid", "-inf:1:3"],
+     "argument --grid: expected one argument"),
+    (["rotate", "--input", "in.json", "--seed", "x"],
+     "argument --seed: invalid int value: 'x'"),
+    (["check", "--input", "in.json", "--traceless", "maybe"],
+     "argument --traceless: expected true/false, got 'maybe'"),
+], ids=["no-command", "no-input", "dash-word-value", "bad-int",
+        "bad-bool"])
+def test_usage_errors_are_one_line(argv, message):
+    proc = run_cli(argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["check", "--input", "in.json"],
     ["rotate", "--input", "in.json", "--seed", "1"],
@@ -837,12 +922,16 @@ def test_format_is_a_region_option_only(tmp_path, monkeypatch, capsys, argv):
 def test_non_finite_result_exits_2(tmp_path, monkeypatch, capsys, command,
                                    message):
     # 1e200 squared leaves the float range: the parent wrote NaN and
-    # -Infinity into its JSON
+    # -Infinity into its JSON.  rotate answers on that matrix (at its
+    # flattening); with its 1e200 slope beside a zero one, [I | A] has
+    # condition number 1e200, so no rotation is graphic and the margin
+    # stays -inf
     argv = [command, "--input", "in.json", "--seed", "1", "--budget", "3"]
+    matrix = ([[1e200, 0.5], [0.3, 0.0]] if command == "rotate"
+              else [[1e200, 0.5], [0.3, 1e200]])
     with np.errstate(over="ignore", invalid="ignore"):
         code, out, err = _main_in(
-            tmp_path, monkeypatch, capsys,
-            {"in.json": {"matrix": [[1e200, 0.5], [0.3, 1e200]]}},
+            tmp_path, monkeypatch, capsys, {"in.json": {"matrix": matrix}},
             argv if command == "rotate" else argv[:3])
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
@@ -880,33 +969,32 @@ _DOCUMENTS = st.one_of(
 )
 
 
-def _option(name, value):
-    """``--name=value``: argparse would take a value such as ``-1e+300``
-    standing alone for an option."""
-    return f"--{name}={value}"
-
-
 @st.composite
 def _region_argv(draw):
     """region --format json on drawn shapes, epsilon and grid axes: half the
-    runs draw min(n, m) axes of ordered bounds in [0, 3], the other half
+    runs draw min(n, m) axes of ordered bounds in [-3, 3], the other half
     also draw out-of-range or non-numeric bounds, step counts and epsilon,
-    and a wrong axis count."""
+    and a wrong axis count.  Each value follows its option as its own token
+    or joined as ``--name=value``; standing alone, a value such as ``-inf``
+    is an option to argparse, and a one-line usage error."""
     n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     wild = draw(st.booleans())
-    number = _NUMBERS if wild else st.floats(0.0, 3.0)
+    number = _NUMBERS if wild else st.floats(-3.0, 3.0)
     steps = (st.one_of(st.integers(-1, 4), st.sampled_from(["", "x", "2.5"]))
              if wild else st.integers(1, 4))
     count = draw(st.integers(1, 3)) if wild else min(n, m)
     axes = [[*sorted(draw(st.lists(number, min_size=2, max_size=2))),
              draw(steps)] for _ in range(count)]
     epsilon = draw(_NUMBERS if wild else st.floats(1e-6, 1.0))
-    return ["region", _option("n", n), _option("m", m),
-            _option("traceless", draw(st.sampled_from(["true", "false"]))),
-            _option("epsilon", epsilon),
-            _option("grid", ",".join(":".join(map(str, axis))
-                                     for axis in axes)),
-            "--format", "json"]
+    options = {"n": n, "m": m,
+               "traceless": draw(st.sampled_from(["true", "false"])),
+               "epsilon": epsilon,
+               "grid": ",".join(":".join(map(str, axis)) for axis in axes)}
+    argv = ["region"]
+    for name, value in options.items():
+        argv += ([f"--{name}={value}"] if draw(st.booleans())
+                 else [f"--{name}", str(value)])
+    return [*argv, "--format", "json"]
 
 
 @st.composite
@@ -945,8 +1033,8 @@ _RUNS = st.one_of(
 @given(run=_RUNS)
 def test_cli_fuzz_exit_codes_and_strict_json(tmp_path_factory, run):
     """Any JSON document for check and rotate, drawn grids for region,
-    drawn polynomial specs for verify: exit 0, 1 or 2, nothing raised,
-    strict JSON out, and one stderr line on exit 2."""
+    drawn polynomial specs for verify: exit 0, 1 or 2, nothing raised but
+    argparse's exit, strict JSON out, and one stderr line on exit 2."""
     argv, docs = run
     for doc in docs:
         path = tmp_path_factory.mktemp("fuzz") / "in.json"
@@ -955,7 +1043,10 @@ def test_cli_fuzz_exit_codes_and_strict_json(tmp_path_factory, run):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             np.errstate(all="ignore"):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:       # a usage error
+            code = exc.code
     assert code in (0, 1, 2)
     if code == 2:
         assert out.getvalue() == ""

@@ -597,25 +597,31 @@ def _search_kernel_calls(monkeypatch, a, target, budget, group):
     return counts
 
 
-# kernel calls of the pointwise searches, both stopped at their certified
-# ceiling before the budget: each batch (a restart's start, or the rest of
-# a descent pass) is one transform SVD and one singular-value SVD, plus for
-# OptimalB two block eigensolves of two F calls each; the ceiling's zero
-# differential adds one evaluation, and the unitary search's one eigensolve
-# builds its flattening start
+# kernel calls of the pointwise searches.  Each batch (a start, or the rest
+# of a descent pass) is one transform SVD and one singular-value SVD, plus
+# for OptimalB two block eigensolves of two F calls each; the ceiling's zero
+# differential adds one evaluation, and the unitary flattening start is one
+# eigensolve.  With the flattening start both searches stop at their
+# certified ceiling at evaluation 1; without it they descend through their
+# whole budget (800 and 600 evaluations)
 SEARCH_KERNEL_CALLS = {
-    "OptimalB": {"jacobi_svd": 125, "jacobi_eigh": 126,
-                 "evaluate_F_direct": 252},
-    "unitary-TheoremA": {"jacobi_svd": 105, "jacobi_eigh": 1},
+    "OptimalB": {"jacobi_svd": 171, "jacobi_eigh": 172,
+                 "evaluate_F_direct": 344},
+    "unitary-TheoremA": {"jacobi_svd": 207},
+    "OptimalB-flattening": {"jacobi_svd": 3, "jacobi_eigh": 4,
+                            "evaluate_F_direct": 8},
+    "unitary-TheoremA-flattening": {"jacobi_svd": 3, "jacobi_eigh": 1},
 }
 
 
 @pytest.mark.parametrize("case", sorted(SEARCH_KERNEL_CALLS))
-def test_search_kernel_call_counts(monkeypatch, case):
+def test_search_kernel_call_counts(monkeypatch, request, case):
     rng = np.random.default_rng(40)
     general = rng.uniform(-1.5, 1.5, (3, 3))
     sym = 0.5 * (general + general.T)
-    if case == "OptimalB":
+    if not case.endswith("-flattening"):
+        request.getfixturevalue("no_flattening")
+    if case.startswith("OptimalB"):
         counts = _search_kernel_calls(monkeypatch, general, "OptimalB", 800,
                                       "orthogonal")
     else:

@@ -404,6 +404,70 @@ def test_uncertified_search_runs_its_whole_budget():
     assert out.report.margin > 1.0 - 1e-3
 
 
+# ---------------------------------------------------------------------------
+# start order: the flattening first
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("group, target", [
+    ("orthogonal", rot.SearchTarget("OptimalB", epsilon=1e-3)),
+    ("orthogonal", rot.SearchTarget("TheoremA", delta=0.1, k_min=0.1)),
+    ("unitary", rot.SearchTarget("TheoremA", delta=0.1, k_min=0.1)),
+], ids=["orthogonal-OptimalB", "orthogonal-TheoremA", "unitary-TheoremA"])
+def test_certified_search_stops_at_the_flattening(group, target, seed):
+    a = np.random.default_rng(seed).uniform(-1.5, 1.5, (3, 3))
+    if group == "unitary":
+        a = 0.5 * (a + a.T)
+    out = rot.search_rotation(a, target, budget=800, seed=seed, group=group)
+    flat = rot.rotation_group(group, a).flattening(a)
+    assert out.evaluations == 1
+    assert out.best_g.matrix.tobytes() == flat.matrix.tobytes()
+    assert out.objective_trace == ((1, out.report.margin),)
+    assert out.report.margin >= target.ceiling(3, 3)
+
+
+@pytest.mark.parametrize("n, m, traceless", NOT_CERTIFIED)
+@pytest.mark.parametrize("seed", [3, 4])
+def test_uncertified_shapes_spend_the_whole_budget(n, m, traceless, seed):
+    a = np.random.default_rng(seed).uniform(-1.5, 1.5, (n, m))
+    target = rot.SearchTarget("OptimalB", epsilon=1e-3, traceless=traceless)
+    first, again = (rot.search_rotation(a, target, budget=150, seed=seed)
+                    for _ in range(2))
+    assert first.evaluations == again.evaluations == 150
+    assert first.objective_trace == again.objective_trace
+    assert first.best_g.matrix.tobytes() == again.best_g.matrix.tobytes()
+    assert first.transformed.tobytes() == again.transformed.tobytes()
+    assert first.report == again.report
+    # the flattening start is evaluated first: it sends a to 0
+    assert first.objective_trace[0] == (1, target.report(np.zeros((n, m)))
+                                        .margin)
+
+
+def test_non_graphic_flattening_falls_through_to_the_identity(monkeypatch):
+    # one slope of 1e13 and one of 0: [I | A] has condition number 1e13,
+    # so no rotation, the flattening included, passes COND_MAX
+    a = np.array([[1e13, 0.0], [0.0, 0.0]])
+    flat = rot._flattening_block(a)
+    with pytest.raises(rot.NonGraphicError):
+        rot.transform_graph(a, flat)
+    seen = []
+    real = rot.transform_graph
+
+    def spy(a_matrix, blocks):
+        seen.extend(blocks)
+        return real(a_matrix, blocks)
+
+    monkeypatch.setattr(rot, "transform_graph", spy)
+    target = rot.SearchTarget("TheoremA", delta=0.1, k_min=0.1)
+    out = rot.search_rotation(a, target, budget=30, seed=1)
+    assert seen[0].matrix.tobytes() == flat.matrix.tobytes()
+    # the flattening's descent ends after one pass at -inf (2 candidates
+    # for each of the 6 planes), and the identity is the next start
+    assert np.array_equal(seen[13].matrix, np.eye(4))
+    assert out.evaluations == 30
+    assert out.transformed is None and out.objective_trace == ()
+
+
 def _one_at_a_time(monkeypatch, transform):
     """Make every stacked transform of more than one candidate fail, so the
     search solves each candidate alone as it consumes it.  Returns the list
@@ -423,13 +487,18 @@ def _one_at_a_time(monkeypatch, transform):
 
 @pytest.mark.parametrize("group", ["orthogonal", "unitary"])
 def test_search_stopped_at_ceiling_equals_search_with_that_budget(
-        monkeypatch, group):
-    a = np.random.default_rng(40).uniform(-1.5, 1.5, (3, 3))
+        monkeypatch, no_flattening, group):
+    # without the flattening start the descent from the identity reaches
+    # the ceiling inside a pass's batch: on a step of pi/8 that undoes
+    # tan(pi/8) (orthogonal), and on the phase moves, the last at its -step
+    # member (unitary)
+    t8 = float(np.tan(np.pi / 8))
     if group == "orthogonal":
+        a = np.array([[t8, 0.2, 0.0], [0.0, 0.3, 0.0], [0.0, 0.0, 0.0]])
         target = rot.SearchTarget("OptimalB", epsilon=1e-3)
         budget = 800
     else:
-        a = 0.5 * (a + a.T)
+        a = np.diag([t8, t8, -t8])
         target = rot.SearchTarget("TheoremA", delta=0.1, k_min=0.1)
         budget = 600
     stopped = rot.search_rotation(a, target, budget=budget, seed=5,
@@ -510,7 +579,8 @@ def test_report_batch_equals_single_reports():
         assert rows == [target.report(x) for x in mats]
 
 
-def test_stored_error_of_a_later_member_is_not_raised(monkeypatch):
+def test_stored_error_of_a_later_member_is_not_raised(monkeypatch,
+                                                     no_flattening):
     """Members after an improvement are harmless even if they would raise:
     the search stops consuming a pass's batch at its first improvement."""
     a = np.diag([3.0, -2.0])
@@ -540,7 +610,8 @@ def test_stored_error_of_a_later_member_is_not_raised(monkeypatch):
     assert got.best_g.matrix.tobytes() == reference.best_g.matrix.tobytes()
 
 
-def test_stored_error_is_raised_when_its_member_is_consumed(monkeypatch):
+def test_stored_error_is_raised_when_its_member_is_consumed(
+        monkeypatch, no_flattening):
     a = np.diag([3.0, -2.0])
     target = rot.SearchTarget(kind="TheoremA", delta=0.5, k_min=0.5)
     real = rot.lagrangian_transform
@@ -556,7 +627,8 @@ def test_stored_error_is_raised_when_its_member_is_consumed(monkeypatch):
         rot.search_rotation(a, target, budget=60, seed=1, group="unitary")
 
 
-def test_unconverged_batch_falls_back_to_single_candidates(monkeypatch):
+def test_unconverged_batch_falls_back_to_single_candidates(monkeypatch,
+                                                         no_flattening):
     rng = np.random.default_rng(9)
     a = rng.normal(size=(2, 2))
     target = rot.SearchTarget(kind="TheoremA", delta=0.3, k_min=0.3)
