@@ -247,7 +247,7 @@ def cmd_rotate(args):
         "config": _config_echo(args),
         "results": {
             "g": g.matrix,
-            "blocks": {k: getattr(g, k) for k in outcome.group.block_names},
+            "blocks": {k: getattr(g, k) for k in g.block_names},
             "transformed": outcome.transformed,
             "report": outcome.report.to_json(),
             "objective_trace": [list(t) for t in outcome.objective_trace],

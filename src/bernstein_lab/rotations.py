@@ -15,16 +15,15 @@ J = [[0, -I], [I, 0]].  On graphs of symmetric A it gives
 symmetry check of the result.  ``OrthBlock`` is the one element type, and
 ``UnitaryBlock`` only adds U(n)'s constructors.
 
-Both transforms also take a sequence of blocks and solve it as one stack.
 ``search_rotation`` looks for a rotation whose transformed differential
 satisfies a chosen flatness condition, by coordinate descent on
 plane-rotation angles from each start in turn: the flattening rotation
 (which sends the differential to A = 0), the identity, then seeded random
-elements.  The candidates of the rest of a descent pass go through one such
-stack.  A ``RotationGroup`` record holds what differs between the groups:
-the moves, each a list of real planes turned together, the identity, the
-restarts, the flattening and the transform.  The search claims optimality
-only where the condition proves that no differential beats the zero one
+elements.  It evaluates each candidate when it reaches it.  A
+``RotationGroup`` record holds what differs between the groups: the moves,
+each a list of real planes turned together, the identity, the restarts,
+the flattening and the transform.  The search claims optimality only where
+the condition proves that no differential beats the zero one
 (``Condition.peaks_at_zero``: TheoremA always, OptimalB on certified
 shapes); there it stops as soon as it reaches that margin, which a graphic
 flattening does at the first evaluation.  Otherwise it runs until its
@@ -56,6 +55,8 @@ class OrthBlock:
     views into ``matrix``.  Build one from its matrix (``from_matrix``) or
     from its blocks by keyword; either way orthogonality is checked once.
     """
+
+    block_names = ("P", "Q", "R", "S")   # the blocks rotate writes out
 
     def __init__(self, P, Q, R, S):
         P, Q, R, S = (np.asarray(b, dtype=float) for b in (P, Q, R, S))
@@ -93,6 +94,8 @@ class UnitaryBlock(OrthBlock):
     the real form's lower-left block ``R``.
     """
 
+    block_names = ("P", "Q")             # u = P + iQ
+
     def __init__(self, P, Q):
         P, Q = (np.asarray(b, dtype=float) for b in (P, Q))
         self._hold(np.block([[P, -Q], [Q, P]]), P.shape[0])
@@ -119,58 +122,30 @@ class UnitaryBlock(OrthBlock):
         return cls(P=np.eye(n), Q=np.zeros((n, n)))
 
 
-def _svd_solve(mats, rhs, scale):
-    """Solve mats[b] @ x = rhs[b] through one stacked Jacobi SVD.
+def transform_graph(a_matrix, g):
+    """Differential of the rotated graph: (P + A R)^{-1} (Q + A S).
 
-    ``scale`` is the norm of the tangent rows [I | A]; it dominates the
-    largest singular value of every member, so scale/s_min is the condition
-    number of the projection onto the domain subspace (a plain s_max/s_min
-    would miss uniformly tiny blocks, e.g. a line rotated vertical).  Returns
-    one solution per member, None where the member is singular or its
-    condition number exceeds COND_MAX.  The stacked SVD gives every member
-    the bits of its own SVD.
+    ``g`` is an ``OrthBlock`` (a ``UnitaryBlock`` acts through its real
+    form).  Raises ``NonGraphicError`` when P + A R is singular beyond
+    condition number 1e12, signaling that the rotated submanifold is no
+    longer a graph over the domain subspace.  That condition number is
+    taken against the norm of the tangent rows [I | A], which dominates the
+    largest singular value of P + A R (a plain s_max/s_min would miss a
+    uniformly tiny block, e.g. a line rotated vertical).
     """
-    if not mats:
-        return []
-    u, s, vt = linalg.jacobi_svd(np.stack(mats))
-    return [None if sb[-1] <= 0.0 or max(sb[0], scale) / sb[-1] > COND_MAX
-            else vtb.T @ ((ub.T @ rb) / sb[:, None])
-            for ub, sb, vtb, rb in zip(u, s, vt, rhs)]
-
-
-def _one(result):
-    """The single-block result: raise what a sequence returns as a member."""
-    if result is None:
+    a = np.asarray(a_matrix, dtype=float)
+    n, m = a.shape
+    p, q, r, s = g.graph_blocks()
+    if (p.shape[0], s.shape[0]) != (n, m):
+        raise ValueError("block shapes do not match the matrix")
+    scale = math.hypot(*a.ravel(), *[1.0] * n)   # no square overflows
+    u, sv, vt = linalg.jacobi_svd(p + a @ r)
+    if sv[-1] <= 0.0 or max(sv[0], scale) / sv[-1] > COND_MAX:
         raise NonGraphicError(
             "graph subspace block is singular or ill-conditioned "
             f"(condition number > {COND_MAX:.0e})"
         )
-    if isinstance(result, Exception):
-        raise result
-    return result
-
-
-def transform_graph(a_matrix, g):
-    """Differential of the rotated graph: (P + A R)^{-1} (Q + A S).
-
-    ``g`` is one ``OrthBlock`` (a ``UnitaryBlock`` acts through its real
-    form), or a sequence of them solved as one stack.  For one block, raises
-    ``NonGraphicError`` when P + A R is singular beyond condition number
-    1e12, signaling that the rotated submanifold is no longer a graph over
-    the domain subspace.  For a sequence, returns a list holding None for
-    each such member; every other member has the bits of its single-block
-    call.
-    """
-    a = np.asarray(a_matrix, dtype=float)
-    n, m = a.shape
-    single = isinstance(g, OrthBlock)
-    blocks = [b.graph_blocks() for b in ([g] if single else g)]
-    if any((p.shape[0], s.shape[0]) != (n, m) for p, _, _, s in blocks):
-        raise ValueError("block shapes do not match the matrix")
-    scale = math.hypot(*a.ravel(), *[1.0] * n)   # no square overflows
-    out = _svd_solve([p + a @ r for p, _, r, _ in blocks],
-                     [q + a @ s for _, q, _, s in blocks], scale)
-    return _one(out[0]) if single else out
+    return vt.T @ ((u.T @ (q + a @ s)) / sv[:, None])
 
 
 def _require_symmetric(a):
@@ -183,27 +158,19 @@ def lagrangian_transform(a_matrix, g):
     """Differential of the rotated Lagrangian graph: (P + A Q)^{-1}(-Q + A P).
 
     ``a_matrix`` must be symmetric to 1e-9 of its largest entry; the result
-    is ``transform_graph``'s through the real form, symmetric again to an
-    absolute 1e-9 (a flattened result is noise), and its eigenvalues are the
-    signed singular values feeding the flatness conditions.  ``g`` is one
-    ``UnitaryBlock`` or a sequence, as in ``transform_graph`` (which checks
-    the block shapes); in a sequence a member that lost symmetry is returned
-    as its ``AssertionError``, for the caller to raise at that member.
+    is ``transform_graph``'s through the real form of the ``UnitaryBlock``
+    ``g``, symmetric again to an absolute 1e-9 (a flattened result is
+    noise), and its eigenvalues are the signed singular values feeding the
+    flatness conditions.
     """
     a = np.asarray(a_matrix, dtype=float)
-    single = isinstance(g, OrthBlock)
     _require_symmetric(a)
-    out = transform_graph(a, [g] if single else g)
-    for k, x in enumerate(out):
-        if x is None:
-            continue
-        dev = np.max(np.abs(x - x.T))
-        if dev > 1e-9 * (1.0 + np.max(np.abs(x))):
-            out[k] = AssertionError(
-                f"transformed matrix lost symmetry (deviation {dev:.2e})")
-        else:
-            out[k] = 0.5 * (x + x.T)
-    return _one(out[0]) if single else out
+    x = transform_graph(a, g)
+    dev = np.max(np.abs(x - x.T))
+    if dev > 1e-9 * (1.0 + np.max(np.abs(x))):
+        raise AssertionError(
+            f"transformed matrix lost symmetry (deviation {dev:.2e})")
+    return 0.5 * (x + x.T)
 
 
 def random_orthogonal(n, m, seed) -> OrthBlock:
@@ -291,7 +258,6 @@ class SearchOutcome:
     report: ConditionReport
     objective_trace: tuple    # ((evaluation_index, best_margin), ...)
     evaluations: int
-    group: RotationGroup      # the group searched, with its block names
 
 
 def _flattening_block(a):
@@ -325,7 +291,6 @@ class RotationGroup:
     random: object        # seed -> element
     flattening: object    # differential -> element sending it to 0
     transform: object     # the module's transform when the record is built
-    block_names: tuple    # the element's blocks, by attribute name
 
 
 def rotation_group(name, a):
@@ -342,8 +307,7 @@ def rotation_group(name, a):
             identity=OrthBlock.identity(n, m),
             moves=[[(p, q)] for p in range(d) for q in range(p + 1, d)],
             random=lambda seed: random_orthogonal(n, m, seed),
-            flattening=_flattening_block, transform=transform_graph,
-            block_names=("P", "Q", "R", "S"))
+            flattening=_flattening_block, transform=transform_graph)
     if name != "unitary":
         raise ValueError(f"unknown rotation group {name!r}")
     if n != m:
@@ -356,8 +320,7 @@ def rotation_group(name, a):
         moves=[move for pair in turns for move in pair]
         + [[(n + p, p)] for p in range(n)],
         random=lambda seed: random_unitary(n, seed),
-        flattening=_unitary_flattening, transform=lagrangian_transform,
-        block_names=("P", "Q"))
+        flattening=_unitary_flattening, transform=lagrangian_transform)
 
 
 def perturb(g, planes, angle):
@@ -377,134 +340,91 @@ def search_rotation(a_matrix, target: SearchTarget, budget, seed,
 
     Strategy: a deterministic schedule of starts -- the exact flattening
     rotation (left out when building it raises ``ValueError``), the
-    identity, then seeded random elements -- each followed by coordinate
-    descent that perturbs one plane-rotation angle at a time and accepts on
-    improvement, with a shrinking step.  ``budget`` caps the total number of
-    condition evaluations.  The search also stops at the first evaluation
-    whose margin reaches ``target.ceiling(n, m)``, a certified optimum:
-    nothing after it could improve the outcome.  A graphic flattening sends
-    the differential to 0 up to rounding, so where the ceiling is certified
-    the search ends at evaluation 1; the identity and the restarts run when the
+    identity, then seeded random elements, each built when the search
+    reaches it -- each followed by coordinate descent that perturbs one
+    plane-rotation angle at a time and accepts on improvement, with a
+    shrinking step.  ``budget`` caps the total number of condition
+    evaluations.  The search also stops at the first evaluation whose
+    margin reaches ``target.ceiling(n, m)``, a certified optimum: nothing
+    after it could improve the outcome.  A graphic flattening sends the
+    differential to 0 up to rounding, so where the ceiling is certified the
+    search ends at evaluation 1; the identity and the restarts run when the
     flattening is missing or not graphic (condition number above
-    ``COND_MAX``), or the ceiling is not certified.  Fully deterministic
-    given (a_matrix, target, budget, seed).
-
-    The rest of each descent pass, the +step and -step candidates of every
-    remaining move, is evaluated as one batch (one transform, SVD and
-    condition call) and consumed in order until the first improvement, so
-    the outcome is the bits of evaluating the candidates one at a time.
+    ``COND_MAX``), or the ceiling is not certified.  ``seed`` must be a
+    non-negative integer; the search is fully deterministic given
+    (a_matrix, target, budget, seed).
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
+    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+            or seed < 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     a = np.asarray(a_matrix, dtype=float)
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix must have finite entries")
     n, m = a.shape
     grp = rotation_group(group, a)
     ceiling = target.ceiling(n, m)
-
-    state = {"evals": 0, "best": None, "trace": []}
+    evals, best, trace = 0, None, []
 
     def spent():
-        """The budget is used up, or a consumed margin reached the ceiling."""
-        return state["evals"] >= budget or (
-            state["best"] is not None and state["best"][0] >= ceiling)
+        """The budget is used up, or the best margin reached the ceiling."""
+        return evals >= budget or (best is not None and best[0] >= ceiling)
 
-    def solve(cands):
-        """(report, transformed) of each candidate, None where it is not
-        graphic, or the error evaluating it alone would raise.
-
-        One stacked transform, one stacked SVD and one condition call; a
-        member's results are the bits of evaluating it alone.
-        """
-        results = grp.transform(a, cands)
-        graphic = [t for t in results if isinstance(t, np.ndarray)]
-        reports = iter(target.report(np.stack(graphic)).rows()
-                       if graphic else ())
-        return [(next(reports), t) if isinstance(t, np.ndarray) else t
-                for t in results]
-
-    def evaluate(cands):
-        """Yield the margin of each candidate in order (-inf if not graphic).
-
-        The candidates are solved as one batch; each is counted, and the
-        best and the trace updated, only as it is consumed, so a caller that
-        stops at an improvement sees exactly the evaluations of a
-        one-at-a-time search.  An error surfaces at the member that raises
-        it: a stored one when that member is consumed, and a stacked SVD or
-        eigensolve that does not converge sends the batch one at a time.
-        """
+    def evaluate(g):
+        """Count g, keep it if it beats the best, and return its margin
+        (-inf if it is not graphic)."""
+        nonlocal evals, best
+        evals += 1
         try:
-            outcomes = solve(cands)
-        except linalg.ConvergenceError:
-            if len(cands) == 1:
-                raise
-            outcomes = None
-        for k, g in enumerate(cands):
-            out = outcomes[k] if outcomes is not None else solve([g])[0]
-            state["evals"] += 1
-            if isinstance(out, Exception):
-                raise out
-            if out is None:
-                yield -np.inf
-                continue
-            report, transformed = out
-            margin = report.margin
-            if state["best"] is None or margin > state["best"][0]:
-                state["best"] = (margin, g, transformed, report)
-                state["trace"].append((state["evals"], float(margin)))
-            yield margin
+            transformed = grp.transform(a, g)
+        except NonGraphicError:
+            return -np.inf
+        report = target.report(transformed)
+        if best is None or report.margin > best[0]:
+            best = (report.margin, g, transformed, report)
+            trace.append((evals, float(report.margin)))
+        return report.margin
 
     def descend(g):
-        """Coordinate descent from g.  The rest of a pass -- the +step and
-        -step candidates of every remaining move, built from the current g
-        and cut at the remaining budget -- is evaluated as one batch and
-        consumed in order (+ then - for each move).  An improvement drops
-        the rest of the batch, and the pass goes on from the next move with
-        the new g.  Only the batch's start can find the search spent: inside
-        it the cut ends it at the budget, and a member that reaches the
-        ceiling is an improvement.  A pass left at -inf ends the descent."""
-        margin = next(evaluate([g]))
+        """Coordinate descent from g: each pass tries every move at +step,
+        then at -step, and goes on from the next move with the first
+        candidate that improves.  A pass that improves nothing halves the
+        step; a pass left at -inf ends the descent."""
+        margin = evaluate(g)
         step = np.pi / 8.0
-        plan = grp.moves
         while step > 1e-3:
             improved = False
-            start = 0
-            while start < len(plan):
-                if spent():
-                    return
-                rest = [(k, sign) for k in range(start, len(plan))
-                        for sign in (1.0, -1.0)][: budget - state["evals"]]
-                cands = [perturb(g, plan[k], sign * step) for k, sign in rest]
-                start = len(plan)
-                for (k, _), cand, value in zip(rest, cands, evaluate(cands)):
+            for planes in grp.moves:
+                for sign in (1.0, -1.0):
+                    if spent():
+                        return
+                    cand = perturb(g, planes, sign * step)
+                    value = evaluate(cand)
                     if value > margin:
-                        g, margin, improved, start = cand, value, True, k + 1
+                        g, margin, improved = cand, value, True
                         break
             if margin == -np.inf:
                 return
             if not improved:
                 step /= 2.0
 
-    starts = []
     try:
-        starts.append(grp.flattening(a))
+        starts = [grp.flattening(a)]
     except ValueError:
-        pass
-    starts.append(grp.identity)
-    starts += [grp.random(int(child.generate_state(1)[0]))
-               for child in np.random.SeedSequence(seed).spawn(8)]
-
-    for g0 in starts:
+        starts = []
+    restarts = [int(child.generate_state(1)[0])
+                for child in np.random.SeedSequence(seed).spawn(8)]
+    for g0 in (*starts, grp.identity, *restarts):
         if spent():
             break
-        descend(g0)
+        # a restart is its seed until the search reaches it
+        descend(grp.random(g0) if isinstance(g0, int) else g0)
 
-    margin, g, transformed, report = state["best"] or (
+    margin, g, transformed, report = best or (
         -np.inf, grp.identity, None,
         ConditionReport(condition_name=target.kind, pass_=False,
                         margin=-np.inf, details={}))
     return SearchOutcome(best_g=g, report=report,
                          transformed=None if margin == -np.inf else transformed,
-                         objective_trace=tuple(state["trace"]),
-                         evaluations=state["evals"], group=grp)
+                         objective_trace=tuple(trace), evaluations=evals)

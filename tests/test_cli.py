@@ -169,12 +169,11 @@ ROTATE_GOLDEN = {
         "7be368e39da691d4e936cd5da077d0cb",
         "05ef9910ae679c34741f1fc5e2a74a7f"
         "7be368e39da691d4e936cd5da077d0cb"),
-    # the descent digests were recorded with one batch per move, at the
-    # edges of a whole-pass batch: an improvement on the last move of a
-    # pass (evaluation 18 of 19), a budget that ends on a +step member in
-    # the middle of a pass, the certified stop at the -step member of a
-    # pass's third move, and a unitary search that improves on phase moves
-    # and ends mid-pass
+    # the descent digests pin the edges of a descent pass: an improvement
+    # on the last move of a pass (evaluation 18 of 19), a budget that ends
+    # on a +step candidate in the middle of a pass, the certified stop at
+    # the -step candidate of a pass's third move, and a unitary search that
+    # improves on phase moves and ends mid-pass
     "orthogonal-theorema-2x3-last-move-improvement": (
         np.random.default_rng(32).uniform(-1.5, 1.5, (2, 3)).tolist(),
         ["--target", "TheoremA", "--budget", "19", "--seed", "6"],
@@ -878,6 +877,16 @@ def test_option_values_may_start_with_a_dash(tmp_path):
         assert proc.stderr == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("seed", [["--seed", "-3"], ["--seed=-3"]])
+def test_rotate_refuses_a_negative_seed(tmp_path, monkeypatch, capsys, seed):
+    code, out, err = _main_in(tmp_path, monkeypatch, capsys,
+                              {"in.json": {"matrix": [[0.5, 0.1],
+                                                      [0.2, 0.3]]}},
+                              ["rotate", "--input", "in.json", *seed])
+    assert (code, out) == (2, "")
+    assert err == "error: seed must be a non-negative integer, got -3\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     ([], "the following arguments are required: command"),
     (["check"], "the following arguments are required: --input"),
@@ -998,6 +1007,23 @@ def _region_argv(draw):
 
 
 @st.composite
+def _rotate_argv(draw):
+    """rotate on a drawn group, target, traceless flag, seed (negative ones
+    included) and budget in 1..20, so short descents of both groups and both
+    targets run; each value as its own token or joined as --name=value."""
+    options = {"group": draw(st.sampled_from(["orthogonal", "unitary"])),
+               "target": draw(st.sampled_from(["TheoremA", "OptimalB"])),
+               "traceless": draw(st.sampled_from(["true", "false"])),
+               "seed": draw(st.integers(-5, 2**64)),
+               "budget": draw(st.integers(1, 20))}
+    argv = ["rotate"]
+    for name, value in options.items():
+        argv += ([f"--{name}={value}"] if draw(st.booleans())
+                 else [f"--{name}", str(value)])
+    return argv
+
+
+@st.composite
 def _polynomial_specs(draw):
     """Polynomial MapSpec documents with drawn coefficients and domains;
     a domain row is mostly an interval lo < hi."""
@@ -1017,8 +1043,7 @@ def _polynomial_specs(draw):
 # (argv after the program name, the --input document in a 1-tuple or ())
 _RUNS = st.one_of(
     st.tuples(st.just(["check"]), st.tuples(_DOCUMENTS)),
-    st.tuples(st.just(["rotate", "--seed", "1", "--budget", "3"]),
-              st.tuples(_DOCUMENTS)),
+    st.tuples(_rotate_argv(), st.tuples(_DOCUMENTS)),
     st.tuples(_region_argv(), st.just(())),
     st.tuples(st.builds(
         lambda identity, grid: ["verify", "--identity", identity,

@@ -597,17 +597,16 @@ def _search_kernel_calls(monkeypatch, a, target, budget, group):
     return counts
 
 
-# kernel calls of the pointwise searches.  Each batch (a start, or the rest
-# of a descent pass) is one transform SVD and one singular-value SVD, plus
-# for OptimalB two block eigensolves of two F calls each; the ceiling's zero
-# differential adds one evaluation, and the unitary flattening start is one
-# eigensolve.  With the flattening start both searches stop at their
-# certified ceiling at evaluation 1; without it they descend through their
-# whole budget (800 and 600 evaluations)
+# kernel calls of the pointwise searches.  Each evaluation is one transform
+# SVD and one singular-value SVD, plus for OptimalB two block eigensolves of
+# two F calls each; the ceiling's zero differential adds one evaluation, and
+# the unitary flattening start is one eigensolve.  With the flattening start
+# both searches stop at their certified ceiling at evaluation 1; without it
+# they descend through their whole budget (800 and 600 evaluations)
 SEARCH_KERNEL_CALLS = {
-    "OptimalB": {"jacobi_svd": 171, "jacobi_eigh": 172,
-                 "evaluate_F_direct": 344},
-    "unitary-TheoremA": {"jacobi_svd": 207},
+    "OptimalB": {"jacobi_svd": 1601, "jacobi_eigh": 1602,
+                 "evaluate_F_direct": 3204},
+    "unitary-TheoremA": {"jacobi_svd": 1201},
     "OptimalB-flattening": {"jacobi_svd": 3, "jacobi_eigh": 4,
                             "evaluate_F_direct": 8},
     "unitary-TheoremA-flattening": {"jacobi_svd": 3, "jacobi_eigh": 1},

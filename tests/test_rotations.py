@@ -1,5 +1,6 @@
 """Graph-subspace transforms, random group elements, rotation search."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -453,9 +454,9 @@ def test_non_graphic_flattening_falls_through_to_the_identity(monkeypatch):
     seen = []
     real = rot.transform_graph
 
-    def spy(a_matrix, blocks):
-        seen.extend(blocks)
-        return real(a_matrix, blocks)
+    def spy(a_matrix, g):
+        seen.append(g)
+        return real(a_matrix, g)
 
     monkeypatch.setattr(rot, "transform_graph", spy)
     target = rot.SearchTarget("TheoremA", delta=0.1, k_min=0.1)
@@ -468,30 +469,12 @@ def test_non_graphic_flattening_falls_through_to_the_identity(monkeypatch):
     assert out.transformed is None and out.objective_trace == ()
 
 
-def _one_at_a_time(monkeypatch, transform):
-    """Make every stacked transform of more than one candidate fail, so the
-    search solves each candidate alone as it consumes it.  Returns the list
-    of the failed batch sizes, filled as the search runs."""
-    real = getattr(rot, transform)
-    failed = []
-
-    def single(a_matrix, blocks):
-        if len(blocks) > 1:
-            failed.append(len(blocks))
-            raise rot.linalg.ConvergenceError("stacked SVD", 1.0)
-        return real(a_matrix, blocks)
-
-    monkeypatch.setattr(rot, transform, single)
-    return failed
-
-
 @pytest.mark.parametrize("group", ["orthogonal", "unitary"])
 def test_search_stopped_at_ceiling_equals_search_with_that_budget(
-        monkeypatch, no_flattening, group):
+        no_flattening, group):
     # without the flattening start the descent from the identity reaches
-    # the ceiling inside a pass's batch: on a step of pi/8 that undoes
-    # tan(pi/8) (orthogonal), and on the phase moves, the last at its -step
-    # member (unitary)
+    # the ceiling mid-pass: on a step of pi/8 that undoes tan(pi/8)
+    # (orthogonal), and on a phase move's -step candidate (unitary)
     t8 = float(np.tan(np.pi / 8))
     if group == "orthogonal":
         a = np.array([[t8, 0.2, 0.0], [0.0, 0.3, 0.0], [0.0, 0.0, 0.0]])
@@ -507,24 +490,69 @@ def test_search_stopped_at_ceiling_equals_search_with_that_budget(
     assert k < budget
     assert k == stopped.objective_trace[-1][0]
     assert stopped.report.margin >= target.ceiling(3, 3)
+    out = rot.search_rotation(a, target, budget=k, seed=5, group=group)
+    assert out.best_g.matrix.tobytes() == stopped.best_g.matrix.tobytes()
+    assert out.transformed.tobytes() == stopped.transformed.tobytes()
+    assert out.report == stopped.report
+    assert out.objective_trace == stopped.objective_trace
+    assert out.evaluations == k
 
-    def same(out):
-        assert out.best_g.matrix.tobytes() == stopped.best_g.matrix.tobytes()
-        assert out.transformed.tobytes() == stopped.transformed.tobytes()
-        assert out.report == stopped.report
-        assert out.objective_trace == stopped.objective_trace
-        assert out.evaluations == k
 
-    same(rot.search_rotation(a, target, budget=k, seed=5, group=group))
-    failed = _one_at_a_time(monkeypatch, "transform_graph"
-                            if group == "orthogonal" else "lagrangian_transform")
-    same(rot.search_rotation(a, target, budget=budget, seed=5, group=group))
-    # whole-pass batches, longer than one move's pair, fell back
-    assert max(failed) > 2
+def test_restarts_are_built_when_the_search_reaches_them(monkeypatch):
+    built, evaluated = [], set()
+    real_random, real_transform = rot.random_orthogonal, rot.transform_graph
+
+    def random_spy(n, m, seed):
+        built.append(seed)
+        return real_random(n, m, seed)
+
+    def transform_spy(a_matrix, g):
+        evaluated.add(g.matrix.tobytes())
+        return real_transform(a_matrix, g)
+
+    monkeypatch.setattr(rot, "random_orthogonal", random_spy)
+    monkeypatch.setattr(rot, "transform_graph", transform_spy)
+    certified = np.random.default_rng(1).uniform(-1.5, 1.5, (3, 3))
+    out = rot.search_rotation(certified, rot.SearchTarget("OptimalB"),
+                              budget=800, seed=1)
+    assert out.evaluations == 1 and built == []
+    # (1, 1) full OptimalB has no ceiling: each restart the budget reaches
+    # is built, and evaluated as the start of its descent
+    seeds = [int(child.generate_state(1)[0])
+             for child in np.random.SeedSequence(4).spawn(8)]
+    target = rot.SearchTarget("OptimalB", traceless=False)
+    counts = []
+    for budget in (20, 120, 400):
+        built.clear()
+        evaluated.clear()
+        rot.search_rotation([[0.7]], target, budget=budget, seed=4)
+        reached = [s for s in seeds
+                   if real_random(1, 1, s).matrix.tobytes() in evaluated]
+        assert built == reached
+        counts.append(len(built))
+    assert counts == [0, 3, 8]
+
+
+@pytest.mark.parametrize("seed", [-3, None, 2.5, "7", True])
+def test_search_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
+    target = rot.SearchTarget("OptimalB", traceless=False)
+    with pytest.raises(ValueError) as err:
+        rot.search_rotation([[0.7]], target, budget=400, seed=seed)
+    assert str(err.value) == ("seed must be a non-negative integer, "
+                              f"got {seed!r}")
+
+
+def test_search_takes_a_numpy_integer_seed():
+    target = rot.SearchTarget("OptimalB", traceless=False)
+    plain, numpy_seed = (rot.search_rotation([[0.7]], target, budget=60,
+                                             seed=seed)
+                         for seed in (3, np.int64(3)))
+    assert plain.objective_trace == numpy_seed.objective_trace
+    assert plain.best_g.matrix.tobytes() == numpy_seed.best_g.matrix.tobytes()
 
 
 # ---------------------------------------------------------------------------
-# batched candidates
+# transforms of single blocks
 
 
 def _mixed_orthogonal():
@@ -549,25 +577,27 @@ def _mixed_unitary():
     return a, blocks
 
 
+# sha256 prefix of the graphic members' results, in order, as recorded
+# when the transforms also solved a sequence of blocks as one stack
+MIXED_DIGESTS = {"orthogonal": ([1, 3], "7eaefd4d7da1f583"),
+                 "unitary": ([1, 5], "8d9a08ee446f4a66")}
+
+
 @pytest.mark.parametrize("case", ["orthogonal", "unitary"])
-def test_transform_sequence_equals_single_calls_bitwise(case):
+def test_mixed_blocks_raise_only_where_non_graphic(case):
     if case == "orthogonal":
         a, blocks = _mixed_orthogonal()
         transform = rot.transform_graph
     else:
         a, blocks = _mixed_unitary()
         transform = rot.lagrangian_transform
-    batch = transform(a, blocks)
-    assert isinstance(batch, list) and len(batch) == len(blocks)
-    assert sum(x is None for x in batch) == 2
-    for g, got in zip(blocks, batch):
-        if got is None:
-            with pytest.raises(rot.NonGraphicError):
-                transform(a, g)
-        else:
-            assert got.tobytes() == transform(a, g).tobytes()
-    assert transform(a, tuple(blocks[:1]))[0].tobytes() == batch[0].tobytes()
-    assert transform(a, []) == []
+    raised, digest = [], hashlib.sha256()
+    for k, g in enumerate(blocks):
+        try:
+            digest.update(transform(a, g).tobytes())
+        except rot.NonGraphicError:
+            raised.append(k)
+    assert (raised, digest.hexdigest()[:16]) == MIXED_DIGESTS[case]
 
 
 def test_report_batch_equals_single_reports():
@@ -579,64 +609,24 @@ def test_report_batch_equals_single_reports():
         assert rows == [target.report(x) for x in mats]
 
 
-def test_stored_error_of_a_later_member_is_not_raised(monkeypatch,
-                                                     no_flattening):
-    """Members after an improvement are harmless even if they would raise:
-    the search stops consuming a pass's batch at its first improvement."""
-    a = np.diag([3.0, -2.0])
-    target = rot.SearchTarget(kind="TheoremA", delta=0.5, k_min=0.5)
-    reference = rot.search_rotation(a, target, budget=50, seed=1,
-                                    group="unitary")
-    best = reference.best_g.matrix.tobytes()
-    real = rot.lagrangian_transform
-    armed = []
-
-    def transform(a_matrix, blocks):
-        out = real(a_matrix, blocks)
-        # the pass batch whose improving member is the best rotation: every
-        # member after that one is never consumed
-        hits = [k for k, b in enumerate(blocks) if b.matrix.tobytes() == best]
-        if hits and hits[0] + 1 < len(out):
-            armed.append(len(out) - hits[0] - 1)
-            for k in range(hits[0] + 1, len(out)):
-                out[k] = AssertionError("later member would raise")
-        return out
-
-    monkeypatch.setattr(rot, "lagrangian_transform", transform)
-    got = rot.search_rotation(a, target, budget=50, seed=1, group="unitary")
-    assert armed
-    assert got.objective_trace == reference.objective_trace
-    assert got.evaluations == reference.evaluations
-    assert got.best_g.matrix.tobytes() == reference.best_g.matrix.tobytes()
-
-
-def test_stored_error_is_raised_when_its_member_is_consumed(
-        monkeypatch, no_flattening):
+@pytest.mark.parametrize("error", [
+    AssertionError("transformed matrix lost symmetry"),
+    rot.linalg.ConvergenceError("jacobi_svd did not converge", 1.0)],
+    ids=["AssertionError", "ConvergenceError"])
+def test_error_of_a_candidate_transform_propagates(monkeypatch, no_flattening,
+                                                   error):
     a = np.diag([3.0, -2.0])
     target = rot.SearchTarget(kind="TheoremA", delta=0.5, k_min=0.5)
     real = rot.lagrangian_transform
+    calls = []
 
-    def transform(a_matrix, blocks):
-        out = real(a_matrix, blocks)
-        if len(out) == 2:
-            out[0] = AssertionError("first member raises")
-        return out
+    def transform(a_matrix, g):
+        calls.append(g)
+        if len(calls) == 2:         # the identity's first neighbour
+            raise error
+        return real(a_matrix, g)
 
     monkeypatch.setattr(rot, "lagrangian_transform", transform)
-    with pytest.raises(AssertionError, match="first member raises"):
+    with pytest.raises(type(error)) as raised:
         rot.search_rotation(a, target, budget=60, seed=1, group="unitary")
-
-
-def test_unconverged_batch_falls_back_to_single_candidates(monkeypatch,
-                                                         no_flattening):
-    rng = np.random.default_rng(9)
-    a = rng.normal(size=(2, 2))
-    target = rot.SearchTarget(kind="TheoremA", delta=0.3, k_min=0.3)
-    reference = rot.search_rotation(a, target, budget=80, seed=3)
-    failed = _one_at_a_time(monkeypatch, "transform_graph")
-    got = rot.search_rotation(a, target, budget=80, seed=3)
-    # whole-pass batches, longer than one move's pair, fell back
-    assert max(failed) > 2
-    assert got.objective_trace == reference.objective_trace
-    assert got.evaluations == reference.evaluations
-    assert got.best_g.matrix.tobytes() == reference.best_g.matrix.tobytes()
+    assert raised.value is error and len(calls) == 2
