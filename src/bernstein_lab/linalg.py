@@ -17,7 +17,15 @@ against its own size, so for 2^k a the values are 2^k times a's and the
 vectors a's, bit for bit, wherever nothing under- or overflows.  F's Gram
 matrices reach ``jacobi_eigh`` as stacks of equal-size blocks, each stack a
 batch of small matrices.  Every rotation takes its angle from
-``_jacobi_angle`` and is applied by ``_rotate_columns``.
+``_jacobi_angle`` and is applied by ``_rotate_pair``.
+
+Both kernels work on a batch-last buffer (rows, columns, nb), so every
+rotation, angle input and per-pair sum runs on contiguous rows of length
+nb.  Elementwise updates have the same bits in any layout; a sum over a
+member's entries keeps them only in numpy's order for a contiguous run of
+its terms (left to right under 8 terms, pairwise from 8).  Norms and
+off-diagonal masses therefore reduce C-ordered (nb, r, c) ``_products``,
+and ``_sum_rows`` picks the order by the number of rows.
 """
 
 from __future__ import annotations
@@ -54,15 +62,24 @@ def row_norms(x):
     return np.sqrt(np.vecdot(x, x))
 
 
+def _products(x, y):
+    """x * y of batch-last arrays (r, c, nb) as a C-ordered (nb, r, c) array,
+    so a sum over a member's entries runs on a contiguous run of them."""
+    r, c, nb = x.shape
+    out = np.empty((nb, r, c))
+    np.multiply(x, y, out=out.transpose(1, 2, 0))
+    return out
+
+
 def _offdiag_mass(g):
-    """Frobenius norm of the off-diagonal part, per batch member.
+    """Frobenius norm of the off-diagonal part of each member of g (d, d, nb).
 
     Summed entry-by-entry (not as total minus diagonal, which cancels
     catastrophically once the off-diagonal part is small).
     """
-    sq = np.multiply(g, g, order="C")
-    d = g.shape[-1]
-    sq.reshape(sq.shape[:-2] + (d * d,))[..., :: d + 1] = 0.0  # diagonal
+    d = g.shape[0]
+    sq = _products(g, g)
+    sq.reshape(-1, d * d)[:, :: d + 1] = 0.0  # diagonal
     return np.sqrt(np.add.reduce(sq, axis=(-2, -1)))
 
 
@@ -93,7 +110,7 @@ def _components(g):
 
 
 def _jacobi_angle(app, aqq, apq, active):
-    """Cosine and sine (nb, 1) of the Jacobi rotation that annihilates the
+    """Cosine and sine (nb,) of the Jacobi rotation that annihilates the
     (p, q) entry of the symmetric 2 x 2 [[app, apq], [apq, aqq]], per batch
     member; members that are not ``active`` get the identity (c, s) = (1, 0).
     """
@@ -102,32 +119,33 @@ def _jacobi_angle(app, aqq, apq, active):
     sgn = np.where(tau >= 0.0, 1.0, -1.0)
     t = np.where(active, sgn / (np.abs(tau) + np.hypot(1.0, tau)), 0.0)
     c = 1.0 / np.sqrt(1.0 + t * t)
-    return c[:, None], (t * c)[:, None]
+    return c, t * c
 
 
-def _rotate_columns(x, p, q, c, s):
-    """Rotate columns p and q of x (nb, r, k) in place by (c, s)."""
-    xp = x[:, :, p].copy()
-    xq = x[:, :, q]
-    x[:, :, p] = c * xp - s * xq
-    x[:, :, q] = s * xp + c * xq
+def _rotate_pair(xp, xq, c, s):
+    """Rotate the pair of views (..., nb) in place by (c, s) (nb,)."""
+    old_p = xp.copy()
+    xp[...] = c * old_p - s * xq
+    xq[...] = s * old_p + c * xq
 
 
-def _rotate(g, v, p, q, live, skip):
-    """One Jacobi rotation in plane (p, q) of g (nb, k, k) and v, in place.
-
-    Members that are not ``live``, or whose |g[p, q]| is at most ``skip``,
-    get the identity rotation.  ``v`` may be None (eigenvalues only).
-    """
-    apq = g[:, p, q]
-    active = live & (np.abs(apq) > skip)
-    if not np.count_nonzero(active):
-        return
-    c, s = _jacobi_angle(g[:, p, p], g[:, q, q], apq, active)
-    _rotate_columns(np.swapaxes(g, 1, 2), p, q, c, s)   # rows p and q
-    _rotate_columns(g, p, q, c, s)
+def _rotate_plane(g, v, p, q, c, s):
+    """Rotate rows and columns p and q of g (d, d, nb), and columns p and q
+    of v unless it is None, in place by (c, s).  The angles are this call's
+    arguments, so they are freed before the next off-diagonal mass, the
+    eigensolver's peak."""
+    _rotate_pair(g[p], g[q], c, s)
+    _rotate_pair(g[:, p], g[:, q], c, s)
     if v is not None:
-        _rotate_columns(v, p, q, c, s)
+        _rotate_pair(v[:, p], v[:, q], c, s)
+
+
+def _sum_rows(x, y):
+    """Per member, the sum of x * y (r, nb) over its r rows, with the bits
+    of numpy's sum of the member's contiguous row of r products."""
+    if x.shape[0] < 8:
+        return np.add.reduce(x * y, axis=0)
+    return np.add.reduce(np.multiply(x.T, y.T, order="C"), axis=-1)
 
 
 def _permute_columns(x, order):
@@ -157,20 +175,23 @@ def jacobi_eigh(a, compute_v=True):
     ``OFF_DIAG_TOL * ||a'||_F``: a batched run performs the rotations of a
     matrix-at-a-time run, and none depends on the member's scale.  Raises
     ``ConvergenceError`` if that is not reached within ``MAX_SWEEPS``
-    sweeps.  A member with an inf or NaN entry gets NaN w and v.
+    sweeps.  A member with an inf or NaN entry gets NaN w and v.  The sweep
+    rotates rows and columns of a (d, d, nb) buffer, and the vectors in a
+    (d, d, nb) one; norms and masses reduce each member's entries in the
+    order of a (nb, d, d) array.
     """
     a = np.asarray(a, dtype=float)
     d = a.shape[-1]
     if a.shape[-2] != d:
         raise ValueError("expected square matrices")
     batch_shape = a.shape[:-2]
-    g = a.reshape((-1, d, d))
-    nb = g.shape[0]
-    e = _pow2_exponents(g)
-    g = np.ldexp(g, -e[:, None, None])
-    v = np.tile(np.eye(d), (nb, 1, 1)) if compute_v else None
+    a = a.reshape((-1, d, d))
+    nb = a.shape[0]
+    e = _pow2_exponents(a)
+    g = np.ldexp(a.transpose(1, 2, 0), -e, order="C")    # (d, d, nb)
+    v = np.tile(np.eye(d)[:, :, None], nb) if compute_v else None
     # Inf or NaN entries give a non-finite norm: never rotated, read NaN.
-    scale = np.sqrt(np.add.reduce(g * g, axis=(-2, -1)))
+    scale = np.sqrt(np.add.reduce(_products(g, g), axis=(-2, -1)))
     # Rotations smaller than this cannot affect the convergence target.
     skip = (OFF_DIAG_TOL / (10.0 * max(d, 2))) * scale
     for sweep in range(MAX_SWEEPS + 1):
@@ -183,19 +204,21 @@ def jacobi_eigh(a, compute_v=True):
                                    np.max(off[live] / scale[live]))
         for p in range(d - 1):
             for q in range(p + 1, d):
-                _rotate(g, v, p, q, live, skip)
+                active = live & (np.abs(g[p, q]) > skip)
+                if np.count_nonzero(active):
+                    _rotate_plane(g, v, p, q, *_jacobi_angle(
+                        g[p, p], g[q, q], g[p, q], active))
 
-    w = np.diagonal(g, axis1=-2, axis2=-1)
+    w = np.diagonal(g, axis1=0, axis2=1)    # (nb, d)
     order = np.argsort(w, axis=-1, kind="stable")
     w = np.ldexp(w[np.arange(nb)[:, None], order], e[:, None])
     bad = ~np.isfinite(scale)
     w[bad] = np.nan
-    if compute_v:
-        v[bad] = np.nan
     w = w.reshape(batch_shape + (d,))
     if not compute_v:
         return w
-    v = _permute_columns(v, order)
+    v[..., bad] = np.nan
+    v = _permute_columns(v.transpose(2, 0, 1), order)
     return w, v.reshape(batch_shape + (d, d))
 
 
@@ -208,12 +231,14 @@ def jacobi_svd(a, compute_u=True):
     descending, length min(r, c).  With ``compute_u=False`` only (s, vt) are
     computed, which skips the null-space completion of u.
 
-    The sweep rotates one buffer (nb, r + c, c) holding [a; I], so each
+    The sweep rotates one buffer (r + c, c, nb) holding [a; I], so each
     plane rotation updates w (its top r rows) and v (its bottom c rows) in
-    one step.  u holds the normalized columns of w that pass the rank test;
-    ``complete_bases`` fills the rest of u only for the members whose
-    columns do not span R^r (a rank drop, or r > c).  The scale rule of
-    the module makes s of 2^k a 2^k times a's, with a's u and vt.
+    one step.  A column pair's sums over r rows run down the buffer (r < 8)
+    or over a (nb, r) copy, so each has the bits of the sum of a member's
+    contiguous row.  u holds the normalized columns of w that pass the
+    rank test; ``complete_bases`` fills the rest of u only for the members
+    whose columns do not span R^r (a rank drop, or r > c).  The scale rule
+    of the module makes s of 2^k a 2^k times a's, with a's u and vt.
     """
     a = np.asarray(a, dtype=float)
     r, c = a.shape[-2], a.shape[-1]
@@ -221,12 +246,13 @@ def jacobi_svd(a, compute_u=True):
     a = a.reshape((-1, r, c))
     nb = a.shape[0]
     e = _pow2_exponents(a)
-    wv = np.empty((nb, r + c, c))
-    np.ldexp(a, -e[:, None, None], out=wv[:, :r, :])
-    wv[:, r:, :] = np.eye(c)
-    w, v = wv[:, :r], wv[:, r:]
+    wv = np.empty((r + c, c, nb))
+    np.ldexp(a.transpose(1, 2, 0), -e, out=wv[:r])
+    wv[r:] = np.eye(c)[:, :, None]
+    w, v = wv[:r], wv[r:]
 
-    sq_norm = np.add.reduce(w * w, axis=(-2, -1))  # ||a||_F^2 ~ ||a.T a||_F
+    # ||a||_F^2 ~ ||a.T a||_F
+    sq_norm = np.add.reduce(_products(w, w), axis=(-2, -1))
     # A column left by cancellation (norm ~ u ||a||) shrinks by ~u a sweep
     # and never meets the relative test below; this floor stops it.
     gamma_floor = 1e-32 * sq_norm
@@ -241,11 +267,10 @@ def jacobi_svd(a, compute_u=True):
             rotated = np.zeros(nb, dtype=bool)
             for p in range(c - 1):
                 for q in range(p + 1, c):
-                    wp = w[:, :, p]
-                    wq = w[:, :, q]
-                    alpha = np.add.reduce(wp * wp, axis=-1)
-                    beta = np.add.reduce(wq * wq, axis=-1)
-                    gamma = np.add.reduce(wp * wq, axis=-1)
+                    wp, wq = w[:, p], w[:, q]
+                    alpha = _sum_rows(wp, wp)
+                    beta = _sum_rows(wq, wq)
+                    gamma = _sum_rows(wp, wq)
                     active = live & (
                         np.abs(gamma) > 1e-14 * np.sqrt(alpha * beta)
                         + gamma_floor
@@ -254,20 +279,22 @@ def jacobi_svd(a, compute_u=True):
                         continue
                     rotated |= active
                     cs, sn = _jacobi_angle(alpha, beta, gamma, active)
-                    _rotate_columns(wv, p, q, cs, sn)
+                    _rotate_pair(wv[:, p], wv[:, q], cs, sn)
             live = rotated
             if not np.count_nonzero(live):
                 break
         else:
-            gram = np.einsum("bic,bid->bcd", w[live], w[live])
-            residual = np.max(_offdiag_mass(gram) / sq_norm[live])
+            wl = w.transpose(2, 0, 1)[live]
+            gram = np.einsum("bic,bid->bcd", wl, wl)
+            residual = np.max(_offdiag_mass(gram.transpose(1, 2, 0))
+                              / sq_norm[live])
             raise ConvergenceError("jacobi_svd did not converge", residual)
 
-    norms = np.sqrt(np.add.reduce(w * w, axis=-2))  # (nb, c)
+    norms = np.sqrt(np.add.reduce(_products(w, w), axis=-2))
     order = np.argsort(-norms, axis=-1, kind="stable")
     norms = norms[np.arange(nb)[:, None], order]
-    w = _permute_columns(w, order)
-    v = _permute_columns(v, order)
+    w = _permute_columns(w.transpose(2, 0, 1), order)
+    v = _permute_columns(v.transpose(2, 0, 1), order)
 
     k = min(r, c)
     s = np.ldexp(norms[:, :k], e[:, None])

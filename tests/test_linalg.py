@@ -1,5 +1,6 @@
 """Jacobi kernels against numpy as the independent oracle."""
 
+import functools
 import hashlib
 
 import numpy as np
@@ -53,7 +54,21 @@ def test_eigh_nonconvergence_reports_residual(monkeypatch):
     monkeypatch.setattr(linalg, "MAX_SWEEPS", 0)
     with pytest.raises(linalg.ConvergenceError) as err:
         linalg.jacobi_eigh(a)
-    assert err.value.residual > 0
+    assert err.value.residual == float.fromhex("0x1.c5bb293fe5702p-1")
+
+
+# the residual (float.hex) of the members still rotating, as the kernel
+# computed it on batch-first buffers
+@pytest.mark.parametrize("sweeps, residual", [(0, "0x1.af5a44ff98b0fp-2"),
+                                              (1, "0x1.bebba9c805201p-4")])
+def test_svd_nonconvergence_reports_residual(monkeypatch, sweeps, residual):
+    a = np.random.default_rng(51).normal(size=(3, 4, 3))
+    a[1] = np.eye(4, 3) * [3.0, 2.0, 1.0]   # orthogonal columns: done at once
+    a[2] *= 1e-3
+    monkeypatch.setattr(linalg, "MAX_SWEEPS", sweeps)
+    with pytest.raises(linalg.ConvergenceError) as err:
+        linalg.jacobi_svd(a)
+    assert err.value.residual == float.fromhex(residual)
 
 
 # min / max eigenvalue (float.hex) per node and sha256 prefixes of w and of
@@ -97,6 +112,38 @@ def test_eigh_golden_on_region_grams(shape):
     assert hashlib.sha256((v + 0.0).tobytes()).hexdigest()[:16] == v_sum
 
 
+def _offdiag_mass(g):
+    """Off-diagonal Frobenius norm of each member of g (nb, d, d)."""
+    sq = np.multiply(g, g, order="C")
+    d = g.shape[-1]
+    sq.reshape(-1, d * d)[:, :: d + 1] = 0.0
+    return np.sqrt(np.add.reduce(sq, axis=(-2, -1)))
+
+
+def _rotate_columns(x, p, q, c, s):
+    """Rotate columns p and q of x (nb, r, k) in place by (c, s) (nb, 1)."""
+    xp = x[:, :, p].copy()
+    xq = x[:, :, q]
+    x[:, :, p] = c * xp - s * xq
+    x[:, :, q] = s * xp + c * xq
+
+
+def _rotate(g, v, p, q, live, skip):
+    """One Jacobi rotation in plane (p, q) of g (nb, k, k) and v (or None),
+    in place, in the batch-first layout; members that are not ``live``, or
+    whose |g[p, q]| is at most ``skip``, get the identity rotation."""
+    apq = g[:, p, q]
+    active = live & (np.abs(apq) > skip)
+    if not np.count_nonzero(active):
+        return
+    c, s = linalg._jacobi_angle(g[:, p, p], g[:, q, q], apq, active)
+    c, s = c[:, None], s[:, None]
+    _rotate_columns(np.swapaxes(g, 1, 2), p, q, c, s)   # rows p and q
+    _rotate_columns(g, p, q, c, s)
+    if v is not None:
+        _rotate_columns(v, p, q, c, s)
+
+
 def _dense_jacobi_eigh(a, tol=linalg.OFF_DIAG_TOL):
     """Reference: the cyclic sweep over every pair (p, q) of the matrix."""
     g = a.copy()
@@ -105,16 +152,105 @@ def _dense_jacobi_eigh(a, tol=linalg.OFF_DIAG_TOL):
     scale = np.sqrt(np.sum(g * g, axis=(-2, -1)))
     skip = (tol / (10.0 * max(d, 2))) * scale
     while True:
-        live = linalg._offdiag_mass(g) > tol * scale
+        live = _offdiag_mass(g) > tol * scale
         if not np.any(live):
             break
         for p in range(d - 1):
             for q in range(p + 1, d):
-                linalg._rotate(g, v, p, q, live, skip)
+                _rotate(g, v, p, q, live, skip)
     w = np.diagonal(g, axis1=-2, axis2=-1).copy()
     order = np.argsort(w, axis=-1, kind="stable")
     return (np.take_along_axis(w, order, axis=-1),
             np.take_along_axis(v, order[:, None, :], axis=-1))
+
+
+def _batch_first_jacobi_eigh(a, compute_v=True):
+    """Reference: ``jacobi_eigh`` on a batch-first (nb, d, d) buffer."""
+    a = np.asarray(a, dtype=float)
+    d = a.shape[-1]
+    batch_shape = a.shape[:-2]
+    g = a.reshape((-1, d, d))
+    nb = g.shape[0]
+    e = linalg._pow2_exponents(g)
+    g = np.ldexp(g, -e[:, None, None])
+    v = np.tile(np.eye(d), (nb, 1, 1)) if compute_v else None
+    scale = np.sqrt(np.add.reduce(g * g, axis=(-2, -1)))
+    skip = (linalg.OFF_DIAG_TOL / (10.0 * max(d, 2))) * scale
+    for sweep in range(linalg.MAX_SWEEPS + 1):
+        off = _offdiag_mass(g)
+        live = off > linalg.OFF_DIAG_TOL * scale
+        if not np.count_nonzero(live):
+            break
+        assert sweep < linalg.MAX_SWEEPS
+        for p in range(d - 1):
+            for q in range(p + 1, d):
+                _rotate(g, v, p, q, live, skip)
+    w = np.diagonal(g, axis1=-2, axis2=-1)
+    order = np.argsort(w, axis=-1, kind="stable")
+    w = np.ldexp(np.take_along_axis(w, order, axis=-1), e[:, None])
+    bad = ~np.isfinite(scale)
+    w[bad] = np.nan
+    w = w.reshape(batch_shape + (d,))
+    if not compute_v:
+        return w
+    v[bad] = np.nan
+    v = np.take_along_axis(v, order[:, None, :], axis=-1)
+    return w, v.reshape(batch_shape + (d, d))
+
+
+def _batch_first_jacobi_svd(a, compute_u=True):
+    """Reference: ``jacobi_svd`` on a batch-first (nb, r + c, c) buffer,
+    whose per-pair sums reduce each member's contiguous row of products."""
+    a = np.asarray(a, dtype=float)
+    r, c = a.shape[-2], a.shape[-1]
+    batch_shape = a.shape[:-2]
+    a = a.reshape((-1, r, c))
+    nb = a.shape[0]
+    e = linalg._pow2_exponents(a)
+    wv = np.empty((nb, r + c, c))
+    np.ldexp(a, -e[:, None, None], out=wv[:, :r, :])
+    wv[:, r:, :] = np.eye(c)
+    w, v = wv[:, :r], wv[:, r:]
+    sq_norm = np.add.reduce(w * w, axis=(-2, -1))
+    gamma_floor = 1e-32 * sq_norm
+    live = np.ones(nb, dtype=bool)
+    for _ in range(linalg.MAX_SWEEPS if c > 1 else 0):
+        rotated = np.zeros(nb, dtype=bool)
+        for p in range(c - 1):
+            for q in range(p + 1, c):
+                wp, wq = w[:, :, p], w[:, :, q]
+                alpha = np.add.reduce(wp * wp, axis=-1)
+                beta = np.add.reduce(wq * wq, axis=-1)
+                gamma = np.add.reduce(wp * wq, axis=-1)
+                active = live & (np.abs(gamma) > 1e-14 * np.sqrt(alpha * beta)
+                                 + gamma_floor)
+                if not np.count_nonzero(active):
+                    continue
+                rotated |= active
+                cs, sn = linalg._jacobi_angle(alpha, beta, gamma, active)
+                _rotate_columns(wv, p, q, cs[:, None], sn[:, None])
+        live = rotated
+        if not np.count_nonzero(live):
+            break
+    else:
+        assert c == 1
+    norms = np.sqrt(np.add.reduce(w * w, axis=-2))
+    order = np.argsort(-norms, axis=-1, kind="stable")
+    norms = np.take_along_axis(norms, order, axis=-1)
+    w = np.take_along_axis(w, order[:, None, :], axis=-1)
+    v = np.take_along_axis(v, order[:, None, :], axis=-1)
+    k = min(r, c)
+    s = np.ldexp(norms[:, :k], e[:, None])
+    vt = np.swapaxes(v, -2, -1)
+    out = (s.reshape(batch_shape + (k,)), vt.reshape(batch_shape + (c, c)))
+    if not compute_u:
+        return out
+    keep = norms[:, :k] > 1e-13 * norms[:, :1]
+    u = np.zeros((nb, r, r))
+    np.divide(w[:, :, :k], norms[:, None, :k], out=u[:, :, :k],
+              where=keep[:, None, :])
+    linalg.complete_bases(u, np.count_nonzero(keep, axis=-1))
+    return (u.reshape(batch_shape + (r, r)), *out)
 
 
 def _permuted_blocks(rng, d, sizes, chain=False):
@@ -155,6 +291,59 @@ def test_eigh_block_patterns_batch_equals_single_and_all_pairs():
             scale = max(1.0, np.sqrt(np.sum(member * member)))
             assert np.allclose(w1, np.linalg.eigvalsh(member),
                                rtol=0.0, atol=1e-12 * scale)
+
+
+@functools.cache
+def _old_layout_cases():
+    """Named eigensolver stacks and SVD stacks for the layout oracle."""
+    rng = np.random.default_rng(29)
+    cases = {}
+    for n, m, traceless in ((3, 3, False), (4, 3, True), (4, 4, False)):
+        lams = rng.uniform(0.0, 3.0, size=(40, n))
+        plan = opt.block_plan(n, m, traceless)
+        cases[f"eigh-region-{n}x{m}-{traceless}"] = [
+            opt._gram_matrix(lams, terms) for terms in plan.terms]
+    cases["eigh-permuted-blocks"] = [np.array([
+        _permuted_blocks(rng, 9, [3, 2, 2, 1, 1]),
+        _permuted_blocks(rng, 9, [4, 4, 1]),
+        _permuted_blocks(rng, 9, [9], chain=True),
+        np.diag(rng.normal(size=9))])]
+    a = random_symmetric(rng, 3)
+    inf, nan = a.copy(), a.copy()
+    inf[0, 0] = np.inf
+    nan[0, 1] = nan[1, 0] = np.nan
+    cases["eigh-non-finite"] = [np.array([inf, a, nan])]
+    member = random_symmetric(rng, 5)
+    cases["eigh-power-of-two"] = [np.array(
+        [np.ldexp(member, k) for k in (-1000, -60, 0, 1, 70, 1000)])]
+    for r in range(1, 10):
+        stacks = []
+        for c in sorted({max(1, r - 2), r, r + 2}):
+            rank1 = np.outer(rng.normal(size=r), rng.normal(size=c))
+            full = rng.normal(size=(r, c))
+            stacks.append(np.array([
+                full, rank1, np.zeros((r, c)), np.full((r, c), -0.0),
+                full * 1e8, rank1 * 1e-8, np.ldexp(full, 27)]))
+        cases[f"svd-{r}-rows"] = stacks
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_old_layout_cases()))
+def test_kernels_match_the_old_layout_oracle_bitwise(name):
+    # the kernels' buffers are batch-last; every value, sign bits included,
+    # is what the batch-first buffers of a matrix-at-a-time layout gave
+    kernel, oracle = ((linalg.jacobi_svd, _batch_first_jacobi_svd)
+                      if name.startswith("svd") else
+                      (linalg.jacobi_eigh, _batch_first_jacobi_eigh))
+    for stack in _old_layout_cases()[name]:
+        for flag in (True, False):
+            with np.errstate(invalid="ignore", over="ignore"):
+                got, ref = kernel(stack, flag), oracle(stack, flag)
+            got = got if isinstance(got, tuple) else (got,)
+            ref = ref if isinstance(ref, tuple) else (ref,)
+            assert len(got) == len(ref)
+            for x, y in zip(got, ref):
+                assert x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
 def test_components_close_chains():
