@@ -350,29 +350,6 @@ def det(a):
     return result.reshape(batch_shape) if batch_shape else float(result[0])
 
 
-def orthonormalize_columns(a):
-    """Modified Gram-Schmidt orthonormalization of the columns of ``a``.
-
-    Requires full column rank: a residual norm at most 1e-13 max|a| is
-    refused.  The normalization constants are positive, so for a Gaussian
-    random input the result is Haar-distributed.  ``a`` is first scaled by
-    2^-e to max|a| in [0.5, 1) (``_pow2_exponents``), so no square under-
-    or overflows, and 2^k a gives a's bits wherever nothing is subnormal.
-    """
-    a = np.asarray(a, dtype=float)
-    q = np.ldexp(a, -_pow2_exponents(a[None])[0], order="C")
-    top = float(np.max(np.abs(q)))
-    d, k = q.shape
-    for j in range(k):
-        for i in range(j):
-            q[:, j] -= (q[:, i] @ q[:, j]) * q[:, i]
-        norm = np.sqrt(q[:, j] @ q[:, j])
-        if norm <= 1e-13 * top:
-            raise ValueError("columns are numerically rank deficient")
-        q[:, j] /= norm
-    return q
-
-
 def _canonical_basis(candidates, k, prior=()):
     """Greedy Gram-Schmidt: ``k`` orthonormal columns from ``candidates``.
 

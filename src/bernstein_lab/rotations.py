@@ -28,6 +28,12 @@ the condition proves that no differential beats the zero one
 shapes); there it stops as soon as it reaches that margin, which a graphic
 flattening does at the first evaluation.  Otherwise it runs until its
 budget or its restarts run out.
+
+Every start comes from the Jacobi kernels.  Both flattenings are one
+``_turn``, by arctan of the singular values of the differential
+(``jacobi_svd``) or of the eigenvalues of the symmetric one
+(``jacobi_eigh``), and an orthogonal restart is the polar factor of a
+seeded Gaussian matrix.
 """
 
 from __future__ import annotations
@@ -174,15 +180,11 @@ def lagrangian_transform(a_matrix, g):
 
 
 def random_orthogonal(n, m, seed) -> OrthBlock:
-    """Haar-ish random element of O(n+m), deterministic per seed.
-
-    Orthonormalizes a seeded Gaussian matrix by modified Gram-Schmidt (the
-    positive normalizations make the distribution Haar on the component of
-    the identity).
-    """
+    """Haar random element of O(n+m), deterministic per seed: the polar
+    factor u vt of a seeded Gaussian matrix u diag(s) vt."""
     rng = np.random.default_rng(seed)
-    g = linalg.orthonormalize_columns(rng.standard_normal((n + m, n + m)))
-    return OrthBlock.from_matrix(g, n)
+    u, _, vt = linalg.jacobi_svd(rng.standard_normal((n + m, n + m)))
+    return OrthBlock.from_matrix(u @ vt, n)
 
 
 def _expm_taylor(k):
@@ -260,26 +262,30 @@ class SearchOutcome:
     evaluations: int
 
 
-def _flattening_block(a):
-    """Orthogonal g with transform_graph(a, g) = 0 (rows of [I|A] to R^n x 0).
+def _turn(u, theta, v):
+    """The turn by theta_i in each plane (u_i, v_i) of R^n x R^m, i < p:
+    [[u C u^T, -u S v^T], [v S u^T, v C v^T]] for u (n, n) and v (m, m),
+    with C and S holding cos theta and sin theta on the first
+    p = len(theta) columns and 1 and 0 past them."""
+    p, s = len(theta), np.sin(theta)
+    c_u, c_v = np.ones(len(u)), np.ones(len(v))
+    c_u[:p] = c_v[:p] = np.cos(theta)
+    r = (v[:, :p] * s) @ u[:, :p].T
+    return np.block([[(u * c_u) @ u.T, -r.T], [r, (v * c_v) @ v.T]])
 
-    Each column of [I | A]^T is first scaled by a power of two to a largest
-    entry in [0.5, 1): no square overflows, and the result keeps its bits.
-    """
-    n, m = a.shape
-    rows = np.hstack([np.eye(n), a]).T  # columns span the tangent subspace
-    _, e = np.frexp(np.max(np.abs(rows), axis=0))
-    base = linalg.orthonormalize_columns(np.ldexp(rows, -e))
-    full = np.hstack([base, linalg.complete_orthonormal(base)])
-    return OrthBlock.from_matrix(full, n)
+
+def _flattening_block(a):
+    """O(n+m) element sending the graph of a to A = 0: for a = u diag(s) vt,
+    the turn by arctan s_i in each plane (u_i, v_i), squaring nothing."""
+    u, s, vt = linalg.jacobi_svd(a)
+    return OrthBlock.from_matrix(_turn(u, np.arctan(s), vt.T), a.shape[0])
 
 
 def _unitary_flattening(a):
     """U(n) element sending the Lagrangian graph of symmetric a to A = 0:
     u = v diag(e^{i arctan w}) v^T for a = v diag(w) v^T, squaring nothing."""
     w, v = linalg.jacobi_eigh(0.5 * (a + a.T))
-    t = np.arctan(w)
-    return UnitaryBlock(P=(v * np.cos(t)) @ v.T, Q=(v * np.sin(t)) @ v.T)
+    return UnitaryBlock.from_matrix(_turn(v, np.arctan(w), v), len(v))
 
 
 @dataclass(frozen=True)
@@ -339,19 +345,19 @@ def search_rotation(a_matrix, target: SearchTarget, budget, seed,
     """Maximize the condition margin of the transformed differential over g.
 
     Strategy: a deterministic schedule of starts -- the exact flattening
-    rotation (left out when building it raises ``ValueError``), the
-    identity, then seeded random elements, each built when the search
-    reaches it -- each followed by coordinate descent that perturbs one
-    plane-rotation angle at a time and accepts on improvement, with a
-    shrinking step.  ``budget`` caps the total number of condition
-    evaluations.  The search also stops at the first evaluation whose
-    margin reaches ``target.ceiling(n, m)``, a certified optimum: nothing
-    after it could improve the outcome.  A graphic flattening sends the
-    differential to 0 up to rounding, so where the ceiling is certified the
-    search ends at evaluation 1; the identity and the restarts run when the
-    flattening is missing or not graphic (condition number above
-    ``COND_MAX``), or the ceiling is not certified.  ``seed`` must be a
-    non-negative integer; the search is fully deterministic given
+    rotation (a closed-form turn; left out if building it raises
+    ``ValueError``, which no finite input does), the identity, then seeded
+    random elements, each built when the search reaches it -- each followed
+    by coordinate descent that perturbs one plane-rotation angle at a time
+    and accepts on improvement, with a shrinking step.  ``budget`` caps the
+    total number of condition evaluations.  The search also stops at the
+    first evaluation whose margin reaches ``target.ceiling(n, m)``, a
+    certified optimum: nothing after it could improve the outcome.  A
+    graphic flattening sends the differential to 0 up to rounding, so where
+    the ceiling is certified the search ends at evaluation 1; the identity
+    and the restarts run when the flattening is not graphic (condition
+    number above ``COND_MAX``), or the ceiling is not certified.  ``seed``
+    must be a non-negative integer; the search is fully deterministic given
     (a_matrix, target, budget, seed).
     """
     if budget < 1:

@@ -7,9 +7,9 @@ from bernstein_lab import rotations
 
 @pytest.fixture
 def no_flattening(monkeypatch):
-    """Building either flattening start raises ValueError, as building one
-    can (a tall differential scaled by 1e11 fails the orthogonality check),
-    so a rotation search descends from the identity and the restarts."""
+    """Building either flattening start raises ValueError, which no input
+    does, so a rotation search descends from the identity and the restarts:
+    the descent digests and kernel counts pin that search."""
     def refuse(a):
         raise ValueError("no flattening start")
 

@@ -130,28 +130,26 @@ def _symmetric(seed):
     return (0.5 * (s + s.T)).tolist()
 
 
-# sha256 of rotate's stdout, recorded with the one-candidate-at-a-time
-# search: first as the command runs, then with building the flattening
-# start refused, so that the search descends from the identity.  The
-# certified searches stop at the flattening, evaluation 1, so the descent
-# digests are the ones that pin the search's edges: the budgets of the
-# first three end on a move cut to its +step member; the 1e11-scaled 3 x 2
-# input meets non-graphic candidates, and its flattening fails the
-# orthogonality check, so both of its digests are the descent's; the
+# sha256 of rotate's stdout, first as the command runs, then with building
+# the flattening start refused, so that the search descends from the
+# identity.  The certified searches stop at the flattening, evaluation 1,
+# so the descent digests are the ones that pin the search's edges: the
+# budgets of the first three end on a move cut to its +step member; the
+# descent on the 1e11-scaled 3 x 2 input meets non-graphic candidates; the
 # OptimalB digests hold `dim` and `traceless` as an integer and boolean
 ROTATE_GOLDEN = {
     "orthogonal-optimalb-3x3": (
         np.random.default_rng(21).uniform(-1.5, 1.5, (3, 3)).tolist(),
         ["--target", "OptimalB", "--budget", "160", "--seed", "4"],
-        "a9f1b97b1bb8bb6033887bfc3f145837"
-        "80b34569e44c01d3a1d58970fbbfc689",
+        "07cb9d34b52764ab10f138eb21df2b09"
+        "4ec107f1d58edfa06ab93e4e9d665c93",
         "10b9b0b88786a4c17f69598b984eebe4"
         "10d148959f5685aeda89e9be4b9417b5"),
     "orthogonal-theorema-2x3-budget-107": (
         [[1.2, -0.4, 0.9], [0.3, 1.7, -1.1]],
         ["--target", "TheoremA", "--budget", "107", "--seed", "5"],
-        "af92bfdd9bb924528431e1f739c930b9"
-        "c1c1e05e64f1d9b3df4945e8da868db7",
+        "4d73a0ab6d98cc92f2fe53f514a7f7a3"
+        "8801666a29d0601f819e4c785a8c7b6e",
         "c6d4d4c15ee96d056bdcaec60764b897"
         "facfb7738535afd70088b4f3506e0d16"),
     "unitary-theorema-3x3": (
@@ -165,8 +163,8 @@ ROTATE_GOLDEN = {
     "orthogonal-theorema-3x2-non-graphic": (
         (np.array([[3.0, -1.0], [2.0, 4.0], [-1.0, 2.0]]) * 1e11).tolist(),
         ["--target", "TheoremA", "--budget", "120", "--seed", "2"],
-        "05ef9910ae679c34741f1fc5e2a74a7f"
-        "7be368e39da691d4e936cd5da077d0cb",
+        "0dcdbd9773ad8de91af57b7494df7a5b"
+        "7de5a47f2d6afcb1ef55467101dba4a1",
         "05ef9910ae679c34741f1fc5e2a74a7f"
         "7be368e39da691d4e936cd5da077d0cb"),
     # the descent digests pin the edges of a descent pass: an improvement
@@ -177,23 +175,23 @@ ROTATE_GOLDEN = {
     "orthogonal-theorema-2x3-last-move-improvement": (
         np.random.default_rng(32).uniform(-1.5, 1.5, (2, 3)).tolist(),
         ["--target", "TheoremA", "--budget", "19", "--seed", "6"],
-        "433652a2dd0b698c3bcb365ef7ce6989"
-        "91b3f714609716ba3678ff5824ddc5fd",
+        "fb7f79fd9c456f538e625f8ce51d59b9"
+        "72cbb9d87c463ce836ae4db7343303fc",
         "2cc8d7eaf03e31dec3460e6aedb834db"
         "2cc6d01c08f9832ede95218ab1246629"),
     "orthogonal-theorema-2x3-mid-pass-mid-move": (
         np.random.default_rng(32).uniform(-1.5, 1.5, (2, 3)).tolist(),
         ["--target", "TheoremA", "--budget", "100", "--seed", "6"],
-        "50a03342b8c93a81235b70c0c1dc493e"
-        "5da4df7a8a958fcebc7d6d6d9c552909",
+        "e7719aba8b63796427148de7f07d4b9b"
+        "d0b8eb543436b159bc81fb5cd51d2ff3",
         "cc525208fdc393bd39aa426ee7d5f463"
         "7be2259f5fa1b71736e5ef51f2c82e70"),
     "orthogonal-optimalb-3x3-ceiling-in-batch": (
         [[float(np.tan(np.pi / 8)), 0.2, 0.0], [0.0, 0.3, 0.0],
          [0.0, 0.0, 0.0]],
         ["--target", "OptimalB", "--budget", "800", "--seed", "5"],
-        "4c489fd4ddb801f41cd2223133b22952"
-        "b1fa138749c2cb8f859e705b85326d45",
+        "9e32a30f2bd4957060bfb21f27c2e6bf"
+        "c9384d943bced912f403cc34829f0f53",
         "b39b2739879715a42e70ea08528b3320"
         "6d4743d04d523bbf5c8df7a96607596e"),
     "unitary-theorema-3x3-phase-moves": (
@@ -797,7 +795,7 @@ def test_rotate_leaves_a_non_graphic_identity_start(tmp_path, monkeypatch,
     assert (code, err) == (0, "")
     results = json.loads(out)["results"]
     assert results["objective_trace"][0][0] == 22
-    assert results["report"]["margin"] == 0.8883263615778236
+    assert results["report"]["margin"] == 0.896845549907891
     assert results["evaluations"] == 150
 
 
@@ -814,6 +812,22 @@ def test_rotate_answers_at_the_flattening(tmp_path, monkeypatch, capsys):
     results = json.loads(out)["results"]
     assert results["report"]["margin"] == 0.9
     assert results["evaluations"] == 1
+
+
+def test_rotate_answers_on_a_tall_1e11_differential(tmp_path, monkeypatch,
+                                                   capsys):
+    # a Gram-Schmidt flattening of [I | A]^T lost orthogonality here, and the
+    # search spent its whole budget below the ceiling (0.49999951591462144
+    # after 2,000 evaluations); the turn from the Jacobi SVD answers at once
+    matrix = (np.array([[3.0, -1.0], [2.0, 4.0], [-1.0, 2.0]]) * 1e11).tolist()
+    code, out, err = _main_in(
+        tmp_path, monkeypatch, capsys, {"in.json": {"matrix": matrix}},
+        ["rotate", "--input", "in.json", "--target", "TheoremA", "--delta",
+         "0.5", "--kmin", "0.5", "--budget", "2000", "--seed", "2"])
+    assert (code, err) == (0, "")
+    results = json.loads(out)["results"]
+    assert results["evaluations"] == 1
+    assert results["report"]["margin"] == 0.5
 
 
 def test_check_answers_on_tiny_entries(tmp_path, monkeypatch, capsys):

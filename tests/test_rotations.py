@@ -368,16 +368,83 @@ def test_flattening_block_at_huge_entries():
     assert out.report.margin >= target.ceiling(2, 3)
 
 
-def test_flattening_block_scaling_keeps_the_bits():
-    # scaling a column by a power of two scales its Gram-Schmidt residuals
-    # exactly, so the normalized columns are unchanged
-    rng = np.random.default_rng(11)
-    for _ in range(100):
-        n, m = (int(k) for k in rng.integers(1, 5, 2))
-        a = rng.uniform(-3.0, 3.0, (n, m)) * 10.0 ** rng.integers(-5, 6)
-        base = rot.linalg.orthonormalize_columns(np.hstack([np.eye(n), a]).T)
-        got = rot._flattening_block(a).matrix[:, :n]
-        assert got.tobytes() == base.tobytes()
+# the turn's blocks are the Jacobi SVD's u and v, whose stopping rule leaves
+# a pair of u's columns orthogonal to 1e-14 of their norms; g inherits that
+ORTH_DEV = 5e-14
+
+
+@pytest.mark.parametrize("n, m", [(n, m) for n in range(1, 5)
+                                  for m in range(1, 5)])
+def test_flattening_block_flattens_at_every_scale(n, m):
+    # no entry of a is squared: the turn is orthogonal and sends a to 0 from
+    # 1e-300 to 1e300, for rank-1 and zero members too
+    rng = np.random.default_rng(10 * n + m)
+    members = [rng.uniform(-1.0, 1.0, (n, m)),
+               np.outer(rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, m)),
+               np.zeros((n, m))]
+    for scale in (1e300, 1e150, 1.0, 1e-150, 1e-300):
+        for member in members:
+            a = scale * member
+            g = rot._flattening_block(a)
+            assert np.max(np.abs(g.matrix.T @ g.matrix - np.eye(n + m))) \
+                <= ORTH_DEV
+            try:
+                flat = rot.transform_graph(a, g)
+            except rot.NonGraphicError:
+                # then no rotation is graphic: [I | A] is ill-conditioned
+                rows = np.hstack([np.eye(n), a])
+                assert np.linalg.cond(rows) > rot.COND_MAX
+                continue
+            assert np.max(np.abs(flat)) <= 1e-14
+
+
+def test_random_orthogonal_is_orthogonal_up_to_dimension_24():
+    for d in range(2, 25):
+        for n in sorted({1, d // 2, d - 1}):
+            g = rot.random_orthogonal(n, d - n, d).matrix
+            assert np.max(np.abs(g.T @ g - np.eye(d))) <= ORTH_DEV
+
+
+def _unitary_flattening_input(case):
+    """A 1 x 1, a zero 2 x 2, or "seed<k>[-<scale>]": the symmetric part of
+    a seeded uniform 3 x 3, times the scale."""
+    if case == "1x1":
+        return np.array([[0.7]])
+    if case == "zero-2x2":
+        return np.zeros((2, 2))
+    seed, _, scale = case.removeprefix("seed").partition("-")
+    s = np.random.default_rng(int(seed)).uniform(-1.5, 1.5, (3, 3))
+    return 0.5 * (s + s.T) * float(scale or 1.0)
+
+
+# sha256 prefix of _unitary_flattening(a).matrix, recorded when the
+# flattening formed its real form from P and Q directly
+UNITARY_FLATTENING_GOLDEN = {
+    "seed1": "396d5e3d1010c1f4",
+    "seed1-1e160": "ea0dea652b4f4e1c",
+    "seed1-1e-14": "1c013099073c1309",
+    "seed2": "58e5d9c4981571a1",
+    "seed2-1e160": "67cfa96bd5c8527e",
+    "seed2-1e-14": "ab498d8f0e6f5e09",
+    "seed3": "230297cf5c56bc43",
+    "seed3-1e160": "1934d7b9b3a1ae2c",
+    "seed3-1e-14": "af7df015db9607f1",
+    "seed4": "c9729ea0e44abf51",
+    "seed4-1e160": "87f6b51cbd5bd9f9",
+    "seed4-1e-14": "85447c885beae631",
+    "seed5": "429e311bfcfc9bb4",
+    "seed5-1e160": "b944e99bea4b7ff1",
+    "seed5-1e-14": "541f53b262b77688",
+    "1x1": "d066f1363b33aa40",
+    "zero-2x2": "97837886359ae21a",
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNITARY_FLATTENING_GOLDEN))
+def test_unitary_flattening_golden(case):
+    g = rot._unitary_flattening(_unitary_flattening_input(case))
+    digest = hashlib.sha256(g.matrix.tobytes()).hexdigest()
+    assert digest[:16] == UNITARY_FLATTENING_GOLDEN[case]
 
 
 def test_unitary_flattening_at_huge_entries():
