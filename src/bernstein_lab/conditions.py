@@ -169,8 +169,12 @@ def check_hemisphere24(lambdas) -> ConditionReport:
 
 
 def _signed_lambdas(jacs, lambdas):
-    """``lambdas`` (..., 2) of 2x2 ``jacs`` with l2 signed by det (0 is +)."""
-    sign = np.sign(linalg.det(jacs))
+    """``lambdas`` (..., 2) of 2x2 ``jacs`` with l2 signed by det (0 is +),
+    taken of each jac scaled by 2^-e to max|.| in [0.5, 1): the sign of 2^k
+    jac is jac's even where det(2^k jac) under- or overflows."""
+    a = np.asarray(jacs, dtype=float)
+    e = linalg._pow2_exponents(a.reshape(-1, 2, 2)).reshape(a.shape[:-2])
+    sign = np.sign(linalg.det(np.ldexp(a, -e[..., None, None])))
     out = np.array(lambdas, dtype=float)
     out[..., 1] = np.where(sign == 0, 1.0, sign) * out[..., 1]
     return out

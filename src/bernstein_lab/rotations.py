@@ -32,8 +32,10 @@ budget or its restarts run out.
 Every start comes from the Jacobi kernels.  Both flattenings are one
 ``_turn``, by arctan of the singular values of the differential
 (``jacobi_svd``) or of the eigenvalues of the symmetric one
-(``jacobi_eigh``), and an orthogonal restart is the polar factor of a
-seeded Gaussian matrix.
+(``jacobi_eigh``), and every restart is a polar factor (``_polar``): of a
+seeded Gaussian matrix in O(n+m), of the real form of a seeded complex
+Gaussian one in U(n), Haar on either group.  A candidate's singular values
+are ``check``'s, from ``geometry.jacobian_svd``.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ import numpy as np
 
 from . import linalg
 from .conditions import CONDITIONS, ConditionReport, evaluate_condition
+from .geometry import jacobian_svd
 
 COND_MAX = 1e12
 ORTH_TOL = 1e-10
@@ -114,15 +117,6 @@ class UnitaryBlock(OrthBlock):
         g = np.asarray(g, dtype=float)
         return cls(P=g[:n, :n], Q=g[n:, :n])
 
-    @property
-    def complex_matrix(self):
-        return self.P + 1j * self.Q
-
-    @classmethod
-    def from_complex(cls, u):
-        u = np.asarray(u, dtype=complex)
-        return cls(P=u.real, Q=u.imag)
-
     @classmethod
     def identity(cls, n):
         return cls(P=np.eye(n), Q=np.zeros((n, n)))
@@ -179,35 +173,27 @@ def lagrangian_transform(a_matrix, g):
     return 0.5 * (x + x.T)
 
 
+def _polar(block, x, n):
+    """The ``block`` element, split at n, built from the polar factor u vt
+    of the square matrix x = u diag(s) vt."""
+    u, _, vt = linalg.jacobi_svd(x)
+    return block.from_matrix(u @ vt, n)
+
+
 def random_orthogonal(n, m, seed) -> OrthBlock:
     """Haar random element of O(n+m), deterministic per seed: the polar
-    factor u vt of a seeded Gaussian matrix u diag(s) vt."""
+    factor of a seeded Gaussian matrix."""
     rng = np.random.default_rng(seed)
-    u, _, vt = linalg.jacobi_svd(rng.standard_normal((n + m, n + m)))
-    return OrthBlock.from_matrix(u @ vt, n)
-
-
-def _expm_taylor(k):
-    """Matrix exponential by scaling-and-squaring Taylor; k is small."""
-    norm = np.max(np.abs(k))
-    squarings = max(0, int(np.ceil(np.log2(max(norm, 1e-30)))) + 2)
-    k = k / (2.0**squarings)
-    out = np.eye(k.shape[0], dtype=k.dtype)
-    term = np.eye(k.shape[0], dtype=k.dtype)
-    for i in range(1, 24):
-        term = term @ k / i
-        out = out + term
-    for _ in range(squarings):
-        out = out @ out
-    return out
+    return _polar(OrthBlock, rng.standard_normal((n + m, n + m)), n)
 
 
 def random_unitary(n, seed) -> UnitaryBlock:
-    """Random element of U(n) as exp of a seeded skew-Hermitian matrix."""
+    """Haar random element of U(n), deterministic per seed: the polar factor
+    of the real form [[X, -Y], [Y, X]] of a seeded complex Gaussian X + iY,
+    which is the real form of X + iY's polar factor."""
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    skew = 0.5 * (z - z.conj().T)
-    return UnitaryBlock.from_complex(_expm_taylor(skew))
+    x, y = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+    return _polar(UnitaryBlock, np.block([[x, -y], [y, x]]), n)
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +215,11 @@ class SearchTarget:
     traceless: bool = True
 
     def report(self, transformed) -> ConditionReport:
-        """Report on one (n, m) differential, or on a batch (B, n, m)."""
+        """Report on one (n, m) differential, whose singular values are read
+        as ``check`` reads them: by ``geometry.jacobian_svd``."""
         a = np.asarray(transformed, dtype=float)
-        lams, _ = linalg.jacobi_svd(a, compute_u=False)
-        lam_full = np.zeros(a.shape[:-1])
-        lam_full[..., : lams.shape[-1]] = lams
-        return evaluate_condition(self.kind, a, lam_full, delta=self.delta,
+        lams, _ = jacobian_svd(a[None])
+        return evaluate_condition(self.kind, a, lams[0], delta=self.delta,
                                   k_min=self.k_min, epsilon=self.epsilon,
                                   traceless=self.traceless)
 

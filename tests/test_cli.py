@@ -134,24 +134,25 @@ def _symmetric(seed):
 # the flattening start refused, so that the search descends from the
 # identity.  The certified searches stop at the flattening, evaluation 1,
 # so the descent digests are the ones that pin the search's edges: the
-# budgets of the first three end on a move cut to its +step member; the
-# descent on the 1e11-scaled 3 x 2 input meets non-graphic candidates; the
-# OptimalB digests hold `dim` and `traceless` as an integer and boolean
+# descent on the 1e11-scaled 3 x 2 input meets non-graphic candidates and
+# improves on the last move of a pass (evaluations 15 and 30), as OptimalB
+# 3 x 3 does at evaluation 26; the OptimalB digests hold `dim` and
+# `traceless` as an integer and boolean
 ROTATE_GOLDEN = {
     "orthogonal-optimalb-3x3": (
         np.random.default_rng(21).uniform(-1.5, 1.5, (3, 3)).tolist(),
         ["--target", "OptimalB", "--budget", "160", "--seed", "4"],
         "07cb9d34b52764ab10f138eb21df2b09"
         "4ec107f1d58edfa06ab93e4e9d665c93",
-        "10b9b0b88786a4c17f69598b984eebe4"
-        "10d148959f5685aeda89e9be4b9417b5"),
+        "32f01abbb6452565dc63695677847f0b"
+        "ee59edc1e59a842faae82d1776a3d044"),
     "orthogonal-theorema-2x3-budget-107": (
         [[1.2, -0.4, 0.9], [0.3, 1.7, -1.1]],
         ["--target", "TheoremA", "--budget", "107", "--seed", "5"],
-        "4d73a0ab6d98cc92f2fe53f514a7f7a3"
-        "8801666a29d0601f819e4c785a8c7b6e",
-        "c6d4d4c15ee96d056bdcaec60764b897"
-        "facfb7738535afd70088b4f3506e0d16"),
+        "0c5729c00b5c10c7a33466b4c251a4d6"
+        "0dc4bbfd09fed5585c88fb87d7476a64",
+        "e94b9631fcc2b233dc0f592e0be15656"
+        "7337c6d5dec2e45c3984f0400edcbd8a"),
     "unitary-theorema-3x3": (
         _symmetric(23),
         ["--target", "TheoremA", "--group", "unitary", "--budget", "150",
@@ -163,29 +164,29 @@ ROTATE_GOLDEN = {
     "orthogonal-theorema-3x2-non-graphic": (
         (np.array([[3.0, -1.0], [2.0, 4.0], [-1.0, 2.0]]) * 1e11).tolist(),
         ["--target", "TheoremA", "--budget", "120", "--seed", "2"],
-        "0dcdbd9773ad8de91af57b7494df7a5b"
-        "7de5a47f2d6afcb1ef55467101dba4a1",
-        "05ef9910ae679c34741f1fc5e2a74a7f"
-        "7be368e39da691d4e936cd5da077d0cb"),
-    # the descent digests pin the edges of a descent pass: an improvement
-    # on the last move of a pass (evaluation 18 of 19), a budget that ends
-    # on a +step candidate in the middle of a pass, the certified stop at
-    # the -step candidate of a pass's third move, and a unitary search that
-    # improves on phase moves and ends mid-pass
+        "cbf9c628fd2e08f5fd21e72c2301610e"
+        "e7c7563cae28748b4653689a7c19c3bf",
+        "d25277c6bd9f45b6805c06ae9cda7912"
+        "ca7ebe4ab68d6466db10035ce21e5f3d"),
+    # the descent digests pin the edges of a descent pass: budgets that end
+    # on a +step candidate early in a pass (evaluation 19) and in the middle
+    # of one (evaluation 100), the certified stop at the -step candidate of
+    # a pass's third move, and a unitary search that improves on phase
+    # moves and ends mid-pass
     "orthogonal-theorema-2x3-last-move-improvement": (
         np.random.default_rng(32).uniform(-1.5, 1.5, (2, 3)).tolist(),
         ["--target", "TheoremA", "--budget", "19", "--seed", "6"],
-        "fb7f79fd9c456f538e625f8ce51d59b9"
-        "72cbb9d87c463ce836ae4db7343303fc",
-        "2cc8d7eaf03e31dec3460e6aedb834db"
-        "2cc6d01c08f9832ede95218ab1246629"),
+        "f97ebcac5f27b905daf5349db9baef60"
+        "d29049f285030c149f8a79168d1c1e89",
+        "a677054fcee6b3744928874c9ba70119"
+        "cd8349f2739b24b5153e9df1fdebdf18"),
     "orthogonal-theorema-2x3-mid-pass-mid-move": (
         np.random.default_rng(32).uniform(-1.5, 1.5, (2, 3)).tolist(),
         ["--target", "TheoremA", "--budget", "100", "--seed", "6"],
-        "e7719aba8b63796427148de7f07d4b9b"
-        "d0b8eb543436b159bc81fb5cd51d2ff3",
-        "cc525208fdc393bd39aa426ee7d5f463"
-        "7be2259f5fa1b71736e5ef51f2c82e70"),
+        "b14fca069ab26ae620c742c7c4638b5f"
+        "bf4ba2e28c158adc23c3805ab33c87ec",
+        "77ffe58a39942c83a866a1cd8d67545d"
+        "d305b2cc2f38cd04495f009c2824d982"),
     "orthogonal-optimalb-3x3-ceiling-in-batch": (
         [[float(np.tan(np.pi / 8)), 0.2, 0.0], [0.0, 0.3, 0.0],
          [0.0, 0.0, 0.0]],
@@ -795,8 +796,35 @@ def test_rotate_leaves_a_non_graphic_identity_start(tmp_path, monkeypatch,
     assert (code, err) == (0, "")
     results = json.loads(out)["results"]
     assert results["objective_trace"][0][0] == 22
-    assert results["report"]["margin"] == 0.896845549907891
+    assert results["report"]["margin"] == 0.8961749183178307
     assert results["evaluations"] == 150
+
+
+def test_check_on_rotate_output_reads_rotate_margin(tmp_path, monkeypatch,
+                                                   capsys, no_flattening):
+    # rotate and check take singular values by the same route, so check on
+    # rotate's own transformed differential reports rotate's margin bit for
+    # bit (two SVD routes read 3 of these 12 margins 1-3 ulp apart)
+    thresholds = ["--delta", "0.1", "--kmin", "0.1", "--epsilon", "0.001"]
+    for seed in range(12):
+        shape = [(2, 2), (2, 3), (3, 2), (3, 3)][seed % 4]
+        target = ["TheoremA", "OptimalB"][seed // 4 % 2]
+        matrix = np.random.default_rng(seed).uniform(-1.5, 1.5, shape)
+        code, out, err = _main_in(
+            tmp_path, monkeypatch, capsys,
+            {"in.json": {"matrix": matrix.tolist()}},
+            ["rotate", "--input", "in.json", "--target", target, "--budget",
+             "40", "--seed", "1", *thresholds])
+        assert (code, err) == (0, "")
+        rotated = json.loads(out)["results"]
+        code, out, err = _main_in(
+            tmp_path, monkeypatch, capsys,
+            {"t.json": {"matrix": rotated["transformed"]}},
+            ["check", "--input", "t.json", "--conditions", target,
+             *thresholds])
+        assert err == ""
+        report = json.loads(out)["results"][0]["reports"][0]
+        assert report["margin"] == rotated["report"]["margin"], seed
 
 
 def test_rotate_answers_at_the_flattening(tmp_path, monkeypatch, capsys):

@@ -209,6 +209,23 @@ def test_batched_registry_equals_batches_of_one(n, m):
         assert signed.details["signed_product"][3] == 0.0
 
 
+@pytest.mark.parametrize("k", [-1000, -600, -540, -300, 300])
+def test_hemisphere24_sign_does_not_depend_on_scale(k):
+    # det(2^k jac) underflows to 0 for k <= -540 here; l2 takes the sign of
+    # det(jac) at every k, and an exactly singular jac reads +
+    jacs = np.array([[[0.4, 0.7], [0.9, -0.2]], [[0.4, 0.7], [-0.9, 0.2]],
+                     [[0.3, 0.6], [0.1, 0.2]]])
+    lams = np.ones((3, 2))
+    want = np.sign(cond._signed_lambdas(jacs, lams)[:, 1])
+    assert want.tolist() == [-1.0, 1.0, 1.0]
+    scaled = np.ldexp(jacs, k)
+    assert np.array_equal(np.sign(cond._signed_lambdas(scaled, lams)[:, 1]),
+                          want)
+    for b in range(3):
+        one = cond._signed_lambdas(scaled[b], lams[b])
+        assert np.sign(one[1]) == want[b]
+
+
 def test_evaluators_on_random_lambdas_equal_single_vectors():
     rng = np.random.default_rng(5)
     for n in (1, 2, 3, 5):

@@ -600,15 +600,15 @@ def _search_kernel_calls(monkeypatch, a, target, budget, group):
 # kernel calls of the pointwise searches.  Each evaluation is one transform
 # SVD and one singular-value SVD, plus for OptimalB two block eigensolves of
 # two F calls each; the ceiling's zero differential adds one evaluation.
-# The orthogonal flattening start and each orthogonal restart are one SVD,
-# the unitary flattening start one eigensolve.  With the flattening start
-# both searches stop at their certified ceiling at evaluation 1; without it
-# they descend through their whole budget (800 and 600 evaluations), the
-# orthogonal one into its first restart
+# The orthogonal flattening start and each restart of either group are one
+# SVD, the unitary flattening start one eigensolve.  With the flattening
+# start both searches stop at their certified ceiling at evaluation 1;
+# without it they descend through their whole budget (800 and 600
+# evaluations), each into its first restart
 SEARCH_KERNEL_CALLS = {
     "OptimalB": {"jacobi_svd": 1602, "jacobi_eigh": 1602,
                  "evaluate_F_direct": 3204},
-    "unitary-TheoremA": {"jacobi_svd": 1201},
+    "unitary-TheoremA": {"jacobi_svd": 1202},
     "OptimalB-flattening": {"jacobi_svd": 4, "jacobi_eigh": 4,
                             "evaluate_F_direct": 8},
     "unitary-TheoremA-flattening": {"jacobi_svd": 3, "jacobi_eigh": 1},
