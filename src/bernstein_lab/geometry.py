@@ -175,20 +175,17 @@ def _orient(amat):
 def _target_bases(jacs, lams, amat):
     """The normalized images jac.T @ a_j of the columns with lambda_j above
     the rank tolerance, completed canonically to a basis where they do not
-    fill R^m.  One product per column slot j over the unmasked transposed
-    view gives each column the bits of the per-node ``jac.T @ a_j``; a
-    masked copy or a stacked matmul rounds apart."""
+    fill R^m.  One ``linalg.matmul`` forms every column slot at once."""
     nb, n, m = jacs.shape
     p = min(n, m)
     # lambdas descend, so the columns above the rank tolerance lead
     kept = np.count_nonzero(
         lams[:, :p] > RANK_TOL * np.maximum(1.0, lams[:, :1]), axis=-1)
+    w = linalg.matmul(np.swapaxes(jacs, -1, -2), amat[:, :, :p])
+    norms = linalg.row_norms(np.swapaxes(w, -1, -2))
     target = np.zeros((nb, m, m))
-    jac_t = np.swapaxes(jacs, -1, -2)
-    for j in range(p):
-        w = np.matvec(jac_t, amat[:, :, j])
-        np.divide(w, linalg.row_norms(w)[:, None], out=target[:, :, j],
-                  where=(kept > j)[:, None])
+    np.divide(w, norms[:, None, :], out=target[:, :, :p],
+              where=(np.arange(p) < kept[:, None])[:, None, :])
     return linalg.complete_bases(target, kept)
 
 

@@ -19,13 +19,14 @@ matrices reach ``jacobi_eigh`` as stacks of equal-size blocks, each stack a
 batch of small matrices.  Every rotation takes its angle from
 ``_jacobi_angle`` and is applied by ``_rotate_pair``.
 
-Both kernels work on a batch-last buffer (rows, columns, nb), so every
-rotation, angle input and per-pair sum runs on contiguous rows of length
-nb.  Elementwise updates have the same bits in any layout; a sum over a
-member's entries keeps them only in numpy's order for a contiguous run of
-its terms (left to right under 8 terms, pairwise from 8).  Norms and
-off-diagonal masses therefore reduce C-ordered (nb, r, c) ``_products``,
-and ``_sum_rows`` picks the order by the number of rows.
+Every product in the package sums in numpy's own loops, never in BLAS,
+whose kernel, and so whose summation order, the CPU picks.  The one rule,
+``matmul``'s: form the products elementwise, then sum each entry's run of
+terms by ``np.add.reduce`` along the last axis of a C-contiguous array,
+numpy's order (left to right under 8 terms, pairwise from 8), so a batch
+member has the bits of a batch of one on every CPU.  The kernels rotate a
+batch-last buffer (rows, columns, nb); their sums reduce C-ordered
+(nb, r, c) ``_products``, or rows by ``_sum_rows``.
 """
 
 from __future__ import annotations
@@ -56,10 +57,19 @@ def _pow2_exponents(a):
     return np.frexp(big)[1]
 
 
+def matmul(x, y):
+    """x @ y for stacks of matrices (..., n, k) and (..., k, m), leading
+    axes broadcast: each entry sums its k products in numpy's order for one
+    contiguous run of them, the module's one summation rule."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    terms = np.multiply(x[..., :, None, :],
+                        np.swapaxes(y, -1, -2)[..., None, :, :], order="C")
+    return np.add.reduce(terms, axis=-1)
+
+
 def row_norms(x):
-    """|x| per row of a C-contiguous (B, n) array, with the bits of the
-    per-row sqrt(x @ x)."""
-    return np.sqrt(np.vecdot(x, x))
+    """|x| along the last axis of x (..., k)."""
+    return np.sqrt(matmul(x[..., None, :], x[..., :, None])[..., 0, 0])
 
 
 def _products(x, y):
@@ -81,32 +91,6 @@ def _offdiag_mass(g):
     sq = _products(g, g)
     sq.reshape(-1, d * d)[:, :: d + 1] = 0.0  # diagonal
     return np.sqrt(np.add.reduce(sq, axis=(-2, -1)))
-
-
-def _components(g):
-    """Index sets of the blocks the batch ``g`` (nb, d, d) never couples.
-
-    Two indices share a block when they are joined by a chain of entries
-    that are nonzero in some member; each block is returned ascending.
-    """
-    d = g.shape[-1]
-    link = np.any(g != 0, axis=0)
-    link |= link.T
-    free = np.ones(d, dtype=bool)
-    blocks = []
-    for start in range(d):
-        if not free[start]:
-            continue
-        members = np.zeros(d, dtype=bool)
-        members[start] = True
-        while True:
-            grown = members | np.any(link[members], axis=0)
-            if np.array_equal(grown, members):
-                break
-            members = grown
-        free &= ~members
-        blocks.append(np.flatnonzero(members))
-    return blocks
 
 
 def _jacobi_angle(app, aqq, apq, active):
@@ -366,14 +350,14 @@ def _canonical_basis(candidates, k, prior=()):
     def residual(idx):
         rvec = candidates[:, idx].copy()
         for cvec in cols:
-            rvec = rvec - (cvec @ rvec) * cvec
+            rvec = rvec - matmul(cvec[None], rvec[:, None])[0, 0] * cvec
         return rvec
 
     for idx in range(candidates.shape[1]):
         if len(chosen) == k:
             break
         rvec = residual(idx)
-        norm = np.sqrt(rvec @ rvec)
+        norm = row_norms(rvec)
         if norm > 0.5:
             chosen.append(rvec / norm)
             cols.append(chosen[-1])
@@ -384,7 +368,7 @@ def _canonical_basis(candidates, k, prior=()):
             if idx in used:
                 continue
             rvec = residual(idx)
-            norm = np.sqrt(rvec @ rvec)
+            norm = row_norms(rvec)
             if norm > best_norm + 1e-15:
                 best, best_norm = (idx, rvec, norm), norm
         idx, rvec, norm = best
@@ -412,7 +396,5 @@ def complete_bases(u, kept):
     fill the space are not visited."""
     d = u.shape[-1]
     for b in np.flatnonzero(kept < d):
-        # contiguous rows: the dot products of a strided copy round apart
-        rows = np.ascontiguousarray(u[b, :, :kept[b]].T)
-        u[b, :, kept[b]:] = complete_orthonormal(rows.T)
+        u[b, :, kept[b]:] = complete_orthonormal(u[b, :, :kept[b]])
     return u

@@ -43,10 +43,10 @@ BOUNDARY_BAND = 1e-6
 # the rounding only while that block's norm is at most 1e3; beyond it a
 # boundary call may go either way.
 EIG_TOL = 1e-10
-# Largest h-space dimension F is built for, refused from (n, m) alone.  On
-# square shapes the cost grows about as dim^3: the slowest shape under the
-# cap, 12 x 12 trace-free (dimension 924), takes about 3.5 s and 170 MB in
-# ``check`` on a 2-vCPU Xeon; 16 x 16 (dimension 2,160) took 44 s and 760 MB.
+# Largest h-space dimension F is built for, refused from (n, m) alone.  The
+# slowest shape under the cap, 12 x 12 trace-free (dimension 924), takes
+# about 0.3 s and 160 MB in ``check`` on a 2-vCPU Xeon; 16 x 16 (dimension
+# 2,160) took 44 s and 760 MB when the block plan was a dense product.
 MAX_BASIS_DIM = 1000
 # Rows of lambdas whose Gram blocks are assembled and solved at once.
 EIGH_CHUNK = 4096
@@ -230,6 +230,33 @@ class BlockPlan:
     terms: tuple
 
 
+def _coupled_blocks(tensors, p):
+    """Index sets, ascending and in order of their first index, of the
+    tensors (dim, m, n, n) that F's polarization couples: a union-find joins
+    each tensor to its nonzero entries (a, l, k), where a shared entry is a
+    norm-term product, and each such entry to (l, a, k) when a, l < p, a
+    cross-term product."""
+    dim, _, n, _ = tensors.shape
+    parent = list(range(dim + tensors[0].size))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    def join(i, j):
+        parent[root(i)] = root(j)
+
+    for t, a, l, k in zip(*(idx.tolist() for idx in np.nonzero(tensors))):
+        join(t, dim + (a * n + l) * n + k)
+        if a < p and l < p:
+            join(dim + (a * n + l) * n + k, dim + (l * n + a) * n + k)
+    blocks = {}
+    for t in range(dim):
+        blocks.setdefault(root(t), []).append(t)
+    return list(blocks.values())
+
+
 @lru_cache(maxsize=32)
 def block_plan(n, m, traceless) -> BlockPlan:
     """The ``BlockPlan`` of ``h_space_basis(n, m, traceless)``, built once.
@@ -237,18 +264,14 @@ def block_plan(n, m, traceless) -> BlockPlan:
     Two basis tensors are coupled when a term of F's polarization has a
     nonzero product of their entries: the norm term (shared entries) or the
     coefficient of some lambda_i lambda_j (h_{n+i,j,k} against h_{n+j,i,k}).
-    The pattern is read from absolute entries, so it does not depend on
-    lambda or on cancellation; blocks are its connected components.
+    The pattern is read from the tensors' supports, so it does not depend
+    on lambda or on cancellation; blocks are its connected components
+    (``_coupled_blocks``).
     """
     basis = h_space_basis(n, m, traceless)
-    t = np.abs(basis.tensors)
-    p = min(n, m)
-    tp = t[:, :p, :p, :]
-    link = (np.einsum("xaij,yaij->xy", t, t)
-            + np.einsum("xijk,yjik->xy", tp, tp))
     by_size = {}
-    for idx in linalg._components(link[None]):
-        by_size.setdefault(idx.size, []).append(idx)
+    for idx in _coupled_blocks(basis.tensors, min(n, m)):
+        by_size.setdefault(len(idx), []).append(idx)
     index, terms = [], []
     for k in sorted(by_size):
         idx = np.array(by_size[k])
@@ -380,42 +403,27 @@ def region_scan(n, m, traceless, grid,
     )
 
 
-def _diag_slot(hv, p):
-    """h_{n+i,i,k} as an (..., p, n) array."""
+def _diag_contraction(lam, hv):
+    """sum_i l_i h_{n+i,i,k} (..., n) over i < p = min(n, m)."""
+    p = min(hv.shape[-3], hv.shape[-2])
     idx = np.arange(p)
-    return hv[..., idx, idx, :]
+    return np.einsum("...i,...ik->...k", lam[..., :p], hv[..., idx, idx, :])
 
 
 def rhs_delta_star_omega(lambdas, h):
     """Analytic prediction for the Laplacian of the projection factor.
 
-    Returns -omega * { sum h^2
-                       - 2 sum_{k,i<j} l_i l_j h_{n+i,i,k} h_{n+j,j,k}
-                       + 2 sum_{k,i<j} l_i l_j h_{n+j,i,k} h_{n+i,j,k} }.
+    Returns -omega * (F(h) - sum_k (sum_i l_i h_{n+i,i,k})^2): with
+    Lap log omega = -F(h) and grad omega = -omega sum_i l_i h_{n+i,i,.}
+    (``rhs_gradient_star_omega``), this is
+    Lap omega = omega Lap log omega + |grad omega|^2 / omega.
     Broadcasts like ``evaluate_F_direct``.
     """
     hv = _tensor_of(h)
     lam = np.asarray(lambdas, dtype=float)
-    m, n = hv.shape[-3], hv.shape[-2]
-    p = min(n, m)
-    omega = star_omega(lam)
-    s0 = np.sum(hv * hv, axis=(-3, -2, -1))
-    if p == 0:
-        out = -omega * s0
-        return float(out) if np.ndim(out) == 0 else out
-    lamp = lam[..., :p]
-    hd = _diag_slot(hv, p)
-    diag_pairs = np.einsum("...ik,...jk->...ij", hd, hd)
-    hp = hv[..., :p, :p, :]
-    cross = np.einsum("...ijk,...jik->...ij", hp, hp)
-
-    def strict_upper(x):
-        full = np.einsum("...i,...ij,...j->...", lamp, x, lamp)
-        diag = np.einsum("...i,...ii->...", lamp * lamp, x)
-        return 0.5 * (full - diag)
-
-    braces = s0 - 2.0 * strict_upper(diag_pairs) + 2.0 * strict_upper(cross)
-    out = -omega * braces
+    contract = _diag_contraction(lam, hv)
+    out = -star_omega(lam) * (evaluate_F_direct(lam, hv)
+                              - np.sum(contract * contract, axis=-1))
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -426,11 +434,5 @@ def rhs_gradient_star_omega(lambdas, h):
     """
     hv = _tensor_of(h)
     lam = np.asarray(lambdas, dtype=float)
-    m, n = hv.shape[-3], hv.shape[-2]
-    p = min(n, m)
     omega = np.asarray(star_omega(lam))
-    if p == 0:
-        return np.zeros(hv.shape[:-3] + (n,))
-    hd = _diag_slot(hv, p)
-    contract = np.einsum("...i,...ik->...k", lam[..., :p], hd)
-    return -omega[..., None] * contract
+    return -omega[..., None] * _diag_contraction(lam, hv)

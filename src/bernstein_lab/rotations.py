@@ -51,6 +51,10 @@ from .geometry import jacobian_svd
 
 COND_MAX = 1e12
 ORTH_TOL = 1e-10
+# A candidate improves on a margin only by more than this fraction of it: in
+# 40 seeded 2 x 2 to 3 x 3 searches, steps that moved nothing gained at most
+# 1.3e-14 of the margin, and real steps at least 2.4e-6.
+IMPROVE_RTOL = 1e-12
 
 
 class NonGraphicError(RuntimeError):
@@ -72,7 +76,7 @@ class OrthBlock:
         self._hold(np.block([[P, Q], [R, S]]), P.shape[0])
 
     def _hold(self, g, n):
-        dev = np.max(np.abs(g.T @ g - np.eye(g.shape[0])))
+        dev = np.max(np.abs(linalg.matmul(g.T, g) - np.eye(g.shape[0])))
         if dev > ORTH_TOL:
             raise ValueError(f"blocks are not orthogonal (deviation {dev:.2e})")
         self.matrix, self.n, self.m = g, n, g.shape[0] - n
@@ -139,13 +143,14 @@ def transform_graph(a_matrix, g):
     if (p.shape[0], s.shape[0]) != (n, m):
         raise ValueError("block shapes do not match the matrix")
     scale = math.hypot(*a.ravel(), *[1.0] * n)   # no square overflows
-    u, sv, vt = linalg.jacobi_svd(p + a @ r)
+    u, sv, vt = linalg.jacobi_svd(p + linalg.matmul(a, r))
     if sv[-1] <= 0.0 or max(sv[0], scale) / sv[-1] > COND_MAX:
         raise NonGraphicError(
             "graph subspace block is singular or ill-conditioned "
             f"(condition number > {COND_MAX:.0e})"
         )
-    return vt.T @ ((u.T @ (q + a @ s)) / sv[:, None])
+    rhs = linalg.matmul(u.T, q + linalg.matmul(a, s)) / sv[:, None]
+    return linalg.matmul(vt.T, rhs)
 
 
 def _require_symmetric(a):
@@ -177,7 +182,7 @@ def _polar(block, x, n):
     """The ``block`` element, split at n, built from the polar factor u vt
     of the square matrix x = u diag(s) vt."""
     u, _, vt = linalg.jacobi_svd(x)
-    return block.from_matrix(u @ vt, n)
+    return block.from_matrix(linalg.matmul(u, vt), n)
 
 
 def random_orthogonal(n, m, seed) -> OrthBlock:
@@ -255,8 +260,9 @@ def _turn(u, theta, v):
     p, s = len(theta), np.sin(theta)
     c_u, c_v = np.ones(len(u)), np.ones(len(v))
     c_u[:p] = c_v[:p] = np.cos(theta)
-    r = (v[:, :p] * s) @ u[:, :p].T
-    return np.block([[(u * c_u) @ u.T, -r.T], [r, (v * c_v) @ v.T]])
+    r = linalg.matmul(v[:, :p] * s, u[:, :p].T)
+    return np.block([[linalg.matmul(u * c_u, u.T), -r.T],
+                     [r, linalg.matmul(v * c_v, v.T)]])
 
 
 def _flattening_block(a):
@@ -316,13 +322,19 @@ def rotation_group(name, a):
 
 def perturb(g, planes, angle):
     """g times the rotation by ``angle`` in each ordered plane (i, j) of a
-    move: cos at (i, i) and (j, j), sin at (i, j) and -sin at (j, i)."""
+    move: its columns i and j turned by ``linalg._rotate_pair``."""
     c, s = np.cos(angle), np.sin(angle)
-    rot = np.eye(g.matrix.shape[0])
+    turned = g.matrix.copy()
     for i, j in planes:
-        rot[i, i] = rot[j, j] = c
-        rot[i, j], rot[j, i] = s, -s
-    return type(g).from_matrix(g.matrix @ rot, g.n)
+        linalg._rotate_pair(turned[:, i], turned[:, j], c, s)
+    return type(g).from_matrix(turned, g.n)
+
+
+def _improves(value, margin):
+    """Whether ``value`` beats ``margin`` by more than ``IMPROVE_RTOL``
+    relative to it; any finite value beats a margin of -inf."""
+    return value > margin and (margin == -np.inf or value - margin
+                               > IMPROVE_RTOL * abs(margin))
 
 
 def search_rotation(a_matrix, target: SearchTarget, budget, seed,
@@ -334,16 +346,16 @@ def search_rotation(a_matrix, target: SearchTarget, budget, seed,
     ``ValueError``, which no finite input does), the identity, then seeded
     random elements, each built when the search reaches it -- each followed
     by coordinate descent that perturbs one plane-rotation angle at a time
-    and accepts on improvement, with a shrinking step.  ``budget`` caps the
-    total number of condition evaluations.  The search also stops at the
-    first evaluation whose margin reaches ``target.ceiling(n, m)``, a
-    certified optimum: nothing after it could improve the outcome.  A
-    graphic flattening sends the differential to 0 up to rounding, so where
-    the ceiling is certified the search ends at evaluation 1; the identity
-    and the restarts run when the flattening is not graphic (condition
-    number above ``COND_MAX``), or the ceiling is not certified.  ``seed``
-    must be a non-negative integer; the search is fully deterministic given
-    (a_matrix, target, budget, seed).
+    and accepts an improvement (``_improves``), with a shrinking step.
+    ``budget`` caps the total number of condition evaluations.  The search
+    also stops at the first evaluation whose margin reaches
+    ``target.ceiling(n, m)``, a certified optimum: nothing after it could
+    improve the outcome.  A graphic flattening sends the differential to 0
+    up to rounding, so where the ceiling is certified the search ends at
+    evaluation 1; the identity and the restarts run when the flattening is
+    not graphic (condition number above ``COND_MAX``), or the ceiling is
+    not certified.  ``seed`` must be a non-negative integer; the search is
+    fully deterministic given (a_matrix, target, budget, seed).
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -372,7 +384,7 @@ def search_rotation(a_matrix, target: SearchTarget, budget, seed,
         except NonGraphicError:
             return -np.inf
         report = target.report(transformed)
-        if best is None or report.margin > best[0]:
+        if best is None or _improves(report.margin, best[0]):
             best = (report.margin, g, transformed, report)
             trace.append((evals, float(report.margin)))
         return report.margin
@@ -392,7 +404,7 @@ def search_rotation(a_matrix, target: SearchTarget, budget, seed,
                         return
                     cand = perturb(g, planes, sign * step)
                     value = evaluate(cand)
-                    if value > margin:
+                    if _improves(value, margin):
                         g, margin, improved = cand, value, True
                         break
             if margin == -np.inf:

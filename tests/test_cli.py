@@ -133,76 +133,86 @@ def _symmetric(seed):
 # sha256 of rotate's stdout, first as the command runs, then with building
 # the flattening start refused, so that the search descends from the
 # identity.  The certified searches stop at the flattening, evaluation 1,
-# so the descent digests are the ones that pin the search's edges: the
-# descent on the 1e11-scaled 3 x 2 input meets non-graphic candidates and
-# improves on the last move of a pass (evaluations 15 and 30), as OptimalB
-# 3 x 3 does at evaluation 26; the OptimalB digests hold `dim` and
-# `traceless` as an integer and boolean
+# so the descent digests are the ones that pin the search's edges; each
+# case's comment names the edge its descent pins (moves and evaluations
+# count from 1).  The OptimalB digests hold `dim` and `traceless` as an
+# integer and boolean
 ROTATE_GOLDEN = {
+    # two passes that improve nothing halve the step twice; the budget ends
+    # on the +step candidate of move 7 of 15 at step pi/32 (evaluation 160)
     "orthogonal-optimalb-3x3": (
         np.random.default_rng(21).uniform(-1.5, 1.5, (3, 3)).tolist(),
         ["--target", "OptimalB", "--budget", "160", "--seed", "4"],
-        "07cb9d34b52764ab10f138eb21df2b09"
-        "4ec107f1d58edfa06ab93e4e9d665c93",
-        "32f01abbb6452565dc63695677847f0b"
-        "ee59edc1e59a842faae82d1776a3d044"),
+        "87244c6612a2cac90861be9b58038b1a"
+        "093bd6f236a8e170d88b4d217ad238cc",
+        "3bbc4aab1b48695bc1709b376c9c78b8"
+        "77c2c8a81ced8feb94ff7ab7a5779770"),
+    # the budget ends on the -step candidate of move 5 of 10 at step pi/32
     "orthogonal-theorema-2x3-budget-107": (
         [[1.2, -0.4, 0.9], [0.3, 1.7, -1.1]],
         ["--target", "TheoremA", "--budget", "107", "--seed", "5"],
-        "0c5729c00b5c10c7a33466b4c251a4d6"
-        "0dc4bbfd09fed5585c88fb87d7476a64",
-        "e94b9631fcc2b233dc0f592e0be15656"
-        "7337c6d5dec2e45c3984f0400edcbd8a"),
+        "9f39326977c151d206264337ff6d80f4"
+        "0b78757dd5d3ea8fc1efc4eea46388b4",
+        "b9bcfa1c564647dc4e9c797c2e5fb25c"
+        "1b68b3d20de2d18c02bc41c9411508e1"),
+    # improves on all three phase moves in its first pass (evaluations 14
+    # to 16); the budget ends on the +step candidate of move 6, a turn
     "unitary-theorema-3x3": (
         _symmetric(23),
         ["--target", "TheoremA", "--group", "unitary", "--budget", "150",
          "--seed", "8"],
-        "7cf5c8af9f4624b977bbe3f72c09cb2d"
-        "27697a49ec56c1088809850e8ccf72df",
-        "96695e3f188465f7d6783b12d42b9bda"
-        "6fd5401c71c3a6eb603bc1feae7c8ef6"),
+        "c4037a0f8f2ae05645dee72f038b1d3a"
+        "1c4c70fc9576a509fd74b8ea30b7677c",
+        "af19fa5fa0b7cee02ad53d73b3e7f89d"
+        "ebed0cf6a8e74c964b5a40768f2b750f"),
+    # at 1e11 the descent meets non-graphic candidates (evaluations 7, 12
+    # and 13) and improves on the last move of a pass (evaluations 15 and
+    # 29), so the next pass starts at the same step
     "orthogonal-theorema-3x2-non-graphic": (
         (np.array([[3.0, -1.0], [2.0, 4.0], [-1.0, 2.0]]) * 1e11).tolist(),
         ["--target", "TheoremA", "--budget", "120", "--seed", "2"],
-        "cbf9c628fd2e08f5fd21e72c2301610e"
-        "e7c7563cae28748b4653689a7c19c3bf",
-        "d25277c6bd9f45b6805c06ae9cda7912"
-        "ca7ebe4ab68d6466db10035ce21e5f3d"),
-    # the descent digests pin the edges of a descent pass: budgets that end
-    # on a +step candidate early in a pass (evaluation 19) and in the middle
-    # of one (evaluation 100), the certified stop at the -step candidate of
-    # a pass's third move, and a unitary search that improves on phase
-    # moves and ends mid-pass
+        "3011ebcf4ae9441a3d63d7012658c233"
+        "1d5f2c3ebf15ca753df9b8de2d449a25",
+        "d380f0daccb3a61f30457b21e4a0cca4"
+        "fc0c9a5765868c97f1a1bbd6244e1e66"),
+    # a first pass that improves starts a second one at the same step; the
+    # budget ends on its first candidate, move 1 at +step (evaluation 19)
     "orthogonal-theorema-2x3-last-move-improvement": (
         np.random.default_rng(32).uniform(-1.5, 1.5, (2, 3)).tolist(),
         ["--target", "TheoremA", "--budget", "19", "--seed", "6"],
-        "f97ebcac5f27b905daf5349db9baef60"
-        "d29049f285030c149f8a79168d1c1e89",
-        "a677054fcee6b3744928874c9ba70119"
-        "cd8349f2739b24b5153e9df1fdebdf18"),
+        "f39d080c74988fdbbfdcb145784c0d18"
+        "8bdc6cd15bc522ee55eca2241df49a8d",
+        "4b633044d6acd85920e70dec56325fd9"
+        "cdbb27fb87fea5c7c653be3366c16b10"),
+    # the same descent: the budget ends mid-pass on the -step candidate of
+    # move 2 of 10 at step pi/32 (evaluation 100)
     "orthogonal-theorema-2x3-mid-pass-mid-move": (
         np.random.default_rng(32).uniform(-1.5, 1.5, (2, 3)).tolist(),
         ["--target", "TheoremA", "--budget", "100", "--seed", "6"],
-        "b14fca069ab26ae620c742c7c4638b5f"
-        "bf4ba2e28c158adc23c3805ab33c87ec",
-        "77ffe58a39942c83a866a1cd8d67545d"
-        "d305b2cc2f38cd04495f009c2824d982"),
+        "adcb92edfe35101a5a2d0637746d1239"
+        "d4f14527cd68dbbc2e34bfab7d37c2d8",
+        "d8c2b993c04842c5c948f25e8393c157"
+        "9fc6475102fca2f8e27da77a670e7a41"),
+    # the certified stop: the -step candidate of move 3 in the first pass
+    # reaches the ceiling (evaluation 7)
     "orthogonal-optimalb-3x3-ceiling-in-batch": (
         [[float(np.tan(np.pi / 8)), 0.2, 0.0], [0.0, 0.3, 0.0],
          [0.0, 0.0, 0.0]],
         ["--target", "OptimalB", "--budget", "800", "--seed", "5"],
-        "9e32a30f2bd4957060bfb21f27c2e6bf"
-        "c9384d943bced912f403cc34829f0f53",
+        "8f9bd60bfbc913b89a209cbbd5a45480"
+        "b5ba8bd1a53406e148bfaaaf5ca6fc6d",
         "b39b2739879715a42e70ea08528b3320"
         "6d4743d04d523bbf5c8df7a96607596e"),
+    # improves on the phase moves 7, 8 and 9 of 9 (evaluations 12, 14 and
+    # 15); the budget ends mid-pass on phase move 8's -step candidate
     "unitary-theorema-3x3-phase-moves": (
         _symmetric(53),
         ["--target", "TheoremA", "--group", "unitary", "--budget", "150",
          "--seed", "7"],
-        "e299b838acc4e8f3705b022b847caf34"
-        "1653ae87f7ebe98c4fd10df01a3bb518",
-        "d1b64dc0698f75963a8fc1a99503017b"
-        "69c531045365b924da743451cc4dff93"),
+        "e5abe789beba38414d94d4bf79dc8ba8"
+        "b771974e5192e49a8c22f53e2416f927",
+        "b348d95e3e6119aee9446baf29ffb7a2"
+        "dc77f1c46aa12d61389ec7f67099fb8a"),
 }
 
 
@@ -473,7 +483,7 @@ def test_verify_nodes_csv(tmp_path):
 # sha256 of the nodes CSV, recorded with the Jacobi SVD's own bases at the
 # cone's tie nodes; the benchmark's surface-verify workload writes this file
 NODES_CSV_GOLDEN = (
-    "a2334ec424628ab2e1ccbd2345d062600719fcd98fdc76da863e7134031cadfd")
+    "895193405301329bb07d2273272fdda7f728006290e20a7e94612a47bdf3a64f")
 
 
 def test_verify_nodes_csv_bytes_golden(tmp_path, monkeypatch, capsys):
@@ -493,10 +503,10 @@ VERIFY_GOLDEN = {
         "b1b8bda15a80788dff0873ed42ff8eaa55e599de3545f6265b578342527f3bdc"),
     "catenoid_graph-laplacian-raw": (
         ["catenoid_graph", "laplacian-raw", "17,33"], 0,
-        "a861e014098806a86e693dd83f2643eed06b75ca260a7fa778d3755c7ccc8722"),
+        "2bff3788a922fc7a7c138086f6db90a143a6f2867a003e11b0846d8fc9901bf4"),
     "lawson_osserman-gradient": (
         ["lawson_osserman", "gradient", "5"], 0,
-        "a615c1fc9b155f747aaa7e19a7f32633a4321418c374e2621a86ddeba0a20cd5"),
+        "9b9f8b636c42487b6f222ee5e4fa1ed6caf63ecd33bbae338a351f68a6890479"),
     "lagrangian_harmonic-gradient": (
         ["lagrangian_harmonic", "gradient", "9,17"], 1,
         "6e8fffa13d68c6d8a54b9254f84f7d4d31620567486c7720f51ea46b50387267"),
@@ -796,7 +806,7 @@ def test_rotate_leaves_a_non_graphic_identity_start(tmp_path, monkeypatch,
     assert (code, err) == (0, "")
     results = json.loads(out)["results"]
     assert results["objective_trace"][0][0] == 22
-    assert results["report"]["margin"] == 0.8961749183178307
+    assert results["report"]["margin"] == 0.8972650499193315
     assert results["evaluations"] == 150
 
 

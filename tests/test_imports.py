@@ -1,6 +1,7 @@
-"""Every module-level import is used, and every package name is read.
+"""Every module-level import is used, every package name is read, and no
+product of the package goes to BLAS.
 
-Two AST scans, with no linter dependency:
+Three AST scans, with no linter dependency:
 
 * a name bound by a module-level ``import`` of the package or its tests
   must be read somewhere in the module (``__future__`` imports and the
@@ -9,7 +10,12 @@ Two AST scans, with no linter dependency:
   somewhere in ``src/`` or ``perfbench/``: as a variable, an attribute or a
   name imported with ``from ... import`` (dunders and ``__init__.py``'s own
   names are exempt).  A name only the tests read is not part of what the
-  package's callers use.
+  package's callers use;
+* no module of the package forms a product that numpy may hand to BLAS,
+  whose kernel, and so whose summation order, the CPU picks: no ``@``, no
+  numpy ``matmul``, ``dot``, ``vecdot``, ``matvec``, ``vecmat``, ``inner``
+  or ``tensordot``, nothing of ``np.linalg`` and no ``einsum`` with
+  ``optimize``.  Products go through ``linalg.matmul``.
 """
 
 import ast
@@ -106,3 +112,50 @@ def test_scan_flags_an_unread_name():
 def test_package_name_is_read(path):
     readers = [reader.read_text() for reader in READERS]
     assert unread_names(path.read_text(), readers) == []
+
+
+BLAS_NAMES = {"matmul", "dot", "vecdot", "matvec", "vecmat", "inner",
+              "tensordot", "linalg"}
+
+
+def blas_routes(source):
+    """(line, route) of every product in ``source`` that numpy may hand to
+    BLAS, in walk order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                and isinstance(node.op, ast.MatMult)):
+            found.append((node.lineno, "@"))
+        elif (isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES
+              and isinstance(node.value, ast.Name)
+              and node.value.id in ("np", "numpy")):
+            found.append((node.lineno, f"np.{node.attr}"))
+        elif (isinstance(node, ast.ImportFrom)
+              and (node.module or "").startswith("numpy")
+              and ("linalg" in node.module
+                   or any(a.name in BLAS_NAMES for a in node.names))):
+            found.append((node.lineno, f"from {node.module} import"))
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "einsum"
+              and any(k.arg == "optimize" for k in node.keywords)):
+            found.append((node.lineno, "einsum(optimize=...)"))
+    return found
+
+
+def test_scan_flags_every_blas_route():
+    source = ("import numpy as np\nfrom numpy.linalg import svd\n"
+              "from numpy import dot\nfrom . import linalg\n"
+              "a = x @ y\nx @= y\nb = np.matmul(x, y) + np.vecdot(x, y)\n"
+              "c = np.linalg.norm(x)\n"
+              "d = np.einsum('ij,jk', x, y, optimize=True)\n"
+              "e = linalg.matmul(x, y) + np.einsum('ij,jk', x, y)\n")
+    assert sorted(blas_routes(source)) == [
+        (2, "from numpy.linalg import"), (3, "from numpy import"),
+        (5, "@"), (6, "@"), (7, "np.matmul"), (7, "np.vecdot"),
+        (8, "np.linalg"), (9, "einsum(optimize=...)")]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_package_has_no_blas_route(path):
+    assert blas_routes(path.read_text()) == []

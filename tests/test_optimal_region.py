@@ -512,6 +512,49 @@ def test_block_plan_partitions_and_gram_vanishes_outside(shape):
     assert np.all(grams[:, ~inside] == 0.0)
 
 
+def _dense_blocks(n, m, traceless):
+    """F's coupled blocks read from a dense link matrix, two einsums over
+    the basis tensors' absolute entries, closed under neighbours until
+    nothing joins: the oracle of ``block_plan``'s union-find."""
+    t = np.abs(opt.h_space_basis(n, m, traceless).tensors)
+    p = min(n, m)
+    tp = t[:, :p, :p, :]
+    link = (np.einsum("xaij,yaij->xy", t, t, optimize=True)
+            + np.einsum("xijk,yjik->xy", tp, tp, optimize=True)) > 0
+    link |= link.T
+    free = np.ones(len(t), dtype=bool)
+    blocks = []
+    for start in range(len(t)):
+        if not free[start]:
+            continue
+        members, grown = np.zeros(len(t), dtype=bool), link[start]
+        members[start] = True
+        while not np.array_equal(members | grown, members):
+            members |= grown
+            grown = np.any(link[members], axis=0)
+        free &= ~members
+        blocks.append(np.flatnonzero(members).tolist())
+    return blocks
+
+
+def _shapes_up_to(dim):
+    """Every admitted (n, m, traceless) whose h-space has at most dim."""
+    return [(n, m, traceless) for n in range(1, dim + 1)
+            for m in range(1, dim + 1) for traceless in (False, True)
+            if opt.basis_refusal(n, m, traceless) is None
+            and m * n * (n + 1) // 2 - (m if traceless else 0) <= dim]
+
+
+def test_block_plan_is_the_dense_oracles_on_every_shape_up_to_300():
+    shapes = _shapes_up_to(300)
+    assert len(shapes) > 700 and (24, 1, False) in shapes
+    for shape in shapes:
+        plan = opt.block_plan(*shape)
+        got = sorted((block.tolist() for idx in plan.index for block in idx),
+                     key=lambda block: block[0])
+        assert got == _dense_blocks(*shape), shape
+
+
 @pytest.mark.parametrize("shape", BLOCK_SHAPES)
 def test_F_from_cached_terms_is_bitwise_F_of_h(shape):
     plan = opt.block_plan(*shape)

@@ -266,6 +266,37 @@ def test_search_objective_trace_monotone():
     assert margins == sorted(margins)
 
 
+def test_improvement_must_clear_the_relative_threshold():
+    tol = rot.IMPROVE_RTOL
+    assert rot._improves(0.5 * (1.0 + 2.0 * tol), 0.5)
+    assert not rot._improves(0.5 * (1.0 + 0.5 * tol), 0.5)
+    assert rot._improves(-0.5 * (1.0 - 2.0 * tol), -0.5)
+    assert not rot._improves(np.nextafter(-0.5, 0.0), -0.5)
+    # a descent leaves a non-graphic start for any graphic candidate
+    assert rot._improves(-1e300, -np.inf)
+    assert not rot._improves(-np.inf, -np.inf)
+
+
+@pytest.mark.parametrize("group, target", [("orthogonal", "TheoremA"),
+                                           ("orthogonal", "OptimalB"),
+                                           ("unitary", "TheoremA")])
+def test_trace_improvements_clear_the_threshold(no_flattening, group,
+                                                target):
+    # descents from the identity and the restarts record no step that gains
+    # rounding noise alone
+    rng = np.random.default_rng(34)
+    for seed in range(4):
+        a = rng.uniform(-1.5, 1.5, (3, 3))
+        if group == "unitary":
+            a = 0.5 * (a + a.T)
+        out = rot.search_rotation(a, rot.SearchTarget(kind=target), 120,
+                                  seed, group=group)
+        margins = [m for _, m in out.objective_trace]
+        assert len(margins) > 5
+        for old, new in zip(margins, margins[1:]):
+            assert new - old > rot.IMPROVE_RTOL * abs(old)
+
+
 def test_search_on_cone_differential_recorded():
     # diagnostic baseline on the counterexample cone's differential: the
     # pointwise search outcome is recorded, with no assertion on its sign
@@ -433,24 +464,24 @@ def _unitary_flattening_input(case):
     return 0.5 * (s + s.T) * float(scale or 1.0)
 
 
-# sha256 prefix of _unitary_flattening(a).matrix, recorded when the
-# flattening formed its real form from P and Q directly
+# sha256 prefix of _unitary_flattening(a).matrix, with _turn's products
+# formed by linalg.matmul
 UNITARY_FLATTENING_GOLDEN = {
-    "seed1": "396d5e3d1010c1f4",
-    "seed1-1e160": "ea0dea652b4f4e1c",
-    "seed1-1e-14": "1c013099073c1309",
-    "seed2": "58e5d9c4981571a1",
-    "seed2-1e160": "67cfa96bd5c8527e",
-    "seed2-1e-14": "ab498d8f0e6f5e09",
-    "seed3": "230297cf5c56bc43",
-    "seed3-1e160": "1934d7b9b3a1ae2c",
-    "seed3-1e-14": "af7df015db9607f1",
-    "seed4": "c9729ea0e44abf51",
-    "seed4-1e160": "87f6b51cbd5bd9f9",
-    "seed4-1e-14": "85447c885beae631",
-    "seed5": "429e311bfcfc9bb4",
-    "seed5-1e160": "b944e99bea4b7ff1",
-    "seed5-1e-14": "541f53b262b77688",
+    "seed1": "299aa25e74a56c78",
+    "seed1-1e160": "5164b68cf7b479f3",
+    "seed1-1e-14": "7a890b67c918749b",
+    "seed2": "d7f78e112c12a6da",
+    "seed2-1e160": "ddd544e95b927d58",
+    "seed2-1e-14": "46a22d9d6dc51670",
+    "seed3": "68ce46fca78db637",
+    "seed3-1e160": "5b51718dc604e03c",
+    "seed3-1e-14": "f8550db71f3a0857",
+    "seed4": "b05c92df177e4716",
+    "seed4-1e160": "2cbfc1c1199327cb",
+    "seed4-1e-14": "6d95f0f2938575d5",
+    "seed5": "ac5372f2a724d945",
+    "seed5-1e160": "3d442942af943686",
+    "seed5-1e-14": "5523286389b1fca6",
     "1x1": "d066f1363b33aa40",
     "zero-2x2": "97837886359ae21a",
 }
@@ -661,11 +692,12 @@ def _mixed_unitary():
     return a, blocks
 
 
-# sha256 prefix of the graphic members' results, in order, as recorded
-# when the transforms also solved a sequence of blocks as one stack (the
-# unitary one again when its random blocks became polar factors)
+# sha256 prefix of the graphic members' results, in order: the orthogonal
+# one as recorded when the transforms also solved a sequence of blocks as
+# one stack, the unitary one with the polar-factor blocks and the
+# transform's products formed by linalg.matmul
 MIXED_DIGESTS = {"orthogonal": ([1, 3], "7eaefd4d7da1f583"),
-                 "unitary": ([1, 5], "e26e8095f64b7632")}
+                 "unitary": ([1, 5], "2b73bfc122662fab")}
 
 
 @pytest.mark.parametrize("case", ["orthogonal", "unitary"])

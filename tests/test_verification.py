@@ -102,10 +102,10 @@ GOLDEN_SAMPLES = {
         "674dbeb9d799c509", "b59bde3c7b537ca9", "6559f403524ea6ef",
     )),
     "catenoid_graph": (17, (
-        "94b969480dba6313", "f7f1e2c21734a106", "34811c952c499dbe",
-        "2b11dbbdda3e5e8a", "1505df23a4809ac7", "bada4a771d366510",
-        "71b7d3b2236d29bc", "811793ba5a3c7eff", "53d8a2381d22ddf5",
-        "becf2decb386ddff", "63e92a9df1013217", "6559f403524ea6ef",
+        "e9424f04184b32ae", "91c8b162ec830f21", "6ba64ace2f8d0e7c",
+        "6ddc3af19ca80104", "e26c97ef0f85565c", "a2bdaaa34a8ec848",
+        "76c386b7b6a63545", "811793ba5a3c7eff", "153a2346842d986e",
+        "d05406548df96f99", "f6776cd47d38e191", "6559f403524ea6ef",
     )),
     "lagrangian_harmonic": (17, (
         "705956d174dce8e8", "1db23b6456bfe63f", "52ed67da47dc1855",
@@ -116,9 +116,9 @@ GOLDEN_SAMPLES = {
     # recorded with the Jacobi SVD's own bases at the cone's tie nodes
     "lawson_osserman": (5, (
         "82edff8f326e0692", "ae5900b9d12be26f", "8bcfa28c1dbe4747",
-        "d2fe7b8539d11754", "578ebb51a29b6f03", "2a5e216704568c4d",
-        "451273c1c17604a9", "182d098fad7a89c7", "725256d2e880b36e",
-        "f188a55672cd6546", "f1dd55d94532aded", "bb061b1f8bdf29ab",
+        "d2fe7b8539d11754", "1ca45bed9a41e787", "03bd451288264206",
+        "451273c1c17604a9", "95555d34653d3eb6", "9cfb8294ce028583",
+        "f188a55672cd6546", "1af127b456c4e440", "bb061b1f8bdf29ab",
     )),
 }
 
