@@ -11,8 +11,7 @@ the good region, negative outside, never normalized against each other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -20,19 +19,19 @@ from . import linalg
 from .geometry import star_omega
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     """Outcome of one condition over a batch of differentials, or over one.
 
     ``margin`` is the signed distance to the failure boundary; ``pass_``
     agrees with its sign (inclusive inequalities pass at margin exactly 0).
     For a batch they and the per-row details are arrays (see ``rows``).
+    ``details`` has no default: each report holds a dict of its own.
     """
 
     condition_name: str
     pass_: bool
     margin: float
-    details: dict = field(default_factory=dict)
+    details: dict
 
     @classmethod
     def from_arrays(cls, name, lambdas, margin, pass_, **details):
@@ -184,8 +183,7 @@ def _signed_lambdas(jacs, lambdas):
 # registry
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(NamedTuple):
     """A named condition: its evaluator and the shapes of df it applies to.
 
     ``evaluate(jacs, lambdas, delta=, k_min=, epsilon=, traceless=)`` returns

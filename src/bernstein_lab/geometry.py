@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import functools
 import sys
-from dataclasses import dataclass
-from typing import Callable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,27 +46,31 @@ def _readonly(a):
     return a
 
 
-@dataclass(frozen=True)
 class MapSpec:
     """A map f: R^n -> R^m on a rectangular parameter domain.
 
-    Both callables take a (B, n) array of points.  ``value_fn`` returns f
-    there as (B, m); it defines f, and the suite certifies ``deriv_fn``
-    against it.  ``deriv_fn``, all that ``jet`` calls, returns the analytic
+    ``domain`` is (n, 2), one row (lo, hi) per axis.  Both callables take a
+    (B, n) array of points.  ``value_fn`` returns f there as (B, m); it
+    defines f, and the suite certifies ``deriv_fn`` against it.
+    ``deriv_fn``, all that ``jet`` calls, returns the analytic
     ``(jac, hess)`` as (B, n, m) and (B, m, n, n) in the layout of ``Jet2``.
+    ``__init__`` ends in ``__post_init__``, which checks the domain and
+    makes it read-only: the hook ``perfbench/trace_cli.py`` wraps to time
+    the callables of every spec built.
     """
 
-    n: int
-    m: int
-    domain: np.ndarray  # (n, 2) rows (lo, hi)
-    value_fn: Callable[[np.ndarray], np.ndarray]
-    deriv_fn: Callable[[np.ndarray], tuple]
+    __slots__ = ("n", "m", "domain", "value_fn", "deriv_fn")
+
+    def __init__(self, n, m, domain, value_fn, deriv_fn):
+        self.n, self.m, self.domain = n, m, domain
+        self.value_fn, self.deriv_fn = value_fn, deriv_fn
+        self.__post_init__()
 
     def __post_init__(self):
         dom = np.asarray(self.domain, dtype=float).reshape(self.n, 2)
         if np.any(dom[:, 0] > dom[:, 1]):
             raise ValueError("domain intervals must satisfy lo <= hi")
-        object.__setattr__(self, "domain", _readonly(dom))
+        self.domain = _readonly(dom)
 
     def contains(self, x):
         """Whether each point of ``x`` (..., n) is finite and lies in the
@@ -79,26 +82,22 @@ class MapSpec:
                       & (x <= self.domain[:, 1] + pad), axis=-1)
 
 
-@dataclass(frozen=True)
-class Jet2:
+class Jet2(NamedTuple):
     """First and second derivatives of f at a point of the graph, all that
-    its geometry reads; a batch of points adds a leading axis to both."""
+    its geometry reads; a batch of points adds a leading axis to both.
+    ``jet`` builds it of read-only arrays."""
 
     jac: np.ndarray     # (n, m)
     hess: np.ndarray    # (m, n, n), symmetric in the last two slots
 
-    def __post_init__(self):
-        object.__setattr__(self, "jac", _readonly(self.jac))
-        object.__setattr__(self, "hess", _readonly(self.hess))
 
-
-@dataclass(frozen=True)
-class SingularData:
+class SingularData(NamedTuple):
     """Singular values of df with the adapted frames of the graph.
 
     ``tangent_frame`` is (n+m, n) and ``normal_frame`` is (n+m, m), vectors
     in columns; together they form an orthonormal basis of R^{n+m}.
     ``domain_basis``/``target_basis`` hold the a_i / a_{n+j} in columns.
+    ``singular_data`` builds it of read-only arrays.
     """
 
     lambdas: np.ndarray
@@ -107,26 +106,17 @@ class SingularData:
     domain_basis: np.ndarray
     target_basis: np.ndarray
 
-    def __post_init__(self):
-        for name in ("lambdas", "tangent_frame", "normal_frame",
-                     "domain_basis", "target_basis"):
-            object.__setattr__(self, name, _readonly(getattr(self, name)))
 
-
-@dataclass(frozen=True)
-class SffTensor:
+class SffTensor(NamedTuple):
     """Second fundamental form h_{a,l,k} in the adapted frame.
 
     ``h`` has shape (m, n, n) with h[j] the matrix of <II(e_l, e_k), e_{n+j}>;
     it is stored exactly symmetrized in (l, k).
+    ``second_fundamental_form`` builds it of read-only arrays.
     """
 
     h: np.ndarray
     lambdas: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "h", _readonly(self.h))
-        object.__setattr__(self, "lambdas", _readonly(self.lambdas))
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +145,8 @@ def jet(spec: MapSpec, x) -> Jet2:
     if np.any(asym > 1e-12 * scale):
         raise ValueError("analytic second derivatives are not symmetric")
     parts = (jac, 0.5 * (hess + np.swapaxes(hess, -1, -2)))
-    return Jet2(*((part[0] for part in parts) if x.ndim < 2 else parts))
+    return Jet2(*(_readonly(part[0] if x.ndim < 2 else part)
+                  for part in parts))
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +232,8 @@ def singular_data(jac) -> SingularData:
     """
     lams, amat, target = singular_data_batch(np.asarray(jac, float)[None])
     tangent, normal = _assemble_frames(lams, amat, target)
-    return SingularData(lams[0], tangent[0], normal[0], amat[0], target[0])
+    return SingularData(*(_readonly(part[0]) for part in
+                          (lams, tangent, normal, amat, target)))
 
 
 def singular_data_batch(jacs):
@@ -309,7 +301,7 @@ def second_fundamental_form(jet2: Jet2) -> SffTensor:
     sd = singular_data(jet2.jac)
     h = _sff_from_arrays(jet2.hess, sd.lambdas, sd.domain_basis,
                          sd.target_basis)
-    return SffTensor(h=h, lambdas=sd.lambdas)
+    return SffTensor(h=_readonly(h), lambdas=sd.lambdas)
 
 
 # ---------------------------------------------------------------------------

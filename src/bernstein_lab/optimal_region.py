@@ -26,8 +26,8 @@ norm, so a large block cannot hide a small block's negative eigenvalue.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,8 +56,7 @@ def _tensor_of(h):
     return h.h if hasattr(h, "h") else np.asarray(h, dtype=float)
 
 
-@dataclass(frozen=True)
-class HBasis:
+class HBasis(NamedTuple):
     """Orthonormal basis of the admissible h-tensor space.
 
     Tensors have shape (m, n, n); the inner product is the plain sum of
@@ -129,8 +128,7 @@ def h_space_basis(n, m, traceless) -> HBasis:
     return HBasis(n=n, m=m, traceless=bool(traceless), tensors=tensors)
 
 
-@dataclass(frozen=True)
-class FTerms:
+class FTerms(NamedTuple):
     """The lambda-independent parts of F(h), for h of shape (..., m, n, n).
 
     ``norm2`` (...) is |h|^2 and ``cross`` (..., p, p), p = min(n, m),
@@ -215,8 +213,7 @@ def _gram_matrix(lams, pair):
     return 0.5 * (g + np.swapaxes(g, -1, -2))
 
 
-@dataclass(frozen=True)
-class BlockPlan:
+class BlockPlan(NamedTuple):
     """F's Gram matrix over an HBasis as its coupled index blocks.
 
     ``index[s]`` (nk, k) lists the blocks of one size k, each ascending, in
@@ -332,17 +329,23 @@ def optimal_condition(lambdas, m, epsilon=DEFAULT_EPSILON,
         epsilon=float(epsilon), dim=basis.dim, traceless=bool(traceless))
 
 
-@dataclass(frozen=True)
 class RegionScanResult:
-    """Minimum-eigenvalue landscape over a grid in singular-value space."""
+    """Minimum-eigenvalue landscape over a grid in singular-value space.
 
-    n: int
-    m: int
-    traceless: bool
-    axes: tuple          # per-axis (lo, hi, steps)
-    epsilon: float
-    values: np.ndarray   # grid of minimum eigenvalues
-    classification: np.ndarray  # grid of "inside" / "boundary" / "outside"
+    ``axes`` holds the per-axis (lo, hi, steps), ``values`` the grid of
+    minimum eigenvalues and ``classification`` the grid of "inside" /
+    "boundary" / "outside".  It is not a tuple, for the reason
+    ``verification.SurfaceSample`` gives.
+    """
+
+    __slots__ = ("n", "m", "traceless", "axes", "epsilon", "values",
+                 "classification")
+
+    def __init__(self, n, m, traceless, axes, epsilon, values,
+                 classification):
+        self.n, self.m, self.traceless = n, m, traceless
+        self.axes, self.epsilon = axes, epsilon
+        self.values, self.classification = values, classification
 
     def axis_points(self):
         return [np.linspace(lo, hi, steps) for (lo, hi, steps) in self.axes]

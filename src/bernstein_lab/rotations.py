@@ -41,7 +41,7 @@ are ``check``'s, from ``geometry.jacobian_svd``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -205,8 +205,7 @@ def random_unitary(n, seed) -> UnitaryBlock:
 # rotation search
 
 
-@dataclass(frozen=True)
-class SearchTarget:
+class SearchTarget(NamedTuple):
     """Flatness condition the search optimizes, by its registered name.
 
     ``kind`` names an entry of ``conditions.CONDITIONS``; the command line
@@ -241,8 +240,7 @@ class SearchTarget:
         return np.inf
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     """Best rotation found, its transformed differential, and the trace."""
 
     best_g: object            # OrthBlock; a UnitaryBlock in the unitary group
@@ -279,8 +277,7 @@ def _unitary_flattening(a):
     return UnitaryBlock.from_matrix(_turn(v, np.arctan(w), v), len(v))
 
 
-@dataclass(frozen=True)
-class RotationGroup:
+class RotationGroup(NamedTuple):
     """What the rotation search needs of its group, for one differential."""
 
     identity: OrthBlock
@@ -413,16 +410,22 @@ def search_rotation(a_matrix, target: SearchTarget, budget, seed,
                 step /= 2.0
 
     try:
-        starts = [grp.flattening(a)]
+        flattening = [grp.flattening(a)]
     except ValueError:
-        starts = []
-    restarts = [int(child.generate_state(1)[0])
-                for child in np.random.SeedSequence(seed).spawn(8)]
-    for g0 in (*starts, grp.identity, *restarts):
-        if spent():
-            break
-        # a restart is its seed until the search reaches it
-        descend(grp.random(g0) if isinstance(g0, int) else g0)
+        flattening = []
+
+    def schedule():
+        """The starts in search order, each restart built when the search
+        reaches it; the restart seeds are spawned, and ``numpy.random``
+        imported, only at the first restart."""
+        yield from flattening
+        yield grp.identity
+        for child in np.random.SeedSequence(seed).spawn(8):
+            yield grp.random(int(child.generate_state(1)[0]))
+
+    starts = schedule()
+    while not spent() and (g0 := next(starts, None)) is not None:
+        descend(g0)
 
     margin, g, transformed, report = best or (
         -np.inf, grp.identity, None,

@@ -25,7 +25,7 @@ one layer, Laplacian comparisons two).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,20 +41,28 @@ NEAR_TIE_GAP = 1e-6
 MINIMAL_GATE = 1e-5
 
 
-@dataclass(frozen=True)
 class SurfaceSample:
     """A graph sampled on a rectangular lattice with the pointwise data the
-    identities read (f's jets and the target bases go only into ``sff``)."""
+    identities read (f's jets and the target bases go only into ``sff``).
 
-    spec: MapSpec
-    axes: tuple            # per-axis node coordinates
-    spacing: tuple         # per-axis grid step
-    lambdas: np.ndarray    # grid + (n,)
-    domain_bases: np.ndarray     # grid + (n, n)
-    sff: np.ndarray        # grid + (m, n, n)
-    star_omega: np.ndarray  # grid
-    mean_curvature: np.ndarray   # grid + (m,)
-    flagged: np.ndarray    # grid, bool: unresolved near-equal singular values
+    ``axes`` holds the per-axis node coordinates and ``spacing`` the
+    per-axis grid steps.  The arrays cover the grid: ``lambdas`` (n,) per
+    node, ``domain_bases`` (n, n), ``sff`` (m, n, n), ``star_omega``,
+    ``mean_curvature`` (m,) and ``flagged``, True where two singular values
+    are near-equal and unresolved.  It is not a tuple: the benchmark's
+    tracer (``perfbench/trace_cli.py``) counts a tuple output's nodes as
+    ``singular_data_batch``'s.
+    """
+
+    __slots__ = ("spec", "axes", "spacing", "lambdas", "domain_bases", "sff",
+                 "star_omega", "mean_curvature", "flagged")
+
+    def __init__(self, spec, axes, spacing, lambdas, domain_bases, sff,
+                 star_omega, mean_curvature, flagged):
+        self.spec, self.axes, self.spacing = spec, axes, spacing
+        self.lambdas, self.domain_bases, self.sff = lambdas, domain_bases, sff
+        self.star_omega, self.mean_curvature = star_omega, mean_curvature
+        self.flagged = flagged
 
     @property
     def grid_shape(self):
@@ -188,8 +196,7 @@ def discrete_laplace_beltrami(sample: SurfaceSample, field):
     return lap[sample.interior(2)]
 
 
-@dataclass(frozen=True)
-class VerificationStats:
+class VerificationStats(NamedTuple):
     """Error statistics of one identity on one grid.
 
     ``max_abs_error``/``rms_error`` are plain differences of the two sides;
@@ -208,7 +215,16 @@ class VerificationStats:
     nodes: int
     excluded: int
     observed_order: object = None  # float once a coarser grid is available
-    sides: object = field(default=None, repr=False, compare=False)
+    sides: object = None
+
+    def __eq__(self, other):
+        """Equal statistics; ``sides``, the data they reduce, is left out."""
+        if not isinstance(other, VerificationStats):
+            return NotImplemented
+        return self[:-1] == other[:-1]
+
+    def __ne__(self, other):
+        return not self == other
 
     def to_json(self):
         return {
@@ -227,8 +243,7 @@ class VerificationStats:
         }
 
 
-@dataclass(frozen=True)
-class IdentitySides:
+class IdentitySides(NamedTuple):
     """Both sides of one identity at the interior nodes of a sample.
 
     The arrays cover ``sample.interior(layers)``.  ``lhs`` and ``rhs`` carry a
@@ -390,8 +405,8 @@ def run_identity(spec: MapSpec, grids, identity):
         sample = sample_surface(spec, g)
         stats = IDENTITY_RUNNERS[identity](sample)
         if out:
-            stats = replace(stats,
-                            observed_order=_observed_order(out[-1], stats))
+            stats = stats._replace(
+                observed_order=_observed_order(out[-1], stats))
         out.append(stats)
     return out, sample
 

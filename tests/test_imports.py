@@ -1,7 +1,8 @@
-"""Every module-level import is used, every package name is read, and no
-product of the package goes to BLAS.
+"""Every module-level import is used, every package name is read, no
+product of the package goes to BLAS, no record is a dataclass, and a CLI
+invocation loads ``numpy.random`` only when it uses it.
 
-Three AST scans, with no linter dependency:
+Four AST scans, with no linter dependency:
 
 * a name bound by a module-level ``import`` of the package or its tests
   must be read somewhere in the module (``__future__`` imports and the
@@ -15,10 +16,21 @@ Three AST scans, with no linter dependency:
   whose kernel, and so whose summation order, the CPU picks: no ``@``, no
   numpy ``matmul``, ``dot``, ``vecdot``, ``matvec``, ``vecmat``, ``inner``
   or ``tensordot``, nothing of ``np.linalg`` and no ``einsum`` with
-  ``optimize``.  Products go through ``linalg.matmul``.
+  ``optimize``.  Products go through ``linalg.matmul``;
+* no module of the package imports ``dataclasses``: a dataclass generates
+  and executes its methods' source at import, which every CLI invocation
+  would pay.  Records are ``NamedTuple``s or plain classes.
+
+A fresh interpreter runs the CLI's subcommands and reports whether
+``numpy.random`` (with ``secrets``, ``hashlib`` and ``hmac``) was loaded:
+only a rotation search that reaches a restart needs it.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -159,3 +171,68 @@ def test_scan_flags_every_blas_route():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_package_has_no_blas_route(path):
     assert blas_routes(path.read_text()) == []
+
+
+def dataclass_imports(source):
+    """Lines of the ``dataclasses`` imports of ``source``, at any depth."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if (isinstance(node, ast.Import) and any(
+                alias.name.split(".")[0] == "dataclasses"
+                for alias in node.names))
+            or (isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[0] == "dataclasses")]
+
+
+def test_scan_flags_every_dataclasses_import():
+    source = ("import dataclasses\nfrom dataclasses import dataclass\n"
+              "import typing, dataclasses as dc\n"
+              "def late():\n    from dataclasses import replace\n"
+              "from typing import NamedTuple\n")
+    assert dataclass_imports(source) == [1, 2, 3, 5]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_package_imports_no_dataclasses(path):
+    assert dataclass_imports(path.read_text()) == []
+
+
+# Each subcommand on an input that needs no restart, then a rotation search
+# that reaches one: a 3 x 3 trace-free OptimalB search is certified and
+# stops at evaluation 1, a (1, 1) full one has no ceiling.
+NO_RESTART = {
+    "check": ["check", "--input", "m.json", "--out", "check.json"],
+    "region": ["region", "--n", "2", "--m", "2", "--grid", "0:1:3,0:1:3",
+               "--out", "region.csv"],
+    "rotate": ["rotate", "--input", "m.json", "--seed", "1",
+               "--out", "rotate.json"],
+    "verify": ["verify", "--surface", "holo_z2", "--identity", "gradient",
+               "--grid", "5", "--out", "verify.json"],
+}
+RESTART = ["rotate", "--input", "one.json", "--seed", "4", "--budget", "120",
+           "--traceless", "false", "--out", "restart.json"]
+
+
+def test_numpy_random_loads_only_when_a_search_reaches_a_restart(tmp_path):
+    (tmp_path / "m.json").write_text(json.dumps(
+        {"matrix": [[0.3, -0.2, 0.1], [0.1, 0.2, -0.3], [0.0, 0.1, 0.2]]}))
+    (tmp_path / "one.json").write_text(json.dumps({"matrix": [[0.7]]}))
+    code = ("import json, sys\n"
+            "import bernstein_lab.cli as cli\n"
+            "loaded = lambda: 'numpy.random' in sys.modules\n"
+            "out = [('import', 0, loaded())]\n"
+            "for name, argv in json.loads(sys.argv[1]):\n"
+            "    out.append((name, cli.main(argv), loaded()))\n"
+            "print(json.dumps(out))\n")
+    runs = [*NO_RESTART.items(), ("restart", RESTART)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert [tuple(row) for row in json.loads(proc.stdout)] == [
+        ("import", 0, False), ("check", 0, False), ("region", 0, False),
+        ("rotate", 0, False), ("verify", 0, False), ("restart", 0, True)]
+    rotate = json.loads((tmp_path / "rotate.json").read_text())["results"]
+    assert rotate["evaluations"] == 1
+    restart = json.loads((tmp_path / "restart.json").read_text())["results"]
+    assert restart["evaluations"] == 120

@@ -1,7 +1,6 @@
 """Built-in surfaces and discrete verification of the identities."""
 
 import hashlib
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -508,7 +507,7 @@ def test_run_identity_hands_on_the_sides_it_reduced():
         for name in ("lhs", "rhs", "err"):
             assert np.array_equal(getattr(sides, name), getattr(fresh, name))
         stats = ver._sides_stats(finest, fresh)
-        assert ladder[-1] == replace(stats,
-                                     observed_order=ladder[-1].observed_order)
+        assert ladder[-1] == stats._replace(
+            observed_order=ladder[-1].observed_order)
     ladder, _ = ver.run_identity(spec, [9], "minimality")
     assert ladder[0].sides is None
