@@ -282,7 +282,7 @@ def _node_table(sample, sides):
                        sides.rhs.reshape(nodes, -1),
                        sides.err.reshape(nodes, 1)])
     header = [f"x{i + 1}" for i in range(n)] + sides_header + ["err"]
-    return header, ([repr(float(v)) for v in row] for row in table)
+    return header, (map(repr, row) for row in table.tolist())
 
 
 def cmd_verify(args):

@@ -10,17 +10,19 @@ two tangent slots, optionally trace-free per normal direction) the form
 equals minus the Laplacian of log(star_omega) on a graph with parallel mean
 curvature (indices i, j run over 1..min(n, m); k, l over 1..n).  Positive
 definiteness of F with a margin epsilon, as a function of the singular
-values, is the sharp flatness criterion this module maps out: it assembles
-the Gram matrix of F over an explicit orthonormal basis, computes minimum
-eigenvalues, and scans regions of singular-value space.
+values, is the sharp flatness criterion this module maps out: over an
+explicit orthonormal basis F's Gram matrix is I + r^2 C(lam_hat), r = |lambda|
+and C the unit-scale matrix of the cross term at lam_hat = lambda / r, so its
+minimum eigenvalue is 1 + r^2 mu(lam_hat); the module computes it and scans
+regions of singular-value space.
 
-``evaluate_F_direct`` is the single source of truth for F; Gram matrices are
-obtained from it by polarization, never from re-derived closed forms.  All
-evaluators broadcast over leading axes of both the singular values and the
-tensors.  Minimum eigenvalues polarize only the coupled blocks of the Gram
-matrix (``block_plan``) and solve each stack of equal-size blocks with one
-batched ``linalg.jacobi_eigh`` call; each block converges against its own
-norm, so a large block cannot hide a small block's negative eigenvalue.
+``evaluate_F_direct`` is the single source of truth for F, and ``_cross``
+for its cross term, which the block plan's coefficients are built from.
+All evaluators broadcast over leading axes of both the singular values and
+the tensors.  C is formed only on the coupled blocks (``block_plan``), and
+each stack of equal-size blocks is solved with one batched
+``linalg.jacobi_eigh`` call; each block converges against its own norm, so
+a large block cannot hide a small block's negative eigenvalue.
 """
 
 from __future__ import annotations
@@ -38,17 +40,17 @@ from .geometry import star_omega
 DEFAULT_EPSILON = 1e-3
 BOUNDARY_BAND = 1e-6
 # Slack of the OptimalB pass test: pass/fail at an exact spectral boundary
-# is decided within this tolerance.  The minimum eigenvalue is accurate to
-# about 1e-13 * ||B||_F, B the Gram block that holds it, so the slack covers
-# the rounding only while that block's norm is at most 1e3; beyond it a
-# boundary call may go either way.
+# is decided within this tolerance.  The minimum eigenvalue 1 + r^2 mu is
+# accurate to about c u r^2 ||C(lam_hat)|| (u the unit roundoff, C the unit
+# block that holds mu, c small), a bound that grows with r^2; a boundary
+# call whose bound exceeds this slack may go either way.
 EIG_TOL = 1e-10
 # Largest h-space dimension F is built for, refused from (n, m) alone.  The
 # slowest shape under the cap, 12 x 12 trace-free (dimension 924), takes
-# about 0.3 s and 160 MB in ``check`` on a 2-vCPU Xeon; 16 x 16 (dimension
+# about 0.1 s and 77 MB in ``check`` on a 2-vCPU Xeon; 16 x 16 (dimension
 # 2,160) took 44 s and 760 MB when the block plan was a dense product.
 MAX_BASIS_DIM = 1000
-# Rows of lambdas whose Gram blocks are assembled and solved at once.
+# Rows of lambdas whose unit blocks C(lam_hat) are formed and solved at once.
 EIGH_CHUNK = 4096
 
 
@@ -128,36 +130,23 @@ def h_space_basis(n, m, traceless) -> HBasis:
     return HBasis(n=n, m=m, traceless=bool(traceless), tensors=tensors)
 
 
-class FTerms(NamedTuple):
-    """The lambda-independent parts of F(h), for h of shape (..., m, n, n).
-
-    ``norm2`` (...) is |h|^2 and ``cross`` (..., p, p), p = min(n, m),
-    holds sum_k h_{n+i,j,k} h_{n+j,i,k}; F(h) = norm2 + lambda^T cross
-    lambda over the first p singular values.
-    """
-
-    norm2: np.ndarray
-    cross: np.ndarray
-    n: int
-
-
-def f_terms(h) -> FTerms:
-    """The ``FTerms`` of h (or of an object carrying it as ``.h``)."""
-    hv = _tensor_of(h)
-    m, n = hv.shape[-3], hv.shape[-2]
-    p = min(n, m)
+def _cross(h, g):
+    """F's cross term, bilinear in tensors h and g (..., m, n, n): sum_k
+    h_{n+i,j,k} g_{n+j,i,k} (..., p, p), p = min(n, m).  F(h) = |h|^2 +
+    lambda^T _cross(h, h) lambda over the first p singular values, and
+    _cross(g, h) is _cross(h, g) transposed, bit for bit."""
+    p = min(h.shape[-3], h.shape[-2])
     # einsum accumulates sequentially, so padding a tensor with zero slots
     # (the 3-d cone reduction) reproduces the smaller evaluation bit for bit.
-    hp = hv[..., :p, :p, :]
-    return FTerms(norm2=np.einsum("...aij,...aij->...", hv, hv),
-                  cross=np.einsum("...ijk,...jik->...ij", hp, hp), n=n)
+    return np.einsum("...ijk,...jik->...ij", h[..., :p, :p, :],
+                     g[..., :p, :p, :])
 
 
 def peaks_at_zero(n, m, traceless) -> bool:
     """True when F's minimum eigenvalue is at most its value at lambda = 0.
 
     The certificate is a tensor b of ``h_space_basis(n, m, traceless)`` whose
-    ``f_terms(b).cross`` is all zero: then F(b) = |b|^2 = 1 at every lambda,
+    ``_cross(b, b)`` is all zero: then F(b) = |b|^2 = 1 at every lambda,
     so the minimum eigenvalue is at most 1, which it equals at lambda = 0.
     Such a b exists when m > n (a normal direction beyond the first p) or when
     some basis tensor of a direction a < p has a zero row a: (2, 2) and
@@ -172,67 +161,50 @@ def peaks_at_zero(n, m, traceless) -> bool:
     """
     if n == 2 and traceless and m >= 2:
         return True
-    cross = f_terms(h_space_basis(n, m, traceless).tensors).cross
-    return bool(np.any(~np.any(cross, axis=(-2, -1))))
+    t = h_space_basis(n, m, traceless).tensors
+    return bool(np.any(~np.any(_cross(t, t), axis=(-2, -1))))
 
 
 def evaluate_F_direct(lambdas, h):
     """Evaluate F(h) at singular values ``lambdas``.
 
     ``lambdas`` has shape (..., n) and ``h`` shape (..., m, n, n), symmetric
-    in the last two slots, or ``h`` is its ``FTerms`` (the same bits, without
-    recomputing them); leading axes broadcast.  Reduces to the squared norm
-    of h at lambda = 0.  Signed singular values are accepted (the spectrum
-    of the form only depends on the signs through an isometry).
+    in the last two slots; leading axes broadcast.  Reduces to the squared
+    norm of h at lambda = 0.  Signed singular values are accepted (the
+    spectrum of the form only depends on the signs through an isometry).
     """
-    terms = h if isinstance(h, FTerms) else f_terms(h)
+    hv = _tensor_of(h)
     lam = np.asarray(lambdas, dtype=float)
-    if lam.shape[-1] != terms.n:
+    if lam.shape[-1] != hv.shape[-2]:
         raise ValueError("lambdas length must match tangent dimension")
-    p = terms.cross.shape[-1]
-    out = terms.norm2
-    if p:
-        lamp = lam[..., :p]
-        out = out + np.einsum("...i,...ij,...j->...", lamp, terms.cross,
-                              lamp)
+    cross = _cross(hv, hv)
+    lamp = lam[..., :cross.shape[-1]]
+    out = np.einsum("...aij,...aij->...", hv, hv) + np.einsum(
+        "...i,...ij,...j->...", lamp, cross, lamp)
     return float(out) if np.ndim(out) == 0 else out
-
-
-def _gram_matrix(lams, pair):
-    """Gram matrices by polarization, batched over leading axes of lams.
-
-    ``pair`` holds the ``FTerms`` (..., k, k) of the sums and differences
-    b_p +- b_q of the basis tensors to polarize; the result has shape
-    lams.shape[:-1] + (..., k, k).
-    """
-    sums, diffs = pair
-    lam = np.asarray(lams, dtype=float)
-    lamb = lam.reshape(lam.shape[:-1] + (1,) * sums.norm2.ndim
-                       + lam.shape[-1:])
-    g = 0.25 * (evaluate_F_direct(lamb, sums) - evaluate_F_direct(lamb, diffs))
-    return 0.5 * (g + np.swapaxes(g, -1, -2))
 
 
 class BlockPlan(NamedTuple):
     """F's Gram matrix over an HBasis as its coupled index blocks.
 
     ``index[s]`` (nk, k) lists the blocks of one size k, each ascending, in
-    order of their first index; together they partition range(dim).
-    ``terms[s]`` holds the ``FTerms`` (nk, k, k) of the sums and
-    differences b_p +- b_q of the in-block pairs that polarization needs.
-    Every Gram entry between two blocks is exactly zero at every lambda.
+    order of their first index; together they partition range(dim).  The
+    basis is orthonormal, so a block's Gram matrix at lambda is I + sum_ij
+    lambda_i lambda_j ``coef[s][..., i, j]``, ``coef[s]`` (nk, k, k, p, p)
+    from ``_pair_coefficients``.  Every Gram entry between two blocks is
+    exactly zero at every lambda.
     """
 
     index: tuple
-    terms: tuple
+    coef: tuple
 
 
 def _coupled_blocks(tensors, p):
     """Index sets, ascending and in order of their first index, of the
-    tensors (dim, m, n, n) that F's polarization couples: a union-find joins
-    each tensor to its nonzero entries (a, l, k), where a shared entry is a
-    norm-term product, and each such entry to (l, a, k) when a, l < p, a
-    cross-term product."""
+    tensors (dim, m, n, n) that F's bilinear form couples: a union-find
+    joins each tensor to its nonzero entries (a, l, k), where a shared entry
+    is a norm-term product, and each such entry to (l, a, k) when a, l < p,
+    a cross-term product."""
     dim, _, n, _ = tensors.shape
     parent = list(range(dim + tensors[0].size))
 
@@ -254,11 +226,19 @@ def _coupled_blocks(tensors, p):
     return list(blocks.values())
 
 
+def _pair_coefficients(tensors):
+    """``_cross`` of every pair of ``tensors`` (..., k, m, n, n), symmetrized
+    in (i, j): (..., k, k, p, p), entry (a, b) equal to (b, a) bit for bit."""
+    cross = _cross(tensors[..., :, None, :, :, :],
+                   tensors[..., None, :, :, :, :])
+    return 0.5 * (cross + np.swapaxes(cross, -1, -2))
+
+
 @lru_cache(maxsize=32)
 def block_plan(n, m, traceless) -> BlockPlan:
     """The ``BlockPlan`` of ``h_space_basis(n, m, traceless)``, built once.
 
-    Two basis tensors are coupled when a term of F's polarization has a
+    Two basis tensors are coupled when a term of F's bilinear form has a
     nonzero product of their entries: the norm term (shared entries) or the
     coefficient of some lambda_i lambda_j (h_{n+i,j,k} against h_{n+j,i,k}).
     The pattern is read from the tensors' supports, so it does not depend
@@ -269,39 +249,51 @@ def block_plan(n, m, traceless) -> BlockPlan:
     by_size = {}
     for idx in _coupled_blocks(basis.tensors, min(n, m)):
         by_size.setdefault(len(idx), []).append(idx)
-    index, terms = [], []
+    index, coef = [], []
     for k in sorted(by_size):
         idx = np.array(by_size[k])
-        tk = basis.tensors[idx]
-        term = (f_terms(tk[:, :, None] + tk[:, None, :]),
-                f_terms(tk[:, :, None] - tk[:, None, :]))
-        for arr in (idx, *(x for t in term for x in (t.norm2, t.cross))):
-            arr.flags.writeable = False
         index.append(idx)
-        terms.append(term)
-    return BlockPlan(index=tuple(index), terms=tuple(terms))
+        coef.append(_pair_coefficients(basis.tensors[idx]))
+    for arr in (*index, *coef):
+        arr.flags.writeable = False
+    return BlockPlan(index=tuple(index), coef=tuple(coef))
+
+
+def _unit_directions(lams):
+    """Rows of lambdas (N, p) as lambda = top * norm * lam_hat, |lambda|
+    never formed: (top, norm, w), top the largest |lambda_i|, norm that of
+    lambda / top (both 0 at lambda = 0, where lam_hat = 0) and w (N, p, p)
+    the products lam_hat_i lam_hat_j."""
+    top = np.max(np.abs(lams), axis=-1, initial=0.0)
+    unit = np.divide(lams, top[:, None], out=np.zeros(lams.shape),
+                     where=top[:, None] > 0)
+    norm = np.sqrt(np.einsum("ri,ri->r", unit, unit))
+    unit = np.divide(unit, norm[:, None], out=unit, where=norm[:, None] > 0)
+    return top, norm, unit[:, :, None] * unit[:, None, :]
 
 
 def _min_eigenvalues(lams, basis):
-    """Minimum eigenvalue of F's Gram matrix at each row of ``lams`` (N, n).
+    """Minimum eigenvalue 1 + r^2 mu of F's Gram matrix at each row of
+    ``lams`` (N, n), mu the least eigenvalue of C(lam_hat) (module doc).
 
-    Only the blocks of ``block_plan`` are assembled, ``EIGH_CHUNK`` rows at
+    C is formed on the blocks of ``block_plan`` only, ``EIGH_CHUNK`` rows at
     a time, and each stack of equal-size blocks (rows, nk, k, k) goes to one
-    ``jacobi_eigh`` call; a row's value is the least of its blocks' minimum
-    eigenvalues.  Each block converges against its own Frobenius norm, so
-    the value is accurate to about 1e-13 times the norm of the block that
-    holds it, however large the other blocks are.  A row where F overflows
-    (a block with an inf or NaN entry) reads NaN: ``jacobi_eigh`` gives such
-    a block NaN eigenvalues, and the minimum keeps them.
+    ``jacobi_eigh`` call.  The error is about c u r^2 ||C(lam_hat)||, u the
+    unit roundoff; mu = 0 gives exactly 1, and a value past the float range
+    reads -inf or inf, never NaN.
     """
     plan = block_plan(basis.n, basis.m, basis.traceless)
+    p = min(basis.n, basis.m)
     values = np.empty(lams.shape[0])
     for start in range(0, lams.shape[0], EIGH_CHUNK):
-        rows = lams[start: start + EIGH_CHUNK]
-        lows = [linalg.jacobi_eigh(_gram_matrix(rows, terms),
-                                   compute_v=False)[..., 0].min(axis=-1)
-                for terms in plan.terms]
-        values[start: start + EIGH_CHUNK] = np.min(lows, axis=0)
+        top, norm, w = _unit_directions(lams[start: start + EIGH_CHUNK, :p])
+        mu = np.min([linalg.jacobi_eigh(np.einsum("rij,bxyij->rbxy", w, coef),
+                                        compute_v=False)[..., 0].min(axis=-1)
+                     for coef in plan.coef], axis=0)
+        # r^2 mu multiplied out from r = top * norm, so that mu = 0 gives 1
+        # even where r itself overflows
+        values[start: start + EIGH_CHUNK] = 1.0 + top * (norm * (top * (
+            norm * mu)))
     return values
 
 

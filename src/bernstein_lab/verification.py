@@ -305,8 +305,7 @@ def identity_sides(sample: SurfaceSample, identity) -> IdentitySides:
 def _summary(identity, sample, err, scale, excluded, sides=None):
     if err.size == 0:
         raise ValueError("no interior nodes left after exclusions")
-    rms = math.sqrt(math.fsum(float(e) ** 2 for e in err.ravel())
-                    / err.size)
+    rms = math.sqrt(math.fsum((err * err).ravel().tolist()) / err.size)
     return VerificationStats(
         identity=identity,
         grid=tuple(len(ax) for ax in sample.axes),

@@ -18,19 +18,13 @@ from bernstein_lab import verification as ver
 from bernstein_lab.conditions import check_jost_xin, check_theorem_a
 from bernstein_lab.surfaces import builtin_surface
 
+from polarization import full_gram, gram_matrix, pair_tensors
+
 RUN = [sys.executable, "-m", "bernstein_lab.cli"]
 
 
 def report(num, text):
     print(f"ACCEPTANCE {num} PASS: {text}")
-
-
-def all_pair_terms(basis):
-    """``FTerms`` of the sums and differences of every pair of the basis,
-    for F's whole Gram matrix."""
-    t = basis.tensors
-    return [opt.f_terms(t[:, None] + t[None, :]),
-            opt.f_terms(t[:, None] - t[None, :])]
 
 
 def test_criterion_1_completed_square_floor():
@@ -59,10 +53,10 @@ def test_criterion_2_gram_direct_equivalence():
         for m in range(1, 5):
             for traceless in ((False, True) if n >= 2 else (False,)):
                 basis = opt.h_space_basis(n, m, traceless)
-                pair = all_pair_terms(basis)
+                pair = pair_tensors(basis.tensors)
                 for _ in range(10):
                     lam = rng.uniform(0, 2, size=n)
-                    gram = opt._gram_matrix(lam, pair)
+                    gram = gram_matrix(lam, pair)
                     coef = rng.uniform(-1, 1, size=(100, basis.dim))
                     h = np.einsum("ca,aijk->cijk", coef, basis.tensors)
                     direct = opt.evaluate_F_direct(lam, h)
@@ -90,7 +84,7 @@ def test_criterion_3_product_region_spectral_floor():
         lam_sorted = np.sort(lam, axis=1)
         sel = lam[lam_sorted[:, -1] * lam_sorted[:, -2] <= 0.9]
         assert sel.shape[0] > 0
-        grams = opt._gram_matrix(sel, all_pair_terms(basis))
+        grams = full_gram(sel, basis)
         w, _ = linalg.jacobi_eigh(grams)
         low = float(w[:, 0].min())
         floors[(n, m)] = low

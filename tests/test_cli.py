@@ -101,7 +101,8 @@ def _main_in(tmp_path, monkeypatch, capsys, inputs, argv):
     return code, captured.out, captured.err
 
 
-# sha256 of check's stdout, recorded with the per-point implementation;
+# sha256 of check's stdout, recorded with the per-point implementation and
+# OptimalB's digits re-recorded with the unit-direction form I + r^2 C;
 # OptimalB's `dim` and `traceless` details are a JSON integer and boolean
 CHECK_GOLDEN = {
     "lawson-osserman-6-points": (
@@ -109,7 +110,7 @@ CHECK_GOLDEN = {
                   "name": "lawson_osserman"},
          "points": np.random.default_rng(11).uniform(
              0.55, 1.45, (6, 4)).tolist()},
-        1, "8c392f1cb032a0718d7aeee130286c6ff052449bd3a6efc1c34d82fb2606dcb4"),
+        1, "53b4d62de38f107d1234de548639bbe58479a10d9911ce961310bc283f3e949d"),
     "negative-det-2x2": (
         {"matrix": [[0.4, 0.7], [0.9, -0.2]]},
         1, "eeeca60d1ecd944b2c3a4fb704740a6dc658eb77ee9097fcaa4399ea7c9529d4"),
@@ -125,6 +126,36 @@ def test_check_output_golden(tmp_path, monkeypatch, capsys, case):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of region's CSV on small grids of the benchmark's three shapes,
+# recorded with the unit-direction form I + r^2 C(lam_hat)
+REGION_GOLDEN = {
+    "3x3-full": (
+        ["--n", "3", "--m", "3", "--traceless", "false", "--grid",
+         "0:3.1:6,0:3.1:6,0:3.1:6", "--epsilon", "0.05"],
+        "038228934e2ca9f3cbcd7b902da666ee"
+        "d7006aef96fe3b0cb4285e948e3ccc76"),
+    "4x3-tracefree": (
+        ["--n", "4", "--m", "3", "--traceless", "true", "--grid",
+         "0:3:5,0:3:5,0:3:5", "--epsilon", "0.001"],
+        "92ea44e2bf28326348974b625a1baec7"
+        "3d58976cfe0255b312205f4e0c43a39c"),
+    "4x4-full": (
+        ["--n", "4", "--m", "4", "--traceless", "false", "--grid",
+         "0:2:3,0:2:3,0:2:3,0:2:3", "--epsilon", "0.001"],
+        "c18c51f758803f0a29a756a234819b66"
+        "edd1aad48d341e5974f31332ef7392da"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REGION_GOLDEN))
+def test_region_output_golden(tmp_path, monkeypatch, capsys, case):
+    argv, digest = REGION_GOLDEN[case]
+    got, out, err = _main_in(tmp_path, monkeypatch, capsys, {},
+                             ["region", *argv])
+    assert (got, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def _symmetric(seed):
     s = np.random.default_rng(seed).uniform(-1.5, 1.5, (3, 3))
     return (0.5 * (s + s.T)).tolist()
@@ -136,17 +167,17 @@ def _symmetric(seed):
 # so the descent digests are the ones that pin the search's edges; each
 # case's comment names the edge its descent pins (moves and evaluations
 # count from 1).  The OptimalB digests hold `dim` and `traceless` as an
-# integer and boolean
+# integer and boolean, and margins from the unit-direction form
 ROTATE_GOLDEN = {
     # two passes that improve nothing halve the step twice; the budget ends
     # on the +step candidate of move 7 of 15 at step pi/32 (evaluation 160)
     "orthogonal-optimalb-3x3": (
         np.random.default_rng(21).uniform(-1.5, 1.5, (3, 3)).tolist(),
         ["--target", "OptimalB", "--budget", "160", "--seed", "4"],
-        "87244c6612a2cac90861be9b58038b1a"
-        "093bd6f236a8e170d88b4d217ad238cc",
-        "3bbc4aab1b48695bc1709b376c9c78b8"
-        "77c2c8a81ced8feb94ff7ab7a5779770"),
+        "b4c594511b5f16593a64e2ad846494b7"
+        "8d3069e3081172d04b65c4fc2b7a7018",
+        "dc7a609646091b5c32e9b43e9f93c048"
+        "d98775b35f6d71a4d3f37d8c3e76ae31"),
     # the budget ends on the -step candidate of move 5 of 10 at step pi/32
     "orthogonal-theorema-2x3-budget-107": (
         [[1.2, -0.4, 0.9], [0.3, 1.7, -1.1]],
@@ -199,10 +230,10 @@ ROTATE_GOLDEN = {
         [[float(np.tan(np.pi / 8)), 0.2, 0.0], [0.0, 0.3, 0.0],
          [0.0, 0.0, 0.0]],
         ["--target", "OptimalB", "--budget", "800", "--seed", "5"],
-        "8f9bd60bfbc913b89a209cbbd5a45480"
-        "b5ba8bd1a53406e148bfaaaf5ca6fc6d",
-        "b39b2739879715a42e70ea08528b3320"
-        "6d4743d04d523bbf5c8df7a96607596e"),
+        "90af01340afef00b1460894b69b897a1"
+        "0f429e7d9e70e76409eb429958e64612",
+        "8baa1edaa1dd6d552d70d3678608f6a9"
+        "c03f7ca81a0584d3a07d0bafe37fcb00"),
     # improves on the phase moves 7, 8 and 9 of 9 (evaluations 12, 14 and
     # 15); the budget ends mid-pass on phase move 8's -step candidate
     "unitary-theorema-3x3-phase-moves": (
@@ -764,6 +795,21 @@ def test_check_optimal_b_fails_on_widely_spread_singular_values(tmp_path):
     assert report["pass"] is False
     low = report["details"]["min_eigenvalue"]
     assert abs(low / -7.0710678118654e13 - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("diag", [(1e8, 1e8), (1e4, 1e4), (1e8, 1.0)])
+def test_check_optimal_b_reads_exactly_one_on_wide_2x2_diagonals(
+        tmp_path, monkeypatch, capsys, diag):
+    # the trace-free (2, 2) minimum is exactly 1 at every lambda; these read
+    # 1.414213562373095, 0.9999999934224411 and 0.9999999999999996 when the
+    # 1 was rounded into Gram entries of size lambda^2
+    inputs = {"m.json": {"matrix": np.diag(diag).tolist()}}
+    code, out, err = _main_in(tmp_path, monkeypatch, capsys, inputs,
+                              ["check", "--input", "m.json", "--conditions",
+                               "OptimalB", "--traceless", "true"])
+    assert (code, err) == (0, "")
+    report, = json.loads(out)["results"][0]["reports"]
+    assert report["details"]["min_eigenvalue"] == 1.0
 
 
 def test_check_one_row_differential_leaves_trace_free_optimal_b_out(

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from bernstein_lab import linalg
 from bernstein_lab import optimal_region as opt
 
+from polarization import gram_matrix, pair_tensors
+
 
 def random_symmetric(rng, d, scale=1.0):
     a = rng.normal(size=(d, d)) * scale
@@ -102,9 +104,7 @@ GOLDEN_EIGH = {
 def test_eigh_golden_on_region_grams(shape):
     lams, lows, highs, w_sum, v_sum = GOLDEN_EIGH[shape]
     t = opt.h_space_basis(*shape).tensors
-    pair = [opt.f_terms(t[:, None] + t[None, :]),
-            opt.f_terms(t[:, None] - t[None, :])]
-    grams = opt._gram_matrix(np.array(lams), pair)
+    grams = gram_matrix(np.array(lams), pair_tensors(t))
     w, v = linalg.jacobi_eigh(grams)
     assert [float(x).hex() for x in w[:, 0]] == lows
     assert [float(x).hex() for x in w[:, -1]] == highs
@@ -300,9 +300,10 @@ def _old_layout_cases():
     cases = {}
     for n, m, traceless in ((3, 3, False), (4, 3, True), (4, 4, False)):
         lams = rng.uniform(0.0, 3.0, size=(40, n))
-        plan = opt.block_plan(n, m, traceless)
+        t = opt.h_space_basis(n, m, traceless).tensors
         cases[f"eigh-region-{n}x{m}-{traceless}"] = [
-            opt._gram_matrix(lams, terms) for terms in plan.terms]
+            gram_matrix(lams, pair_tensors(t[idx]))
+            for idx in opt.block_plan(n, m, traceless).index]
     cases["eigh-permuted-blocks"] = [np.array([
         _permuted_blocks(rng, 9, [3, 2, 2, 1, 1]),
         _permuted_blocks(rng, 9, [4, 4, 1]),

@@ -15,16 +15,20 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bernstein_lab import cli
 from bernstein_lab import geometry as geo
 from bernstein_lab import linalg
 from bernstein_lab import rotations as rot
 from bernstein_lab import verification as ver
 from bernstein_lab.surfaces import builtin_surface
+
+from test_cli import REGION_GOLDEN
 
 TESTS = Path(__file__).resolve().parent
 # core type -> the CPU features, by numpy's names, its kernels need
@@ -51,8 +55,8 @@ def _descent(a, kind, group, budget):
 
 def golden_subset():
     """sha256 by name of outputs the goldens pin: the bases of random
-    jacobians, an SVD stack, two sampled surfaces, a unitary flattening and
-    a descent in each group."""
+    jacobians, an SVD stack, two sampled surfaces, a unitary flattening, a
+    descent in each group and the region CSVs of ``REGION_GOLDEN``."""
     rng = np.random.default_rng(34)
     sym = rng.uniform(-1.5, 1.5, (3, 3))
     sym = sym + sym.T
@@ -73,6 +77,12 @@ def golden_subset():
         for part in parts:
             digest.update(np.ascontiguousarray(part).tobytes())
         digests[name] = digest.hexdigest()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "region.csv"
+        for name, (argv, _) in REGION_GOLDEN.items():
+            cli.main(["region", *argv, "--out", str(out)])
+            digests[f"region-{name}"] = hashlib.sha256(
+                out.read_bytes()).hexdigest()
     return digests
 
 

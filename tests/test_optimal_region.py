@@ -10,6 +10,8 @@ from bernstein_lab import geometry as geo
 from bernstein_lab import linalg
 from bernstein_lab import optimal_region as opt
 
+from polarization import full_gram
+
 
 def random_h(rng, n, m, traceless=False):
     h = rng.normal(size=(m, n, n))
@@ -19,18 +21,6 @@ def random_h(rng, n, m, traceless=False):
         for i in range(n):
             h[:, i, i] -= tr
     return h
-
-
-def pair_tensors(basis):
-    """The sums and differences b_p +- b_q over all pairs of the basis."""
-    t = basis.tensors
-    return t[:, None] + t[None, :], t[:, None] - t[None, :]
-
-
-def full_gram(lams, basis):
-    """F's whole Gram matrix at each row of lams: the block plan's oracle."""
-    return opt._gram_matrix(lams, [opt.f_terms(x)
-                                   for x in pair_tensors(basis)])
 
 
 # Largest per-direction trace, relative to 1 + max|h|, that
@@ -453,17 +443,46 @@ def test_min_eigenvalues_chunks_and_batches_of_one_agree_bitwise(
 
 def test_min_eigenvalues_at_huge_lambda():
     # near lambda = 1e100 the Gram entries are finite but their squared
-    # norm overflows; near 1e200 the entries themselves overflow, and that
-    # row reads NaN rather than some other block's finite minimum
+    # norm overflows; near 1e200 they overflow, and the row reads -inf, the
+    # rounding of 1 + r^2 mu with mu < 0, rather than NaN or some other
+    # block's finite minimum
     basis = opt.h_space_basis(2, 2, False)
     lam = np.array([[1e200, 1e200], [0.5, 0.3], [1e100, 1e100]])
     with np.errstate(over="ignore", invalid="ignore"):
         values = opt._min_eigenvalues(lam, basis)
         gram = full_gram(lam[2], basis)
-    assert np.isnan(values[0])
+    assert values[0] == -np.inf
     assert values[1] == opt._min_eigenvalues(lam[1:2], basis)[0]
     assert values[2] == pytest.approx(np.linalg.eigvalsh(gram)[0], rel=1e-12)
     assert values[2] < -1e199
+
+
+@pytest.mark.parametrize("shape, lam, value", [
+    ((2, 1, True), (1e160, 0.0), np.inf),     # exactly 1 + lambda^2 / 2
+    ((3, 3, False), (0.0, 1e160, 0.0), 1.0),  # mu = 0 along an axis
+    ((3, 3, False), (1.7e308, 1.7e308, 1.7e308), -np.inf),  # r overflows
+    ((2, 2, True), (1.7e308, 1.7e308), 1.0),  # r overflows, mu = 0
+])
+def test_min_eigenvalues_past_the_float_range_are_never_nan(shape, lam,
+                                                             value):
+    with np.errstate(over="ignore"):
+        got = opt._min_eigenvalues(np.array([lam]), opt.h_space_basis(*shape))
+    assert got[0] == value
+
+
+@pytest.mark.parametrize("lam", [(1e8, 1e8), (1e4, 1e4), (1e8, 1.0)])
+def test_min_eigenvalue_is_exactly_one_on_the_22_trace_free_form(lam):
+    # the exact minimum is 1 at every lambda (criterion 1's completed
+    # square); the unit-direction form never rounds the 1 into the Gram
+    # entries, so it reads 1 exactly even at lambda = 1e8
+    basis = opt.h_space_basis(2, 2, True)
+    assert opt._min_eigenvalues(np.array([lam]), basis)[0] == 1.0
+
+
+def test_min_eigenvalue_at_lambda_zero_is_exactly_one():
+    for shape in BLOCK_SHAPES + [(12, 12, True)]:
+        basis = opt.h_space_basis(*shape)
+        assert opt._min_eigenvalues(np.zeros((1, shape[0])), basis)[0] == 1.0
 
 
 @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -1e-3])
@@ -487,6 +506,19 @@ def _random_lambdas(rng, rows, n):
     return lam
 
 
+def unit_matrix(lams, coef):
+    """C(lam_hat) at each row of lams, from coefficients (..., k, k, p, p),
+    and the (top, norm) that scale it: the route of ``_min_eigenvalues``,
+    for any coefficient stack."""
+    top, norm, weights = opt._unit_directions(lams)
+    return np.einsum("rij,...xyij->r...xy", weights, coef), top, norm
+
+
+def full_coefficients(basis):
+    """Coefficients (dim, dim, p, p) of the whole basis."""
+    return opt._pair_coefficients(basis.tensors)
+
+
 @pytest.mark.parametrize("shape", BLOCK_SHAPES)
 def test_block_plan_partitions_and_gram_vanishes_outside(shape):
     basis = opt.h_space_basis(*shape)
@@ -495,18 +527,17 @@ def test_block_plan_partitions_and_gram_vanishes_outside(shape):
     flat = np.concatenate([idx.reshape(-1) for idx in plan.index])
     assert sorted(flat.tolist()) == list(range(basis.dim))
     inside = np.zeros((basis.dim, basis.dim), dtype=bool)
-    full_pair = pair_tensors(basis)
-    for idx, terms in zip(plan.index, plan.terms):
+    full = full_coefficients(basis)
+    for idx, coef in zip(plan.index, plan.coef):
         assert np.all(np.diff(idx, axis=1) > 0)
         cut = (idx[:, :, None], idx[:, None, :])
         inside[cut] = True
-        for full, cached in zip(full_pair, terms):
-            expected = opt.f_terms(full[cut])
-            assert np.array_equal(cached.norm2, expected.norm2)
-            assert np.array_equal(cached.cross, expected.cross)
-            for arr in (cached.norm2, cached.cross):
-                with pytest.raises(ValueError):
-                    arr[(0,) * arr.ndim] = 1.0
+        assert np.array_equal(coef, full[cut])
+        assert np.array_equal(coef, np.swapaxes(coef, 1, 2))
+        for arr in (idx, coef):
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 1
+    assert np.all(full[~inside] == 0.0)
     rng = np.random.default_rng(20)
     grams = full_gram(rng.uniform(-3.0, 3.0, (40, shape[0])), basis)
     assert np.all(grams[:, ~inside] == 0.0)
@@ -557,20 +588,29 @@ def test_block_plan_is_the_dense_oracles_on_every_shape_up_to_300():
 
 @pytest.mark.parametrize("shape", BLOCK_SHAPES)
 def test_F_from_cached_terms_is_bitwise_F_of_h(shape):
+    # the plan's coefficients are F's bilinear cross term of each pair of a
+    # block's tensors, symmetrized; on the diagonal that cross term is the
+    # one evaluate_F_direct contracts, so F formed from it is F of b bit for
+    # bit
     plan = opt.block_plan(*shape)
-    full_pair = pair_tensors(opt.h_space_basis(*shape))
+    tensors = opt.h_space_basis(*shape).tensors
     lam = _random_lambdas(np.random.default_rng(23), 12, shape[0])
-    lamb = lam.reshape(lam.shape[:1] + (1, 1, 1) + lam.shape[1:])
-    for idx, terms in zip(plan.index, plan.terms):
-        cut = (idx[:, :, None], idx[:, None, :])
-        for full, cached in zip(full_pair, terms):
-            from_h = opt.evaluate_F_direct(lamb, full[cut])
-            from_terms = opt.evaluate_F_direct(lamb, cached)
-            assert np.array_equal(from_terms.view(np.int64),
-                                  from_h.view(np.int64))
-            for row in lam[:4]:
-                assert np.array_equal(opt.evaluate_F_direct(row, cached),
-                                      opt.evaluate_F_direct(row, full[cut]))
+    lamb = lam.reshape(lam.shape[:1] + (1, 1) + lam.shape[1:])
+    p = min(shape[:2])
+    for idx, coef in zip(plan.index, plan.coef):
+        tk = tensors[idx]
+        cross = opt._cross(tk[:, :, None], tk[:, None, :])
+        assert np.array_equal(coef,
+                              0.5 * (cross + np.swapaxes(cross, -1, -2)))
+        diagonal = np.einsum("bxxij->bxij", cross)
+        assert np.array_equal(diagonal, opt._cross(tk, tk))
+        lamp = lamb[..., :p]
+        from_terms = (np.einsum("bxaij,bxaij->bx", tk, tk)
+                      + np.einsum("...i,...ij,...j->...", lamp, diagonal,
+                                  lamp))
+        from_h = opt.evaluate_F_direct(lamb, tk)
+        assert np.array_equal(from_terms.view(np.int64),
+                              from_h.view(np.int64))
 
 
 @pytest.mark.parametrize("shape", BLOCK_SHAPES)
@@ -595,11 +635,15 @@ def test_min_eigenvalues_make_one_eigh_call_per_block_size(monkeypatch,
 
 @pytest.mark.parametrize("shape", BLOCK_SHAPES)
 def test_block_path_is_bitwise_the_full_solve(monkeypatch, shape):
+    # the oracle is the whole unit-direction matrix C(lam_hat), dim x dim,
+    # solved at once: the blocks change nothing but the cost
     n = shape[0]
     basis = opt.h_space_basis(*shape)
     lam = _random_lambdas(np.random.default_rng(21), 60, n)
-    w = linalg.jacobi_eigh(full_gram(lam, basis), compute_v=False)
-    full = w[:, 0]
+    c, top, norm = unit_matrix(lam[:, :min(shape[:2])],
+                               full_coefficients(basis))
+    mu = linalg.jacobi_eigh(c, compute_v=False)[:, 0]
+    full = 1.0 + top * (norm * (top * (norm * mu)))
     blocks = opt._min_eigenvalues(lam, basis)
     assert np.array_equal(blocks.view(np.int64), full.view(np.int64))
     for chunk in (1, 7, 60):
@@ -607,6 +651,47 @@ def test_block_path_is_bitwise_the_full_solve(monkeypatch, shape):
         assert np.array_equal(opt._min_eigenvalues(lam, basis), blocks)
     for row, value in zip(lam[:10], blocks):
         assert opt._min_eigenvalues(row[None], basis)[0] == value
+
+
+UNIT_FORM_SHAPES = [(n, m, traceless) for n in range(1, 5)
+                    for m in range(1, 5) for traceless in (False, True)
+                    if not (traceless and n < 2)] + [(12, 12, True)]
+
+
+@pytest.mark.parametrize("shape", UNIT_FORM_SHAPES)
+def test_unit_direction_form_is_the_polarized_gram(shape):
+    # I + r^2 C(lam_hat), scattered from the plan's blocks into dim x dim,
+    # against F's Gram matrix polarized from evaluate_F_direct one row at a
+    # time: every row, or every 23rd at 12 x 12, whose whole polarization
+    # would take 11 GB
+    n, m, _ = shape
+    p = min(n, m)
+    t = opt.h_space_basis(*shape).tensors
+    lam = _random_lambdas(np.random.default_rng(24), 4, n)
+    lam[1] *= -1.0
+    unit = np.zeros((len(lam), len(t), len(t)))
+    plan = opt.block_plan(*shape)
+    for idx, coef in zip(plan.index, plan.coef):
+        c = unit_matrix(lam[:, :p], coef)[0]
+        for b, block in enumerate(idx):
+            unit[:, block[:, None], block[None, :]] = c[:, b]
+    r2 = np.sum(lam[:, :p] ** 2, axis=-1)[:, None, None]
+    form = np.eye(len(t)) + r2 * unit
+    scale = 1.0 + np.max(np.abs(form))
+    for a in range(0, len(t), 23 if len(t) > 200 else 1):
+        polar = 0.25 * (opt.evaluate_F_direct(lam[:, None], t[a] + t)
+                        - opt.evaluate_F_direct(lam[:, None], t[a] - t))
+        assert np.max(np.abs(form[:, a] - polar)) <= 1e-14 * scale, a
+
+
+@pytest.mark.parametrize("shape", BLOCK_SHAPES + [(12, 12, True)])
+def test_min_eigenvalue_minus_one_scales_as_r_squared(shape):
+    basis = opt.h_space_basis(*shape)
+    lam = _random_lambdas(np.random.default_rng(25), 30, shape[0])
+    once = opt._min_eigenvalues(lam, basis)
+    twice = opt._min_eigenvalues(2.0 * lam, basis)
+    gap = np.abs((twice - 1.0) - 4.0 * (once - 1.0))
+    assert np.all(gap <= 1e-14 * (1.0 + np.abs(twice)))
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -641,19 +726,18 @@ def _search_kernel_calls(monkeypatch, a, target, budget, group):
 
 
 # kernel calls of the pointwise searches.  Each evaluation is one transform
-# SVD and one singular-value SVD, plus for OptimalB two block eigensolves of
-# two F calls each; the ceiling's zero differential adds one evaluation.
+# SVD and one singular-value SVD, plus for OptimalB two block eigensolves
+# and no F call (the block plan's coefficients hold F's cross term); the
+# ceiling's zero differential adds one evaluation.
 # The orthogonal flattening start and each restart of either group are one
 # SVD, the unitary flattening start one eigensolve.  With the flattening
 # start both searches stop at their certified ceiling at evaluation 1;
 # without it they descend through their whole budget (800 and 600
 # evaluations), each into its first restart
 SEARCH_KERNEL_CALLS = {
-    "OptimalB": {"jacobi_svd": 1602, "jacobi_eigh": 1602,
-                 "evaluate_F_direct": 3204},
+    "OptimalB": {"jacobi_svd": 1602, "jacobi_eigh": 1602},
     "unitary-TheoremA": {"jacobi_svd": 1202},
-    "OptimalB-flattening": {"jacobi_svd": 4, "jacobi_eigh": 4,
-                            "evaluate_F_direct": 8},
+    "OptimalB-flattening": {"jacobi_svd": 4, "jacobi_eigh": 4},
     "unitary-TheoremA-flattening": {"jacobi_svd": 3, "jacobi_eigh": 1},
 }
 
